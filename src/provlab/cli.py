@@ -22,12 +22,14 @@ from .stego import (
     StegoError,
     StegoRecord,
     parse_bmp,
+    seed_hash,
     stego_embed,
     stego_extract,
 )
 
 EXIT_OK = 0
 EXIT_FAIL = 1
+EXIT_USAGE = 2  # the code argparse exits with on a usage error
 EXIT_MAGIC_MISMATCH = 2
 EXIT_NO_TRAFFIC = 3
 
@@ -79,7 +81,7 @@ def _cmd_scenario(args) -> int:
     except UnknownScenario:
         print(f"unknown scenario: {args.name}", file=sys.stderr)
         print("known scenarios: " + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
-        return EXIT_MAGIC_MISMATCH
+        return EXIT_USAGE
     for step in report.steps:
         mark = "PASS" if step.ok else "FAIL"
         print(f"[{mark}] {step.expect} | observed: {step.observe}")
@@ -91,43 +93,6 @@ def _cmd_scenario(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def decode_capture_entries(entries) -> list[dict]:
-    """Replay every port-30011 broadcast length stream through the decoder,
-    one decoder per sender, starting over after each completed attempt."""
-    states: dict[str, dpl.DecoderState] = {}
-    attempts: list[tuple[str, dpl.DecoderState]] = []
-    saw_traffic = False
-    for entry in entries:
-        if entry.kind != "bcast" or entry.port != dpl.PROVISION_PORT:
-            continue
-        saw_traffic = True
-        state = states.get(entry.src)
-        if state is None or state.phase is dpl.Phase.COMPLETE:
-            state = dpl.DecoderState()
-            states[entry.src] = state
-            attempts.append((entry.src, state))
-        state.feed(entry.len)
-    if not saw_traffic:
-        return []
-    results = []
-    for src, state in attempts:
-        state.finalize()
-        if state.phase is dpl.Phase.COMPLETE:
-            creds = state.credentials
-            results.append(
-                {
-                    "src": src,
-                    "ssid": creds.ssid,
-                    "passphrase": creds.passphrase,
-                    "token": creds.token,
-                    "complete": True,
-                }
-            )
-        else:
-            results.append({"src": src, "complete": False})
-    return results
-
-
 def _cmd_decode(args) -> int:
     try:
         with open(args.capture, "r", encoding="utf-8") as fh:
@@ -135,18 +100,19 @@ def _cmd_decode(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read capture: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    results = decode_capture_entries(entries)
-    if not results:
+    attempts = dpl.decode_capture(entries)
+    if not attempts:
         print("no provisioning traffic on port 30011 in this capture", file=sys.stderr)
         return EXIT_NO_TRAFFIC
-    for i, res in enumerate(results):
-        if not res["complete"]:
-            print(f"attempt {i}: src={res['src']} incomplete")
+    for i, (src, state) in enumerate(attempts):
+        if state.phase is not dpl.Phase.COMPLETE:
+            print(f"attempt {i}: src={src} incomplete")
             continue
-        psk = res["passphrase"] if args.unmask else "*" * len(res["passphrase"])
+        creds = state.credentials
+        psk = creds.passphrase if args.unmask else "*" * len(creds.passphrase)
         print(
-            f"attempt {i}: src={res['src']} ssid={res['ssid']} "
-            f"passphrase={psk} token={res['token']}"
+            f"attempt {i}: src={src} ssid={creds.ssid} "
+            f"passphrase={psk} token={creds.token}"
         )
     return EXIT_OK
 
@@ -164,7 +130,7 @@ def _cmd_r_keys(args) -> int:
         image = parse_bmp(data)
         record, report = stego_extract(image, args.seed)
     except MagicMismatch as exc:
-        print(f"str hash: 0x{__import__('zlib').crc32(args.seed.encode()):08x}")
+        print(f"str hash: 0x{seed_hash(args.seed):08x}")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MAGIC_MISMATCH
     except StegoError as exc:

@@ -17,14 +17,13 @@ from . import protocol
 from .netsim import Simulation, EndpointId, StreamEnd
 from .protocol import (
     DeviceFrame,
-    FrameReader,
     MalformedFrame,
-    RejectReason,
     TokenStore,
     TokenRecord,
     ProvisionToken,
     encode_frame,
     issue_token,
+    serve_frames,
 )
 from .signing import (
     SigningKeySet,
@@ -320,18 +319,7 @@ class VendorCloud:
     # -- device channel ------------------------------------------------------
 
     def _accept_stream(self, stream: StreamEnd, src: EndpointId) -> None:
-        reader = FrameReader()
-
-        def on_data():
-            data = stream.recv()
-            try:
-                frames = reader.push(data)
-            except MalformedFrame:
-                return
-            for frame in frames:
-                self._on_device_frame(stream, frame)
-
-        stream.on_data = on_data
+        serve_frames(stream, self._on_device_frame)
 
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":

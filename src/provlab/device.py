@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import dpl, protocol
 from .netsim import EndpointId, NetSimError, PeerUnreachable, Simulation, StreamEnd
-from .protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
+from .protocol import DeviceFrame, encode_frame, serve_frames
 
 VALID_POWER = ("on", "off")
 BRIGHTNESS_RANGE = (0, 100)
@@ -51,8 +51,6 @@ class IoTDevice:
         self.attributes = {"power": "off", "brightness": 0}
         self.decoder = dpl.DecoderState()
         self.events: list[dict] = []
-        self._cloud_stream: StreamEnd | None = None
-        self._cloud_reader = FrameReader()
         sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, self._on_datagram)
         sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT, self._accept_local)
         sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT_ALT, self._accept_local)
@@ -102,8 +100,7 @@ class IoTDevice:
             self._log("cloud_unreachable", str(exc))
             self._set_phase(DevicePhase.REGISTER_FAILED, "cloud unreachable")
             return
-        self._cloud_stream = stream
-        stream.on_data = self._on_cloud_data
+        serve_frames(stream, self._on_cloud_frame)
         self._set_phase(DevicePhase.BIND_PENDING, "bind sent")
         frame = DeviceFrame(
             kind="bind",
@@ -117,22 +114,15 @@ class IoTDevice:
         )
         stream.send(encode_frame(frame))
 
-    def _on_cloud_data(self) -> None:
-        data = self._cloud_stream.recv()
-        try:
-            frames = self._cloud_reader.push(data)
-        except MalformedFrame:
-            return
-        for frame in frames:
-            if frame.kind == "ack" and self.phase is DevicePhase.BIND_PENDING:
-                if frame.payload.get("success"):
-                    self._set_phase(DevicePhase.REGISTERED, "cloud accepted bind")
-                else:
-                    reason = frame.payload.get("reason", "?")
-                    self._set_phase(DevicePhase.REGISTER_FAILED, f"cloud reject: {reason}")
-            elif frame.kind == "command":
-                ack = self.handle_command(frame)
-                self._cloud_stream.send(encode_frame(ack))
+    def _on_cloud_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
+        if frame.kind == "ack" and self.phase is DevicePhase.BIND_PENDING:
+            if frame.payload.get("success"):
+                self._set_phase(DevicePhase.REGISTERED, "cloud accepted bind")
+            else:
+                reason = frame.payload.get("reason", "?")
+                self._set_phase(DevicePhase.REGISTER_FAILED, f"cloud reject: {reason}")
+        elif frame.kind == "command":
+            stream.send(encode_frame(self.handle_command(frame)))
 
     # -- command handling -------------------------------------------------------
 
@@ -141,9 +131,7 @@ class IoTDevice:
         if self.phase is not DevicePhase.REGISTERED:
             return self._ack(frame, False, reason="NotRegistered")
         ok, detail = self.apply_command(frame.payload.get("command", {}))
-        if not ok:
-            return self._ack(frame, False, reason=detail)
-        return self._ack(frame, True)
+        return self._ack(frame, ok, reason=detail)
 
     def apply_command(self, command: dict) -> tuple[bool, str]:
         if not isinstance(command, dict) or not command:
@@ -178,17 +166,7 @@ class IoTDevice:
     # -- the open local listener --------------------------------------------------
 
     def _accept_local(self, stream: StreamEnd, src: EndpointId) -> None:
-        reader = FrameReader()
-
-        def on_data():
-            try:
-                frames = reader.push(stream.recv())
-            except MalformedFrame:
-                return  # garbage is silently ignored
-            for frame in frames:
-                self._on_local_frame(stream, frame)
-
-        stream.on_data = on_data
+        serve_frames(stream, self._on_local_frame)  # garbage is silently ignored
 
     def _on_local_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if self.phase not in (
@@ -201,19 +179,7 @@ class IoTDevice:
             return
         # no authentication whatsoever: whoever reaches this port is obeyed
         ok, detail = self.apply_command(frame.payload.get("command", {}))
-        payload = {"success": ok, "status": dict(self.attributes)}
-        if not ok:
-            payload["reason"] = detail
-        stream.send(
-            encode_frame(
-                DeviceFrame(
-                    kind="ack",
-                    device_id=self.device_id,
-                    request_id=frame.request_id,
-                    payload=payload,
-                )
-            )
-        )
+        stream.send(encode_frame(self._ack(frame, ok, reason=detail)))
 
     # -- event log ----------------------------------------------------------------
 

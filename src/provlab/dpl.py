@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .protocol import TOKEN_CHARS
+
 GUIDE = (1, 3, 6, 10)
 SOM = (18, 35, 60, 65)
 GUIDE_REPS = 8
@@ -42,7 +44,6 @@ PAYLOAD_VERSION = 0x01
 
 MAX_SSID_BYTES = 32
 MAX_PSK_BYTES = 64
-TOKEN_CHARS = 32
 MAX_PAYLOAD = 255
 MAX_ROUNDS = 16
 DEFAULT_ROUNDS = 5
@@ -103,13 +104,7 @@ class Credentials:
     token: str
 
     def validate(self) -> None:
-        ssid_b = self.ssid.encode("utf-8")
-        if not ssid_b:
-            raise CodecError("ssid must be nonempty")
-        if len(ssid_b) > MAX_SSID_BYTES:
-            raise FieldTooLong(f"ssid exceeds {MAX_SSID_BYTES} bytes")
-        if len(self.passphrase.encode("utf-8")) > MAX_PSK_BYTES:
-            raise FieldTooLong(f"passphrase exceeds {MAX_PSK_BYTES} bytes")
+        _field_bytes(self.ssid, self.passphrase)
         token_b = self.token.encode("utf-8")
         if len(self.token) != TOKEN_CHARS or len(token_b) != TOKEN_CHARS:
             raise BadTokenLength(
@@ -130,12 +125,8 @@ class DplSequence:
         return out
 
 
-def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
-    """Length-prefix ssid/passphrase and append the token verbatim.
-
-    No token-length check: this is the raw framing used both by
-    :func:`build_payload` and by directly crafted (malformed) payloads.
-    """
+def _field_bytes(ssid: str, passphrase: str) -> tuple[bytes, bytes]:
+    """UTF-8 ssid and passphrase, checked against the framing limits."""
     ssid_b = ssid.encode("utf-8")
     psk_b = passphrase.encode("utf-8")
     if not ssid_b:
@@ -144,6 +135,16 @@ def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
         raise FieldTooLong(f"ssid exceeds {MAX_SSID_BYTES} bytes")
     if len(psk_b) > MAX_PSK_BYTES:
         raise FieldTooLong(f"passphrase exceeds {MAX_PSK_BYTES} bytes")
+    return ssid_b, psk_b
+
+
+def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
+    """Length-prefix ssid/passphrase and append the token verbatim.
+
+    No token-length check: this is the raw framing used both by
+    :func:`build_payload` and by directly crafted (malformed) payloads.
+    """
+    ssid_b, psk_b = _field_bytes(ssid, passphrase)
     return bytes(
         [PAYLOAD_VERSION, len(ssid_b)]
     ) + ssid_b + bytes([len(psk_b)]) + psk_b + token.encode("utf-8")
@@ -228,11 +229,6 @@ def encode_payload(payload: bytes, rounds: int = DEFAULT_ROUNDS) -> DplSequence:
         one_round.append(VAL_BASE + b)
     one_round.append(CRC_BASE + crc)
     return DplSequence(rounds=[list(one_round) for _ in range(rounds)])
-
-
-def round_datagram_count(payload_len: int) -> int:
-    """Datagrams per round: 4*GUIDE_REPS + 4 + 1 + 2n + 1."""
-    return 4 * GUIDE_REPS + len(SOM) + 1 + 2 * payload_len + 1
 
 
 class Phase(Enum):
@@ -524,11 +520,6 @@ class DecoderState:
                 return
 
 
-def decoder_feed(state: DecoderState, length: int) -> DecoderState:
-    """Feed one observed datagram length into the decoder state."""
-    return state.feed(length)
-
-
 def decode_lengths(lengths) -> DecoderState:
     """Run a fresh decoder over a complete length stream and finalize."""
     state = DecoderState()
@@ -537,3 +528,27 @@ def decode_lengths(lengths) -> DecoderState:
         if state.phase is Phase.COMPLETE:
             break
     return state.finalize()
+
+
+def decode_capture(entries) -> list[tuple[str, DecoderState]]:
+    """Replay the port-30011 broadcasts of a capture through the decoder,
+    exactly as an eavesdropper would.
+
+    Each sender (``entry.src``) gets its own decoder, and a sender's next
+    frame after a completed attempt starts a new attempt.  Returns one
+    ``(src, finalized decoder)`` pair per attempt, in the order the
+    attempts started.
+    """
+    current: dict[str, DecoderState] = {}
+    attempts: list[tuple[str, DecoderState]] = []
+    for entry in entries:
+        if entry.kind != "bcast" or entry.port != PROVISION_PORT:
+            continue
+        state = current.get(entry.src)
+        if state is None or state.phase is Phase.COMPLETE:
+            state = current[entry.src] = DecoderState()
+            attempts.append((entry.src, state))
+        state.feed(entry.len)
+    for _src, state in attempts:
+        state.finalize()
+    return attempts

@@ -161,23 +161,31 @@ class CaptureLog:
 
     @staticmethod
     def parse_jsonl(text: str) -> list[CaptureEntry]:
+        """Inverse of :meth:`to_jsonl`; a line that is not JSON, not an
+        object or lacks a field raises ``ValueError`` naming its 1-based
+        line number."""
         entries = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            entries.append(
-                CaptureEntry(
-                    t=rec["t"],
-                    ssid=rec["ssid"],
-                    src=rec["src"],
-                    port=rec["port"],
-                    len=rec["len"],
-                    kind=rec["kind"],
-                    dst=rec.get("dst"),
+            try:
+                rec = json.loads(line)
+                entries.append(
+                    CaptureEntry(
+                        t=rec["t"],
+                        ssid=rec["ssid"],
+                        src=rec["src"],
+                        port=rec["port"],
+                        len=rec["len"],
+                        kind=rec["kind"],
+                        dst=rec.get("dst"),
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"line {lineno} is not a capture entry: {type(exc).__name__}: {exc}"
+                ) from exc
         return entries
 
 
@@ -215,10 +223,6 @@ class StreamEnd:
                 out = bytes(self._buf[:limit])
                 del self._buf[:limit]
         return out
-
-    def pending(self) -> int:
-        with self._sim._lock:
-            return len(self._buf)
 
 
 class _Stream:
@@ -309,11 +313,6 @@ class Simulation:
             if endpoint in net.members:
                 net.members.remove(endpoint)
             rec.networks.discard(ssid)
-
-    def leave_all(self, endpoint: EndpointId) -> None:
-        rec = self._rec(endpoint)
-        for ssid in list(rec.networks):
-            self.leave(endpoint, ssid)
 
     def networks_of(self, endpoint: EndpointId) -> set[str]:
         return set(self._rec(endpoint).networks)

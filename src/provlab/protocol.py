@@ -19,7 +19,6 @@ TTL_SECONDS = 7200
 TOKEN_CHARS = 32
 TOKEN_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
-PROVISION_PORT = 30011
 DEVICE_PORT = 6668
 DEVICE_PORT_ALT = 1883  # accepted alias, same framing
 
@@ -196,13 +195,6 @@ class TokenStore:
         return sum(1 for r in self.records.values() if r.bound_device is not None)
 
 
-def cloud_token_check(
-    store: TokenStore, token_text: str, now: int, bundle_id: str, user_id: str
-) -> TokenVerdict:
-    """Cloud-side acceptance; strictly stronger than the device check."""
-    return store.check(token_text, now, bundle_id, user_id)
-
-
 # -- device channel framing --------------------------------------------------
 
 
@@ -277,3 +269,23 @@ class FrameReader:
             del self._buf[: _FRAME_HEADER.size + length]
             frames.append(decode_frame_body(body))
         return frames
+
+
+def serve_frames(stream, on_frame) -> None:
+    """Parse frames off ``stream`` as bytes arrive and hand each to
+    ``on_frame(stream, frame)``.
+
+    A malformed frame is dropped silently, together with whatever else
+    arrived in the same chunk.
+    """
+    reader = FrameReader()
+
+    def on_data():
+        try:
+            frames = reader.push(stream.recv())
+        except MalformedFrame:
+            return
+        for frame in frames:
+            on_frame(stream, frame)
+
+    stream.on_data = on_data

@@ -9,11 +9,11 @@ sequence on port 30011, and drives device control through the cloud.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dpl, protocol
-from .cloud import CloudUnreachable, DeviceOffline, VendorCloud
-from .netsim import Simulation
+from .cloud import API_PATH, CloudUnreachable, DeviceOffline, VendorCloud
+from .netsim import SimClock, Simulation
 from .signing import (
     SigningKeySet,
     derive_signing_key,
@@ -22,7 +22,7 @@ from .signing import (
     sign_envelope,
     verify_envelope,
 )
-from .stego import parse_bmp, stego_extract
+from .stego import BmpImage, parse_bmp, stego_extract
 
 T_PROV_SECONDS = 30
 POLL_INTERVAL = 2
@@ -76,6 +76,14 @@ def resolve_cloud_endpoint(
     raise CloudUnreachable(f"no reachable endpoint among {candidates}")
 
 
+def keys_from_bmp(image: BmpImage, seed: str, cert_hash: str, secret1: str) -> SigningKeySet:
+    """Recover secret2 from the app's BMP asset and assemble the key set."""
+    record, _report = stego_extract(image, seed)
+    return SigningKeySet(
+        cert_hash=cert_hash, secret1=secret1, secret2=record.keys[0].decode("utf-8")
+    )
+
+
 @dataclass
 class AppConfig:
     bundle_id: str
@@ -98,18 +106,12 @@ def load_app_config(path) -> AppConfig:
     keys_raw = raw["keys"]
     with open(keys_raw["secret2_bmp"], "rb") as fh:
         image = parse_bmp(fh.read())
-    record, _report = stego_extract(image, keys_raw["seed"])
-    keys = SigningKeySet(
-        cert_hash=keys_raw["certHash"],
-        secret1=keys_raw["secret1"],
-        secret2=record.keys[0].decode("utf-8"),
-    )
     return AppConfig(
         bundle_id=raw["bundleId"],
         client_id=raw["clientId"],
         region=raw["region"],
         user_id=raw.get("userId", "user-01"),
-        keys=keys,
+        keys=keys_from_bmp(image, keys_raw["seed"], keys_raw["certHash"], keys_raw["secret1"]),
     )
 
 
@@ -178,6 +180,77 @@ class IssuedToken:
     expires_in: int
 
 
+def broadcast_lengths(
+    sim: Simulation, endpoint, lengths: list[int], ssid: str | None = None
+) -> int:
+    """Send one filler datagram per length on port 30011; returns the count."""
+    for length in lengths:
+        sim.broadcast(endpoint, dpl.PROVISION_PORT, bytes([dpl.FILLER_BYTE]) * length, ssid=ssid)
+    return len(lengths)
+
+
+@dataclass
+class CloudClient:
+    """The app's side of the signed-envelope exchange with the vendor cloud.
+
+    The mobile app uses one; so does the proxy gateway, which plays the
+    app toward the real cloud.
+    """
+
+    config: AppConfig
+    envelopes: EnvelopeFactory
+    directory: dict[str, VendorCloud]
+    clock: SimClock
+    dns_available: bool
+    dns_answers: dict[str, list[str]]
+
+    def resolve(self) -> VendorCloud:
+        _addr, cloud = resolve_cloud_endpoint(
+            self.config.region, self.dns_available, self.dns_answers, self.directory
+        )
+        return cloud
+
+    def call(self, action: str, post_obj: dict) -> dict:
+        """One signed request; returns the opened result or raises
+        :class:`CloudRejected`."""
+        cloud = self.resolve()
+        envelope = self.envelopes.build(action, post_obj, self.clock.now)
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        key = derive_signing_key(self.config.keys)
+        if not response.get("success"):
+            reason = response.get("result", {}).get("error", "Unknown")
+            raise CloudRejected(reason)
+        # responses are signed by the cloud too; check before trusting data
+        if not response.get("sign") or not verify_envelope(response, key):
+            raise CloudRejected("response signature does not verify")
+        return json.loads(open_postdata(response["result"], key))
+
+    def request_token(self) -> dict:
+        return self.call(
+            protocol.ACTION_TOKEN_GET,
+            {"region": self.config.region, "userId": self.config.user_id},
+        )
+
+    def wait_until_online(self, token: str) -> ProvisionOutcome:
+        """Poll the cloud until the device bound with ``token`` shows up
+        online, its bind is rejected, or the provisioning window lapses."""
+        deadline = self.clock.now + T_PROV_SECONDS
+        while True:
+            try:
+                status = self.call(protocol.ACTION_DEVICE_STATUS, {"token": token})
+            except (CloudRejected, CloudUnreachable) as exc:
+                return ProvisionOutcome(False, error=str(exc))
+            if status.get("online"):
+                return ProvisionOutcome(True, device_id=status.get("device_id"))
+            if status.get("reject_reason"):
+                return ProvisionOutcome(
+                    False, error=f"BindRejected:{status['reject_reason']}"
+                )
+            if self.clock.now >= deadline:
+                return ProvisionOutcome(False, error="Timeout")
+            self.clock.advance(POLL_INTERVAL)
+
+
 class MobileApp:
     def __init__(
         self,
@@ -193,40 +266,17 @@ class MobileApp:
         self.sim = sim
         self.clock = sim.clock
         self.config = config
-        self.directory = directory
-        self.dns_available = dns_available
-        self.dns_answers = dns_answers or {}
         self.endpoint = sim.register(endpoint_id or f"app-{config.user_id}", "app")
         self.envelopes = EnvelopeFactory(config, rng, nonce_source=nonce_source)
-        self.last_token: IssuedToken | None = None
-
-    # -- cloud plumbing ------------------------------------------------------
-
-    def _cloud(self) -> tuple[str, VendorCloud]:
-        return resolve_cloud_endpoint(
-            self.config.region, self.dns_available, self.dns_answers, self.directory
+        self.cloud_client = CloudClient(
+            config, self.envelopes, directory, sim.clock, dns_available, dns_answers or {}
         )
-
-    def _call(self, action: str, post_obj: dict) -> dict:
-        _addr, cloud = self._cloud()
-        envelope = self.envelopes.build(action, post_obj, self.clock.now)
-        response = json.loads(cloud.post("/api.json", json.dumps(envelope)))
-        key = derive_signing_key(self.config.keys)
-        if not response.get("success"):
-            reason = response.get("result", {}).get("error", "Unknown")
-            raise CloudRejected(reason)
-        # responses are signed by the cloud too; check before trusting data
-        if not response.get("sign") or not verify_envelope(response, key):
-            raise CloudRejected("response signature does not verify")
-        return json.loads(open_postdata(response["result"], key))
+        self.last_token: IssuedToken | None = None
 
     # -- the four app-side operations -----------------------------------------
 
     def acquire_token(self) -> IssuedToken:
-        result = self._call(
-            protocol.ACTION_TOKEN_GET,
-            {"region": self.config.region, "userId": self.config.user_id},
-        )
+        result = self.cloud_client.request_token()
         token = IssuedToken(
             value=result["token"],
             region=result["region"],
@@ -238,15 +288,7 @@ class MobileApp:
 
     def broadcast_credentials(self, creds: dpl.Credentials, rounds: int = dpl.DEFAULT_ROUNDS) -> int:
         """Emit the packet-length sequence on port 30011; returns frame count."""
-        seq = dpl.encode(creds, rounds)
-        return self._broadcast_lengths(seq.flatten())
-
-    def _broadcast_lengths(self, lengths: list[int]) -> int:
-        for length in lengths:
-            self.sim.broadcast(
-                self.endpoint, dpl.PROVISION_PORT, bytes([dpl.FILLER_BYTE]) * length
-            )
-        return len(lengths)
+        return broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds, rounds).flatten())
 
     def provision(
         self,
@@ -259,28 +301,12 @@ class MobileApp:
         self.broadcast_credentials(creds, rounds)
         if idle_hook is not None:
             idle_hook()
-        deadline = self.clock.now + T_PROV_SECONDS
-        while True:
-            try:
-                status = self._call(
-                    protocol.ACTION_DEVICE_STATUS, {"token": creds.token}
-                )
-            except (CloudRejected, CloudUnreachable) as exc:
-                return ProvisionOutcome(False, error=str(exc))
-            if status.get("online"):
-                return ProvisionOutcome(True, device_id=status.get("device_id"))
-            if status.get("reject_reason"):
-                return ProvisionOutcome(
-                    False, error=f"BindRejected:{status['reject_reason']}"
-                )
-            if self.clock.now >= deadline:
-                return ProvisionOutcome(False, error="Timeout")
-            self.clock.advance(POLL_INTERVAL)
+        return self.cloud_client.wait_until_online(creds.token)
 
     def control_device(self, device_id: str, command: dict) -> dict:
         """app -> cloud -> device and back; never touches the device directly."""
         try:
-            result = self._call(
+            result = self.cloud_client.call(
                 protocol.ACTION_DEVICE_CONTROL,
                 {"device_id": device_id, "command": command},
             )
@@ -291,4 +317,4 @@ class MobileApp:
         return result["status"]
 
     def device_status(self, device_id: str) -> dict:
-        return self._call(protocol.ACTION_DEVICE_STATUS, {"device_id": device_id})
+        return self.cloud_client.call(protocol.ACTION_DEVICE_STATUS, {"device_id": device_id})

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import dpl, protocol
-from .cloud import CloudUnreachable, DeviceOffline, VendorCloud
+from .cloud import API_PATH, CloudUnreachable, DeviceOffline, VendorCloud
 from .netsim import (
     DuplicateSsid,
     EndpointId,
@@ -24,24 +25,17 @@ from .netsim import (
     StreamEnd,
     VirtualNetwork,
 )
-from .protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
+from .protocol import DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
     AppConfig,
+    CloudClient,
     CloudRejected,
     EnvelopeFactory,
     ProvisionOutcome,
-    T_PROV_SECONDS,
-    POLL_INTERVAL,
-    resolve_cloud_endpoint,
+    broadcast_lengths,
+    keys_from_bmp,  # noqa: F401  (re-exported)
 )
-from .signing import (
-    SigningKeySet,
-    derive_signing_key,
-    open_postdata,
-    sign_envelope,
-    verify_envelope,
-)
-from .stego import BmpImage, stego_extract
+from .signing import derive_signing_key, sign_envelope
 
 FAKE_SSID_PREFIX = "vdev-"
 FAKE_PSK_CHARS = 16
@@ -96,14 +90,6 @@ class ProxyPolicy:
         )
 
 
-def keys_from_bmp(image: BmpImage, seed: str, cert_hash: str, secret1: str) -> SigningKeySet:
-    """Recover secret2 from the app's BMP asset and assemble the key set."""
-    record, _report = stego_extract(image, seed)
-    return SigningKeySet(
-        cert_hash=cert_hash, secret1=secret1, secret2=record.keys[0].decode("utf-8")
-    )
-
-
 class ProxyGateway:
     def __init__(
         self,
@@ -119,18 +105,21 @@ class ProxyGateway:
         nonce_source=None,
     ):
         self.sim = sim
-        self.clock = sim.clock
         self.config = config
-        self.directory = directory
         self.policy = policy or ProxyPolicy()
         self.rng = rng
         self.home_ssid = home_ssid
-        self.dns_available = dns_available
-        self.dns_answers = dns_answers or {}
         self.endpoint = sim.register(endpoint_id, "proxy")
         sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT, self._accept_device)
         sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT_ALT, self._accept_device)
-        self.envelopes = EnvelopeFactory(config, rng, nonce_source=nonce_source)
+        self.cloud_client = CloudClient(
+            config,
+            EnvelopeFactory(config, rng, nonce_source=nonce_source),
+            directory,
+            sim.clock,
+            dns_available,
+            dns_answers or {},
+        )
         self.assignments: dict[str, VirtualNetwork] = {}
         self._device_streams: dict[str, StreamEnd] = {}
         self._upstreams: dict[str, StreamEnd] = {}
@@ -173,29 +162,8 @@ class ProxyGateway:
 
     # -- app-role: token and status traffic to the real cloud ---------------------
 
-    def _cloud(self) -> VendorCloud:
-        _addr, cloud = resolve_cloud_endpoint(
-            self.config.region, self.dns_available, self.dns_answers, self.directory
-        )
-        return cloud
-
-    def _call(self, action: str, post_obj: dict) -> dict:
-        cloud = self._cloud()
-        envelope = self.envelopes.build(action, post_obj, self.clock.now)
-        response = json.loads(cloud.post("/api.json", json.dumps(envelope)))
-        key = derive_signing_key(self.config.keys)
-        if not response.get("success"):
-            raise CloudRejected(response.get("result", {}).get("error", "Unknown"))
-        if not response.get("sign") or not verify_envelope(response, key):
-            raise CloudRejected("response signature does not verify")
-        return json.loads(open_postdata(response["result"], key))
-
     def acquire_token(self) -> str:
-        result = self._call(
-            protocol.ACTION_TOKEN_GET,
-            {"region": self.config.region, "userId": self.config.user_id},
-        )
-        return result["token"]
+        return self.cloud_client.request_token()["token"]
 
     # -- isolated provisioning ----------------------------------------------------
 
@@ -217,30 +185,11 @@ class ProxyGateway:
             except (CloudRejected, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
-        for length in dpl.encode(creds, rounds).flatten():
-            self.sim.broadcast(
-                self.endpoint,
-                dpl.PROVISION_PORT,
-                bytes([dpl.FILLER_BYTE]) * length,
-                ssid=net.ssid,
-            )
+        lengths = dpl.encode(creds, rounds).flatten()
+        broadcast_lengths(self.sim, self.endpoint, lengths, ssid=net.ssid)
         if idle_hook is not None:
             idle_hook()
-        deadline = self.clock.now + T_PROV_SECONDS
-        while True:
-            try:
-                status = self._call(protocol.ACTION_DEVICE_STATUS, {"token": token})
-            except (CloudRejected, CloudUnreachable) as exc:
-                return ProvisionOutcome(False, error=str(exc))
-            if status.get("online"):
-                return ProvisionOutcome(True, device_id=status.get("device_id"))
-            if status.get("reject_reason"):
-                return ProvisionOutcome(
-                    False, error=f"BindRejected:{status['reject_reason']}"
-                )
-            if self.clock.now >= deadline:
-                return ProvisionOutcome(False, error="Timeout")
-            self.clock.advance(POLL_INTERVAL)
+        return self.cloud_client.wait_until_online(token)
 
     # -- app-side relay with policy -------------------------------------------------
 
@@ -261,25 +210,15 @@ class ProxyGateway:
         key = derive_signing_key(self.config.keys)
         forwarded["sign"] = sign_envelope(forwarded, key)
         try:
-            cloud = self._cloud()
-            return json.loads(cloud.post("/api.json", json.dumps(forwarded)))
+            cloud = self.cloud_client.resolve()
+            return json.loads(cloud.post(API_PATH, json.dumps(forwarded)))
         except CloudUnreachable as exc:
             raise UpstreamRejected(str(exc)) from exc
 
     # -- cloud-role toward devices / device-role toward cloud -------------------------
 
     def _accept_device(self, stream: StreamEnd, src: EndpointId) -> None:
-        reader = FrameReader()
-
-        def on_data():
-            try:
-                frames = reader.push(stream.recv())
-            except MalformedFrame:
-                return
-            for frame in frames:
-                self._on_device_frame(stream, frame)
-
-        stream.on_data = on_data
+        serve_frames(stream, self._on_device_frame)
 
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
@@ -310,7 +249,7 @@ class ProxyGateway:
         if existing is not None:
             return existing
         try:
-            cloud = self._cloud()
+            cloud = self.cloud_client.resolve()
         except (CloudUnreachable, CloudRejected):
             return None
         try:
@@ -319,21 +258,11 @@ class ProxyGateway:
             )
         except PeerUnreachable:
             return None
-        reader = FrameReader()
-
-        def on_data():
-            try:
-                frames = reader.push(upstream.recv())
-            except MalformedFrame:
-                return
-            for frame in frames:
-                self._on_upstream_frame(device_id, frame)
-
-        upstream.on_data = on_data
+        serve_frames(upstream, partial(self._on_upstream_frame, device_id))
         self._upstreams[device_id] = upstream
         return upstream
 
-    def _on_upstream_frame(self, device_id: str, frame: DeviceFrame) -> None:
+    def _on_upstream_frame(self, device_id: str, _upstream: StreamEnd, frame: DeviceFrame) -> None:
         down = self._device_streams.get(device_id)
         if down is not None:
             down.send(encode_frame(frame))

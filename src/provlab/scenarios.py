@@ -19,10 +19,14 @@ from .netsim import LossModel, SimClock, Simulation
 from .protocol import DeviceFrame, FrameReader, encode_frame
 from .provisioner import (
     AppConfig,
+    IssuedToken,
     MobileApp,
+    ProvisionOutcome,
+    broadcast_lengths,
     hardcoded_endpoints,
+    keys_from_bmp,
 )
-from .proxy import PolicyDenied, ProxyGateway, ProxyPolicy, keys_from_bmp
+from .proxy import PolicyDenied, ProxyGateway, ProxyPolicy
 from .signing import SigningKeySet, derive_signing_key, sign_envelope
 from .stego import InsufficientCapacity, StegoRecord, make_bmp, stego_embed
 
@@ -177,31 +181,60 @@ def _device(world: World, device_id: str, cloud_endpoint=None,
     return dev
 
 
+def _provision(
+    world: World, app: MobileApp, device: IoTDevice
+) -> tuple[IssuedToken, ProvisionOutcome]:
+    """Acquire a token and provision ``device`` onto the home network."""
+    token = app.acquire_token()
+    outcome = app.provision(
+        dpl.Credentials(HOME_SSID, world.home_passphrase, token.value),
+        idle_hook=device.idle,
+    )
+    return token, outcome
+
+
+def _proxy(world: World, policy: ProxyPolicy, endpoint_id: str = "proxy-gw") -> ProxyGateway:
+    config = AppConfig(
+        bundle_id="com.xyz.smart",
+        client_id="gw-client-0001",
+        region="EU",
+        user_id="user-01",
+        keys=world.keys["com.xyz.smart"],
+    )
+    return ProxyGateway(
+        world.sim,
+        config,
+        world.directory,
+        policy=policy,
+        rng=world.rng,
+        home_ssid=HOME_SSID,
+        dns_available=False,
+        endpoint_id=endpoint_id,
+        nonce_source=world.rng,
+    )
+
+
+def _isolated_device(
+    world: World, proxy: ProxyGateway, device_id: str
+) -> tuple[IoTDevice, ProvisionOutcome]:
+    """Provision one device onto its own decoy network through the proxy."""
+    net = proxy.allocate_virtual_network(device_id)
+    dev = _device(world, device_id, cloud_endpoint=proxy.endpoint, join_home=False)
+    world.sim.join(dev.endpoint, net.ssid, net.passphrase)
+    return dev, proxy.provision_isolated(device_id, idle_hook=dev.idle)
+
+
 def _device_wire_frames(world: World, device_id: str) -> list:
     return [e for e in world.sim.capture.snapshot() if e.src == device_id]
 
 
-def _decode_provisioning(world: World, src_id: str | None = None) -> list[dpl.DecoderState]:
-    """Replay captured port-30011 broadcast lengths through the decoder,
-    exactly as an eavesdropper would."""
-    out = []
-    by_src: dict[str, dpl.DecoderState] = {}
-    order: list[str] = []
-    for entry in world.sim.capture.snapshot():
-        if entry.kind != "bcast" or entry.port != dpl.PROVISION_PORT:
-            continue
-        if src_id is not None and entry.src != src_id:
-            continue
-        state = by_src.get(entry.src)
-        if state is None or state.phase is dpl.Phase.COMPLETE:
-            state = dpl.DecoderState()
-            by_src[entry.src] = state
-            order.append(entry.src)
-            out.append(state)
-        state.feed(entry.len)
-    for state in out:
-        state.finalize()
-    return [s for s in out if s.phase is dpl.Phase.COMPLETE]
+def _sniffed_tokens(world: World, src_id: str) -> list[str]:
+    """Tokens an eavesdropper recovers from ``src_id``'s broadcasts."""
+    return [
+        state.credentials.token
+        for src, state in dpl.decode_capture(world.sim.capture.snapshot())
+        if src == src_id and state.phase is dpl.Phase.COMPLETE
+    ]
 
 
 # -- token experiments (the three cases) --------------------------------------
@@ -214,7 +247,7 @@ def scenario_token_case_1(seed: int) -> ScenarioReport:
     rig = _app(world, user="rig")
     token16 = "".join(world.rng.choice(ALPHA) for _ in range(16))
     payload = dpl.frame_fields(HOME_SSID, world.home_passphrase, token16)
-    rig._broadcast_lengths(dpl.encode_payload(payload, rounds=1).flatten())
+    broadcast_lengths(world.sim, rig.endpoint, dpl.encode_payload(payload, rounds=1).flatten())
     device.idle()
     report.check_eq(
         "device indicates credentials received, then rejects the short token",
@@ -293,10 +326,8 @@ def scenario_token_case_3(seed: int) -> ScenarioReport:
     world = build_world(seed)
     device = _device(world, "bulb-01")
     app = _app(world)
-    token = app.acquire_token()
+    token, outcome = _provision(world, app, device)
     report.check_eq("issued token is 32 characters", len(token.value), 32)
-    creds = dpl.Credentials(HOME_SSID, world.home_passphrase, token.value)
-    outcome = app.provision(creds, idle_hook=device.idle)
     report.check(
         "setup and registration finishes successfully",
         outcome, outcome.success and outcome.device_id == "bulb-01",
@@ -304,11 +335,11 @@ def scenario_token_case_3(seed: int) -> ScenarioReport:
     report.check_eq("device is Registered", device.phase.value, "Registered")
     status = app.control_device("bulb-01", {"power": "on"})
     report.check_eq("app controls the device via the cloud", status.get("power"), "on")
-    decoded = _decode_provisioning(world, app.endpoint.id)
+    sniffed = _sniffed_tokens(world, app.endpoint.id)
     report.check(
         "token broadcast over the air equals the token the cloud issued",
-        decoded[0].credentials.token if decoded else None,
-        bool(decoded) and decoded[0].credentials.token == token.value,
+        sniffed[0] if sniffed else None,
+        bool(sniffed) and sniffed[0] == token.value,
     )
     direct = [
         e
@@ -330,16 +361,14 @@ def scenario_replay_defense(seed: int) -> ScenarioReport:
     world = build_world(seed)
     device = _device(world, "bulb-01")
     app = _app(world)
-    token = app.acquire_token()
-    creds = dpl.Credentials(HOME_SSID, world.home_passphrase, token.value)
-    outcome = app.provision(creds, idle_hook=device.idle)
+    token, outcome = _provision(world, app, device)
     report.check("legitimate provisioning succeeds", outcome, outcome.success)
 
     # the attacker sniffs the broadcast, recovers the token, and replays it
-    sniffed = _decode_provisioning(world, app.endpoint.id)
+    sniffed = _sniffed_tokens(world, app.endpoint.id)
     report.check(
         "attacker recovers the token from captured packet lengths",
-        bool(sniffed), bool(sniffed) and sniffed[0].credentials.token == token.value,
+        bool(sniffed), bool(sniffed) and sniffed[0] == token.value,
     )
     attacker = world.sim.register("attacker-rig", "app")
     world.sim.join(attacker, HOME_SSID, world.home_passphrase)
@@ -379,30 +408,10 @@ def _isolated_pair(
     proxy_id: str = "proxy-gw",
 ):
     """Bring up two devices on their own decoy networks via the proxy."""
-    config = AppConfig(
-        bundle_id="com.xyz.smart",
-        client_id="gw-client-0001",
-        region="EU",
-        user_id="user-01",
-        keys=world.keys["com.xyz.smart"],
-    )
-    proxy = ProxyGateway(
-        world.sim,
-        config,
-        world.directory,
-        policy=ProxyPolicy(),
-        rng=world.rng,
-        home_ssid=HOME_SSID,
-        dns_available=False,
-        endpoint_id=proxy_id,
-        nonce_source=world.rng,
-    )
+    proxy = _proxy(world, ProxyPolicy(), endpoint_id=proxy_id)
     devices = []
     for device_id in device_ids:
-        net = proxy.allocate_virtual_network(device_id)
-        dev = _device(world, device_id, cloud_endpoint=proxy.endpoint, join_home=False)
-        world.sim.join(dev.endpoint, net.ssid, net.passphrase)
-        outcome = proxy.provision_isolated(device_id, idle_hook=dev.idle)
+        dev, outcome = _isolated_device(world, proxy, device_id)
         report.check(
             f"{device_id} provisions successfully on its fake network",
             outcome, outcome.success,
@@ -461,11 +470,7 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
     # baseline: attacker co-resident on the same network commands the device
     device = _device(world, "bulb-01")
     app = _app(world)
-    token = app.acquire_token()
-    outcome = app.provision(
-        dpl.Credentials(HOME_SSID, world.home_passphrase, token.value),
-        idle_hook=device.idle,
-    )
+    _token, outcome = _provision(world, app, device)
     report.check("victim device registers on the shared network", outcome, outcome.success)
     attacker = world.sim.register("evil-plug", "device")
     world.sim.join(attacker, HOME_SSID, world.home_passphrase)
@@ -523,29 +528,12 @@ def scenario_proxy_transparency(seed: int) -> ScenarioReport:
     # direct path device
     direct_dev = _device(world, "bulb-direct")
     app = _app(world)
-    token = app.acquire_token()
-    outcome = app.provision(
-        dpl.Credentials(HOME_SSID, world.home_passphrase, token.value),
-        idle_hook=direct_dev.idle,
-    )
+    _token, outcome = _provision(world, app, direct_dev)
     report.check("direct-path device registers", outcome, outcome.success)
 
     # proxied device
-    config = AppConfig(
-        bundle_id="com.xyz.smart", client_id="gw-client-0001", region="EU",
-        user_id="user-01", keys=world.keys["com.xyz.smart"],
-    )
-    proxy = ProxyGateway(
-        world.sim, config, world.directory,
-        policy=ProxyPolicy(redact_fields={"lat", "lon"}),
-        rng=world.rng, home_ssid=HOME_SSID, dns_available=False,
-        nonce_source=world.rng,
-    )
-    net = proxy.allocate_virtual_network("bulb-proxied")
-    prox_dev = _device(world, "bulb-proxied", cloud_endpoint=proxy.endpoint,
-                       join_home=False)
-    world.sim.join(prox_dev.endpoint, net.ssid, net.passphrase)
-    outcome2 = proxy.provision_isolated("bulb-proxied", idle_hook=prox_dev.idle)
+    proxy = _proxy(world, ProxyPolicy(redact_fields={"lat", "lon"}))
+    prox_dev, outcome2 = _isolated_device(world, proxy, "bulb-proxied")
     report.check("proxied device registers through the proxy", outcome2, outcome2.success)
 
     # identical command sequence down both paths
@@ -590,19 +578,8 @@ def scenario_proxy_transparency(seed: int) -> ScenarioReport:
 def scenario_proxy_offline_control(seed: int) -> ScenarioReport:
     report = ScenarioReport("proxy-offline-control", seed)
     world = build_world(seed)
-    config = AppConfig(
-        bundle_id="com.xyz.smart", client_id="gw-client-0001", region="EU",
-        user_id="user-01", keys=world.keys["com.xyz.smart"],
-    )
-    proxy = ProxyGateway(
-        world.sim, config, world.directory, policy=ProxyPolicy(local_control=True),
-        rng=world.rng, home_ssid=HOME_SSID, dns_available=False,
-        nonce_source=world.rng,
-    )
-    net = proxy.allocate_virtual_network("bulb-01")
-    device = _device(world, "bulb-01", cloud_endpoint=proxy.endpoint, join_home=False)
-    world.sim.join(device.endpoint, net.ssid, net.passphrase)
-    outcome = proxy.provision_isolated("bulb-01", idle_hook=device.idle)
+    proxy = _proxy(world, ProxyPolicy(local_control=True))
+    device, outcome = _isolated_device(world, proxy, "bulb-01")
     report.check("device registers via the proxy", outcome, outcome.success)
     status = proxy.local_control("bulb-01", {"power": "on"})
     report.check_eq("warm-up command over the local path", status.get("power"), "on")
@@ -631,11 +608,7 @@ def scenario_stovepipe_baseline(seed: int) -> ScenarioReport:
     world = build_world(seed)
     device = _device(world, "bulb-01")
     app = _app(world)
-    token = app.acquire_token()
-    outcome = app.provision(
-        dpl.Credentials(HOME_SSID, world.home_passphrase, token.value),
-        idle_hook=device.idle,
-    )
+    _token, outcome = _provision(world, app, device)
     report.check("device registers over the direct path", outcome, outcome.success)
     report.check(
         "app and device share the home network",
@@ -665,11 +638,7 @@ def scenario_multi_vendor(seed: int) -> ScenarioReport:
     for i, bundle in enumerate(bundles):
         app = _app(world, bundle=bundle, user=f"user-{i+1:02d}")
         device = _device(world, f"dev-{i+1:02d}", bundle=bundle)
-        token = app.acquire_token()
-        outcome = app.provision(
-            dpl.Credentials(HOME_SSID, world.home_passphrase, token.value),
-            idle_hook=device.idle,
-        )
+        _token, outcome = _provision(world, app, device)
         report.check(f"{bundle} provisions its device", outcome, outcome.success)
         apps[bundle] = app
     foot_1 = world.cloud.stored_footprint("dev-01")

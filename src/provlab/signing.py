@@ -52,9 +52,6 @@ class SigningKeySet:
     secret1: str
     secret2: str
 
-    def derive(self) -> bytes:
-        return derive_signing_key(self)
-
 
 def derive_signing_key(keys: SigningKeySet) -> bytes:
     """UTF-8 bytes of ``certHash_secret2_secret1`` (note the order)."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 MAGIC = b"\xa5\x5a"
 MAX_KEY_BYTES = 64
+MAX_KEYS = 255  # keys_cnt is one byte
 
 _FILE_HEADER = struct.Struct("<2sIHHI")  # bfType, bfSize, res1, res2, bfOffBits
 _BI_PREFIX = struct.Struct("<IiiHHI")  # biSize, width, height, planes, bitcount, compression
@@ -111,6 +112,8 @@ class StegoRecord:
     def to_bytes(self) -> bytes:
         if not self.keys:
             raise StegoError("record must carry at least one key")
+        if len(self.keys) > MAX_KEYS:
+            raise StegoError(f"record of {len(self.keys)} keys exceeds {MAX_KEYS}")
         out = bytearray(MAGIC)
         out.append(len(self.keys))
         for key in self.keys:

@@ -12,7 +12,6 @@ from provlab.protocol import (
     RejectReason,
     TokenStore,
     canonicalize,
-    cloud_token_check,
     device_token_check,
     encode_frame,
     issue_token,
@@ -56,7 +55,7 @@ class TestTokens:
         store.add(token)
         clock.advance(protocol.TTL_SECONDS + 1)
         assert device_token_check(token.value)
-        verdict = cloud_token_check(store, token.value, clock.now, "b", "u")
+        verdict = store.check(token.value, clock.now, "b", "u")
         assert not verdict.accepted
         assert verdict.reason is RejectReason.EXPIRED
 
@@ -64,14 +63,14 @@ class TestTokens:
         store = TokenStore()
         token = issue_token(rng, 1_000_000, "EU", "b", "u")
         store.add(token)
-        ok = cloud_token_check(store, token.value, 1_000_000 + 7199, "b", "u")
+        ok = store.check(token.value, 1_000_000 + 7199, "b", "u")
         assert ok.accepted
-        bad = cloud_token_check(store, token.value, 1_000_000 + 7201, "b", "u")
+        bad = store.check(token.value, 1_000_000 + 7201, "b", "u")
         assert not bad.accepted and bad.reason is RejectReason.EXPIRED
 
     def test_unknown_token(self, clock):
         store = TokenStore()
-        verdict = cloud_token_check(store, "z" * 32, clock.now, "b", "u")
+        verdict = store.check("z" * 32, clock.now, "b", "u")
         assert verdict.reason is RejectReason.UNKNOWN
 
     def test_vendor_and_user_mismatch(self, rng, clock):
@@ -79,11 +78,11 @@ class TestTokens:
         token = issue_token(rng, clock.now, "EU", "vendor-a", "alice")
         store.add(token)
         assert (
-            cloud_token_check(store, token.value, clock.now, "vendor-b", "alice").reason
+            store.check(token.value, clock.now, "vendor-b", "alice").reason
             is RejectReason.VENDOR_MISMATCH
         )
         assert (
-            cloud_token_check(store, token.value, clock.now, "vendor-a", "bob").reason
+            store.check(token.value, clock.now, "vendor-a", "bob").reason
             is RejectReason.USER_MISMATCH
         )
 
@@ -103,7 +102,7 @@ class TestTokens:
         for _ in range(200):
             token = issue_token(rng, clock.now, "EU", "b", "u")
             store.add(token)
-            if cloud_token_check(store, token.value, clock.now, "b", "u").accepted:
+            if store.check(token.value, clock.now, "b", "u").accepted:
                 assert device_token_check(token.value)
 
 

@@ -9,6 +9,7 @@ from provlab.stego import (
     InsufficientCapacity,
     MagicMismatch,
     NotUncompressed24Bit,
+    StegoError,
     StegoRecord,
     make_bmp,
     parse_bmp,
@@ -120,6 +121,8 @@ class TestEmbedExtract:
             StegoRecord(keys=[b"x" * 65]).to_bytes()
         with pytest.raises(Exception):
             StegoRecord(keys=[]).to_bytes()
+        with pytest.raises(StegoError):
+            StegoRecord(keys=[b"k"] * 256).to_bytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
