@@ -144,25 +144,27 @@ def build_world(
     )
 
 
-def _app(world: World, bundle: str = "com.xyz.smart", user: str = "user-01",
-         join_home: bool = True) -> MobileApp:
-    config = AppConfig(
+def _config(world: World, client_id: str, bundle: str = "com.xyz.smart",
+            user: str = "user-01") -> AppConfig:
+    return AppConfig(
         bundle_id=bundle,
-        client_id="tt3advw3as8se94muvt9",
+        client_id=client_id,
         region="EU",
         user_id=user,
         keys=world.keys[bundle],
     )
+
+
+def _app(world: World, bundle: str = "com.xyz.smart", user: str = "user-01") -> MobileApp:
     app = MobileApp(
         world.sim,
-        config,
+        _config(world, "tt3advw3as8se94muvt9", bundle, user),
         world.directory,
         rng=world.rng,
         dns_available=False,
         nonce_source=world.rng,
     )
-    if join_home:
-        world.sim.join(app.endpoint, HOME_SSID, world.home_passphrase)
+    world.sim.join(app.endpoint, HOME_SSID, world.home_passphrase)
     return app
 
 
@@ -194,16 +196,9 @@ def _provision(
 
 
 def _proxy(world: World, policy: ProxyPolicy, endpoint_id: str = "proxy-gw") -> ProxyGateway:
-    config = AppConfig(
-        bundle_id="com.xyz.smart",
-        client_id="gw-client-0001",
-        region="EU",
-        user_id="user-01",
-        keys=world.keys["com.xyz.smart"],
-    )
     return ProxyGateway(
         world.sim,
-        config,
+        _config(world, "gw-client-0001"),
         world.directory,
         policy=policy,
         rng=world.rng,

@@ -46,9 +46,9 @@ def _decode_stdout(capture: str) -> str:
         os.unlink(path)
 
 
-def digests(name: str, seed: int, patch) -> dict[str, str]:
-    """Run one scenario with ``build_world`` wrapped through ``patch``
-    (a ``setattr``-like callable) so every world it builds is kept."""
+def digests(name: str, seed: int, monkeypatch) -> dict[str, str]:
+    """Run one scenario with ``build_world`` wrapped so every world it
+    builds is kept, then hash what the run left behind."""
     worlds = []
     build_world = scenarios.build_world
 
@@ -57,7 +57,7 @@ def digests(name: str, seed: int, patch) -> dict[str, str]:
         worlds.append(world)
         return world
 
-    patch(scenarios, "build_world", recording_build_world)
+    monkeypatch.setattr(scenarios, "build_world", recording_build_world)
     report = scenarios.run_scenario(name, seed)
     capture = "".join(w.sim.capture.to_jsonl() for w in worlds)
     return {
@@ -86,17 +86,14 @@ def test_golden_covers_every_scenario(golden):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_scenario_output_matches_golden(name, seed, golden, monkeypatch):
-    assert digests(name, seed, monkeypatch.setattr) == golden[_key(name, seed)]
+    assert digests(name, seed, monkeypatch) == golden[_key(name, seed)]
 
 
 def _regenerate() -> None:
     out = {}
     for name, seed in CASES:
-        saved = scenarios.build_world
-        try:
-            out[_key(name, seed)] = digests(name, seed, setattr)
-        finally:
-            scenarios.build_world = saved
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out[_key(name, seed)] = digests(name, seed, monkeypatch)
     GOLDEN_PATH.write_text(json.dumps(out, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(out)} entries to {GOLDEN_PATH}", file=sys.stderr)
 
