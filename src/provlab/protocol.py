@@ -275,8 +275,8 @@ def serve_frames(stream, on_frame) -> None:
     """Parse frames off ``stream`` as bytes arrive and hand each to
     ``on_frame(stream, frame)``.
 
-    A malformed frame is dropped silently, together with whatever else
-    arrived in the same chunk.
+    A malformed frame is dropped silently, and so are the frames parsed
+    before it from the same chunk.
     """
     reader = FrameReader()
 

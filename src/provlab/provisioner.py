@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import dpl, protocol
 from .cloud import API_PATH, CloudUnreachable, DeviceOffline, VendorCloud
-from .netsim import SimClock, Simulation
+from .netsim import EndpointId, SimClock, Simulation
 from .signing import (
     SigningKeySet,
     derive_signing_key,
@@ -181,7 +181,7 @@ class IssuedToken:
 
 
 def broadcast_lengths(
-    sim: Simulation, endpoint, lengths: list[int], ssid: str | None = None
+    sim: Simulation, endpoint: EndpointId, lengths: list[int], ssid: str | None = None
 ) -> int:
     """Send one filler datagram per length on port 30011; returns the count."""
     for length in lengths:
