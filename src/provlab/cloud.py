@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field, asdict
 
 from . import protocol
-from .netsim import Simulation, EndpointId, StreamEnd
+from .netsim import EndpointId, PeerUnreachable, Simulation, StreamEnd
 from .protocol import (
     DeviceFrame,
     MalformedFrame,
@@ -23,7 +23,6 @@ from .protocol import (
     ProvisionToken,
     encode_frame,
     issue_token,
-    serve_frames,
 )
 from .signing import (
     SigningKeySet,
@@ -128,6 +127,72 @@ def restore(path) -> CloudRegistry:
         raise CorruptSnapshot(f"cannot read snapshot: {exc}") from exc
 
 
+class DeviceChannels:
+    """The serving side of the device channel, shared by the vendor cloud
+    and the proxy gateway.
+
+    Listens on both device ports, keeps the stream each device bound on
+    and runs the command -> ack exchange.  An ack counts only if it
+    answers a pending command and arrives on the stream that command
+    went out on.  The owner's ``on_frame(stream, frame)`` gets bind frames
+    from any stream and every other frame only from the stream its device
+    bound on; the rest is dropped.
+    """
+
+    def __init__(self, sim: Simulation, endpoint: EndpointId, prefix: str, on_frame):
+        self._prefix = prefix  # request ids are f"{prefix}-NNNNNN"
+        self._on_frame = on_frame
+        self._lock = threading.RLock()
+        self._streams: dict[str, StreamEnd] = {}
+        self._pending: dict[str, tuple[StreamEnd, DeviceFrame | None]] = {}
+        self._seq = 0
+        protocol.listen_frames(sim, endpoint, self._dispatch)
+
+    def bind(self, device_id: str, stream: StreamEnd) -> None:
+        with self._lock:
+            self._streams[device_id] = stream
+
+    def stream_of(self, device_id: str) -> StreamEnd | None:
+        return self._streams.get(device_id)
+
+    def command(self, device_id: str, command: dict) -> dict:
+        """Send one command frame on the device's bind stream and return
+        the ack payload; :class:`DeviceOffline` if no ack comes back."""
+        with self._lock:
+            stream = self._streams.get(device_id)
+            self._seq += 1
+            request_id = f"{self._prefix}-{self._seq:06d}"
+            if stream is None:
+                raise DeviceOffline(f"no live channel to {device_id}")
+            self._pending[request_id] = (stream, None)
+        frame = DeviceFrame(
+            kind="command",
+            device_id=device_id,
+            payload={"command": command},
+            request_id=request_id,
+        )
+        try:
+            stream.send(encode_frame(frame))
+        except PeerUnreachable as exc:
+            raise DeviceOffline(f"channel to {device_id} is dead: {exc}") from exc
+        finally:
+            with self._lock:
+                _stream, ack = self._pending.pop(request_id)
+        if ack is None:
+            raise DeviceOffline(f"{device_id} did not acknowledge")
+        return ack.payload
+
+    def _dispatch(self, stream: StreamEnd, frame: DeviceFrame) -> None:
+        if frame.kind == "ack":
+            with self._lock:
+                waiting = self._pending.get(frame.request_id)
+                if waiting is not None and waiting[0] is stream:
+                    self._pending[frame.request_id] = (stream, frame)
+                    return
+        if frame.kind == "bind" or self._streams.get(frame.device_id) is stream:
+            self._on_frame(stream, frame)
+
+
 class VendorCloud:
     """The cloud side of the provisioning protocol.
 
@@ -148,14 +213,9 @@ class VendorCloud:
         self.rng = rng
         self.nonce_source = nonce_source
         self.endpoint = sim.register(endpoint_id, "cloud", wan=True)
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT, self._accept_stream)
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT_ALT, self._accept_stream)
+        self.channels = DeviceChannels(sim, self.endpoint, "relay", self._on_device_frame)
         self.registry = CloudRegistry()
         self.online = True
-        self._lock = threading.RLock()
-        self._device_streams: dict[str, StreamEnd] = {}
-        self._pending_acks: dict[str, DeviceFrame] = {}
-        self._relay_seq = 0
         self.requests_total = 0
         self.verify_failures = 0
         self.last_envelope: dict | None = None
@@ -273,7 +333,7 @@ class VendorCloud:
             return self._respond(
                 key, {"online": False, "device_id": device_id, "reject_reason": None}
             )
-        online = device_id in self._device_streams
+        online = self.channels.stream_of(device_id) is not None
         return self._respond(
             key,
             {
@@ -318,28 +378,20 @@ class VendorCloud:
 
     # -- device channel ------------------------------------------------------
 
-    def _accept_stream(self, stream: StreamEnd, src: EndpointId) -> None:
-        serve_frames(stream, self._on_device_frame)
-
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
             ack = self.handle_bind(frame)
             if ack.payload.get("success"):
-                with self._lock:
-                    self._device_streams[frame.device_id] = stream
+                self.channels.bind(frame.device_id, stream)
             stream.send(encode_frame(ack))
-        elif frame.kind == "ack":
-            if frame.request_id is not None:
-                with self._lock:
-                    self._pending_acks[frame.request_id] = frame
-            dev = self.registry.devices.get(frame.device_id)
-            if dev is not None and "status" in frame.payload:
-                dev.status = dict(frame.payload["status"])
         elif frame.kind == "status":
-            dev = self.registry.devices.get(frame.device_id)
-            if dev is not None:
-                dev.status = dict(frame.payload.get("status", {}))
-        # devices never send commands to the cloud; such frames are dropped
+            self._set_status(frame.device_id, frame.payload.get("status", {}))
+        # unanswered acks and commands (devices never send those) are dropped
+
+    def _set_status(self, device_id: str, status) -> None:
+        dev = self.registry.devices.get(device_id)
+        if dev is not None and isinstance(status, dict):
+            dev.status = dict(status)
 
     def handle_bind(self, frame: DeviceFrame) -> DeviceFrame:
         """Atomic token check-and-bind; the ack carries the verdict."""
@@ -377,31 +429,11 @@ class VendorCloud:
         )
 
     def relay_command(self, device_id: str, command: dict) -> dict:
-        """Push one command frame to the device and return its ack payload."""
-        with self._lock:
-            stream = self._device_streams.get(device_id)
-            self._relay_seq += 1
-            request_id = f"relay-{self._relay_seq:06d}"
-        if stream is None:
-            raise DeviceOffline(f"no live channel to {device_id}")
-        frame = DeviceFrame(
-            kind="command",
-            device_id=device_id,
-            payload={"command": command},
-            request_id=request_id,
-        )
-        try:
-            stream.send(encode_frame(frame))
-        except Exception as exc:
-            raise DeviceOffline(f"channel to {device_id} is dead: {exc}") from exc
-        with self._lock:
-            ack = self._pending_acks.pop(request_id, None)
-        if ack is None:
-            raise DeviceOffline(f"{device_id} did not acknowledge")
-        dev = self.registry.devices.get(device_id)
-        if dev is not None and "status" in ack.payload:
-            dev.status = dict(ack.payload["status"])
-        return ack.payload
+        """Push one command frame to the device and return its ack payload;
+        the ack's status becomes the device's status in the registry."""
+        ack_payload = self.channels.command(device_id, command)
+        self._set_status(device_id, ack_payload.get("status"))
+        return ack_payload
 
     # -- introspection -------------------------------------------------------
 

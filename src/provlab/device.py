@@ -52,8 +52,7 @@ class IoTDevice:
         self.decoder = dpl.DecoderState()
         self.events: list[dict] = []
         sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, self._on_datagram)
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT, self._accept_local)
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT_ALT, self._accept_local)
+        protocol.listen_frames(sim, self.endpoint, self._on_local_frame)  # garbage is dropped
         self._log("boot", "listening for provisioning broadcasts")
 
     # -- provisioning ---------------------------------------------------------
@@ -164,9 +163,6 @@ class IoTDevice:
         )
 
     # -- the open local listener --------------------------------------------------
-
-    def _accept_local(self, stream: StreamEnd, src: EndpointId) -> None:
-        serve_frames(stream, self._on_local_frame)  # garbage is silently ignored
 
     def _on_local_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if self.phase not in (

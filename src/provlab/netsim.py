@@ -67,9 +67,6 @@ class SimClock:
         self.now += seconds
         return self.now
 
-    def time(self) -> int:
-        return self.now
-
 
 @dataclass(frozen=True)
 class EndpointId:
@@ -142,9 +139,9 @@ class CaptureLog:
     or ``drop``, so a dropped frame is visibly sent-but-not-delivered.
     """
 
-    def __init__(self, lock: threading.RLock | None = None):
+    def __init__(self, lock: threading.RLock):
         self._entries: list[CaptureEntry] = []
-        self._lock = lock or threading.RLock()
+        self._lock = lock
 
     def append(self, entry: CaptureEntry) -> None:
         with self._lock:
@@ -162,8 +159,8 @@ class CaptureLog:
     @staticmethod
     def parse_jsonl(text: str) -> list[CaptureEntry]:
         """Inverse of :meth:`to_jsonl`; a line that is not JSON, not an
-        object or lacks a field raises ``ValueError`` naming its 1-based
-        line number."""
+        object, lacks a field or has a field of the wrong type raises
+        ``ValueError`` naming its 1-based line number."""
         entries = []
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -171,17 +168,19 @@ class CaptureLog:
                 continue
             try:
                 rec = json.loads(line)
-                entries.append(
-                    CaptureEntry(
-                        t=rec["t"],
-                        ssid=rec["ssid"],
-                        src=rec["src"],
-                        port=rec["port"],
-                        len=rec["len"],
-                        kind=rec["kind"],
-                        dst=rec.get("dst"),
+                t, port, length = rec["t"], rec["port"], rec["len"]
+                ssid, src, kind, dst = rec["ssid"], rec["src"], rec["kind"], rec.get("dst")
+                # type(x) is int also rules out bools
+                if not (
+                    type(t) is int and type(port) is int and type(length) is int
+                    and type(ssid) is str and type(src) is str and type(kind) is str
+                    and (dst is None or type(dst) is str)
+                ):
+                    raise TypeError(
+                        "t, port and len must be integers, ssid, src and kind"
+                        " strings, and dst a string or null"
                     )
-                )
+                entries.append(CaptureEntry(t, ssid, src, port, length, kind, dst))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(
                     f"line {lineno} is not a capture entry: {type(exc).__name__}: {exc}"
@@ -200,28 +199,16 @@ class StreamEnd:
         self.on_data = None  # callable() fired after bytes are appended
 
     @property
-    def local(self) -> EndpointId:
-        return self._stream.ends[self._side]
-
-    @property
     def peer(self) -> EndpointId:
         return self._stream.ends[1 - self._side]
-
-    @property
-    def port(self) -> int:
-        return self._stream.port
 
     def send(self, data: bytes) -> None:
         self._sim._stream_send(self._stream, self._side, data)
 
-    def recv(self, limit: int | None = None) -> bytes:
+    def recv(self) -> bytes:
         with self._sim._lock:
-            if limit is None or limit >= len(self._buf):
-                out = bytes(self._buf)
-                self._buf.clear()
-            else:
-                out = bytes(self._buf[:limit])
-                del self._buf[:limit]
+            out = bytes(self._buf)
+            self._buf.clear()
         return out
 
 

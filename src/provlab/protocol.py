@@ -32,14 +32,6 @@ REGISTERED_ACTIONS = frozenset(
 
 SIGN_FIELD = "sign"
 
-# request field names, verbatim from the vendor API
-ENVELOPE_FIELDS = (
-    "time", "lang", "deviceId", "et", "osSystem", "bundleId", "lon",
-    "channel", "appVersion", "ttid", "v", "sid", "sign", "platform",
-    "postData", "requestId", "sdVersion", "timeZoneId", "lat", "clientId",
-    "a", "appRnVersion",
-)
-
 FRAME_KINDS = frozenset({"bind", "command", "status", "ack"})
 _FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BODY = 1 << 20
@@ -239,12 +231,15 @@ def decode_frame_body(body: bytes) -> DeviceFrame:
     payload = rec.get("payload", {})
     if not isinstance(payload, dict):
         raise MalformedFrame("frame payload is not an object")
+    token, request_id = rec.get("token"), rec.get("request_id")
+    if not all(v is None or isinstance(v, str) for v in (token, request_id)):
+        raise MalformedFrame("frame token/request_id is not a string")
     return DeviceFrame(
         kind=kind,
         device_id=device_id,
-        token=rec.get("token"),
+        token=token,
         payload=payload,
-        request_id=rec.get("request_id"),
+        request_id=request_id,
     )
 
 
@@ -289,3 +284,14 @@ def serve_frames(stream, on_frame) -> None:
             on_frame(stream, frame)
 
     stream.on_data = on_data
+
+
+def listen_frames(sim, endpoint, on_frame) -> None:
+    """Serve frames to ``on_frame(stream, frame)`` on every stream opened
+    to ``endpoint`` on either device port."""
+
+    def accept(stream, _src) -> None:
+        serve_frames(stream, on_frame)
+
+    for port in (DEVICE_PORT, DEVICE_PORT_ALT):
+        sim.set_stream_handler(endpoint, port, accept)

@@ -116,7 +116,8 @@ def load_app_config(path) -> AppConfig:
 
 
 class EnvelopeFactory:
-    """Builds fully-populated signed request envelopes in the vendor shape."""
+    """Builds fully-populated signed request envelopes in the vendor shape;
+    the field names are verbatim from the vendor API."""
 
     def __init__(self, config: AppConfig, rng, nonce_source=None):
         self.config = config
@@ -238,7 +239,7 @@ class CloudClient:
         while True:
             try:
                 status = self.call(protocol.ACTION_DEVICE_STATUS, {"token": token})
-            except (CloudRejected, CloudUnreachable) as exc:
+            except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
             if status.get("online"):
                 return ProvisionOutcome(True, device_id=status.get("device_id"))
@@ -271,20 +272,17 @@ class MobileApp:
         self.cloud_client = CloudClient(
             config, self.envelopes, directory, sim.clock, dns_available, dns_answers or {}
         )
-        self.last_token: IssuedToken | None = None
 
     # -- the four app-side operations -----------------------------------------
 
     def acquire_token(self) -> IssuedToken:
         result = self.cloud_client.request_token()
-        token = IssuedToken(
+        return IssuedToken(
             value=result["token"],
             region=result["region"],
             acquired_at=self.clock.now,
             expires_in=result["expires_in"],
         )
-        self.last_token = token
-        return token
 
     def broadcast_credentials(self, creds: dpl.Credentials, rounds: int = dpl.DEFAULT_ROUNDS) -> int:
         """Emit the packet-length sequence on port 30011; returns frame count."""
@@ -315,6 +313,3 @@ class MobileApp:
                 raise DeviceOffline(device_id) from exc
             raise
         return result["status"]
-
-    def device_status(self, device_id: str) -> dict:
-        return self.cloud_client.call(protocol.ACTION_DEVICE_STATUS, {"device_id": device_id})

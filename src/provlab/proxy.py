@@ -16,21 +16,14 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import dpl, protocol
-from .cloud import API_PATH, CloudUnreachable, DeviceOffline, VendorCloud
-from .netsim import (
-    DuplicateSsid,
-    EndpointId,
-    PeerUnreachable,
-    Simulation,
-    StreamEnd,
-    VirtualNetwork,
-)
+from .cloud import API_PATH, CloudUnreachable, DeviceChannels, VendorCloud
+from .netsim import DuplicateSsid, PeerUnreachable, Simulation, StreamEnd, VirtualNetwork
 from .protocol import DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
     AppConfig,
     CloudClient,
-    CloudRejected,
     EnvelopeFactory,
+    ProvisionerError,
     ProvisionOutcome,
     broadcast_lengths,
     keys_from_bmp,  # noqa: F401  (re-exported)
@@ -110,8 +103,7 @@ class ProxyGateway:
         self.rng = rng
         self.home_ssid = home_ssid
         self.endpoint = sim.register(endpoint_id, "proxy")
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT, self._accept_device)
-        sim.set_stream_handler(self.endpoint, protocol.DEVICE_PORT_ALT, self._accept_device)
+        self.channels = DeviceChannels(sim, self.endpoint, "local", self._on_device_frame)
         self.cloud_client = CloudClient(
             config,
             EnvelopeFactory(config, rng, nonce_source=nonce_source),
@@ -121,10 +113,7 @@ class ProxyGateway:
             dns_answers or {},
         )
         self.assignments: dict[str, VirtualNetwork] = {}
-        self._device_streams: dict[str, StreamEnd] = {}
         self._upstreams: dict[str, StreamEnd] = {}
-        self._local_pending: dict[str, DeviceFrame] = {}
-        self._local_seq = 0
 
     # -- isolation manager ------------------------------------------------------
 
@@ -182,7 +171,7 @@ class ProxyGateway:
         if token is None:
             try:
                 token = self.acquire_token()
-            except (CloudRejected, CloudUnreachable) as exc:
+            except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
         lengths = dpl.encode(creds, rounds).flatten()
@@ -217,12 +206,9 @@ class ProxyGateway:
 
     # -- cloud-role toward devices / device-role toward cloud -------------------------
 
-    def _accept_device(self, stream: StreamEnd, src: EndpointId) -> None:
-        serve_frames(stream, self._on_device_frame)
-
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
-            self._device_streams[frame.device_id] = stream
+            self.channels.bind(frame.device_id, stream)
             upstream = self._open_upstream(frame.device_id)
             if upstream is None:
                 stream.send(
@@ -237,8 +223,6 @@ class ProxyGateway:
                 )
                 return
             upstream.send(encode_frame(frame))
-        elif frame.kind == "ack" and frame.request_id in self._local_pending:
-            self._local_pending[frame.request_id] = frame
         else:
             upstream = self._upstreams.get(frame.device_id)
             if upstream is not None:
@@ -250,7 +234,7 @@ class ProxyGateway:
             return existing
         try:
             cloud = self.cloud_client.resolve()
-        except (CloudUnreachable, CloudRejected):
+        except (CloudUnreachable, ProvisionerError):
             return None
         try:
             upstream = self.sim.open_stream(
@@ -263,7 +247,7 @@ class ProxyGateway:
         return upstream
 
     def _on_upstream_frame(self, device_id: str, _upstream: StreamEnd, frame: DeviceFrame) -> None:
-        down = self._device_streams.get(device_id)
+        down = self.channels.stream_of(device_id)
         if down is not None:
             down.send(encode_frame(frame))
 
@@ -274,24 +258,4 @@ class ProxyGateway:
         works with the vendor cloud completely dark."""
         if not self.policy.local_control:
             raise PolicyDenied("local_control is disabled by policy")
-        stream = self._device_streams.get(device_id)
-        if stream is None:
-            raise DeviceOffline(device_id)
-        self._local_seq += 1
-        request_id = f"local-{self._local_seq:06d}"
-        self._local_pending[request_id] = None
-        frame = DeviceFrame(
-            kind="command",
-            device_id=device_id,
-            payload={"command": command},
-            request_id=request_id,
-        )
-        try:
-            stream.send(encode_frame(frame))
-        except PeerUnreachable as exc:
-            self._local_pending.pop(request_id, None)
-            raise DeviceOffline(device_id) from exc
-        ack = self._local_pending.pop(request_id, None)
-        if ack is None:
-            raise DeviceOffline(device_id)
-        return ack.payload.get("status", {})
+        return self.channels.command(device_id, command).get("status", {})

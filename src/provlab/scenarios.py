@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import dpl, protocol
 from .cloud import CloudUnreachable, VendorCloud
 from .device import DevicePhase, IoTDevice
-from .netsim import LossModel, SimClock, Simulation
+from .netsim import LossModel, PeerUnreachable, SimClock, Simulation
 from .protocol import DeviceFrame, FrameReader, encode_frame
 from .provisioner import (
     AppConfig,
@@ -496,7 +496,7 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
     try:
         world.sim.open_stream(attacker2, dev_a.endpoint, protocol.DEVICE_PORT)
         reached = True
-    except Exception:
+    except PeerUnreachable:
         reached = False
     after = len([e for e in world.sim.capture.snapshot() if e.src == "evil-plug-2"])
     report.check(

@@ -81,7 +81,7 @@ def parse_bmp(data: bytes) -> BmpImage:
     )
 
 
-def make_bmp(width: int, height: int, shade=None) -> BmpImage:
+def make_bmp(width: int, height: int) -> BmpImage:
     """Build a deterministic 24-bit BMP (gradient fill) for fixtures."""
     row_raw = width * 3
     row_padded = (row_raw + 3) & ~3
@@ -95,10 +95,7 @@ def make_bmp(width: int, height: int, shade=None) -> BmpImage:
     for y in range(height):
         base = y * row_padded
         for x in range(width):
-            if shade is None:
-                b, g, r = (x * 7 + y) & 0xFF, (x + y * 5) & 0xFF, (x * 3 ^ y) & 0xFF
-            else:
-                b, g, r = shade(x, y)
+            b, g, r = (x * 7 + y) & 0xFF, (x + y * 5) & 0xFF, (x * 3 ^ y) & 0xFF
             pixels[base + 3 * x : base + 3 * x + 3] = bytes((b, g, r))
     return BmpImage(header=header, pixels=bytes(pixels), width=width, height=height)
 
@@ -171,7 +168,6 @@ class ExtractReport:
     seed_hash: int
     keys_cnt: int
     offsets: list[int] = field(default_factory=list)  # [start, end) file offsets
-    keys: list[bytes] = field(default_factory=list)
 
 
 def _read_bits(pixels: bytes, start: int, count: int) -> bytes:
@@ -236,7 +232,6 @@ def stego_extract(image: BmpImage, seed: str) -> tuple[StegoRecord, ExtractRepor
             seed_hash=seed_hash(seed),
             keys_cnt=len(keys),
             offsets=[image.off_bits + cand, image.off_bits + cand + 8 * size],
-            keys=list(keys),
         )
         return record, report
     raise MagicMismatch("no embedded record found for this seed")

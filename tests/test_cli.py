@@ -103,7 +103,10 @@ class TestDecodeCommand:
         path.write_text(sim.capture.to_jsonl())
         assert cli.main(["decode", str(path)]) == cli.EXIT_NO_TRAFFIC
 
-    @pytest.mark.parametrize("bad_line", ['{"t":1,"ssid":"x"}', "[1,2]", "7", "{nope"])
+    @pytest.mark.parametrize("bad_line", [
+        '{"t":1,"ssid":"x"}', "[1,2]", "7", "{nope",
+        '{"t":1,"ssid":"x","src":"a","port":30011,"len":"5","kind":"bcast"}',
+    ])
     def test_malformed_line_exits_1_naming_the_line(self, tmp_path, capsys, bad_line):
         path, _creds = make_capture(tmp_path)
         first, rest = path.read_text().split("\n", 1)

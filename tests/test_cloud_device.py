@@ -133,6 +133,27 @@ class TestRegistrationFlow:
         assert acks  # and the device answered on the same channel
 
 
+    def test_device_channel_ignores_frames_off_the_bind_stream(self, world):
+        sim, cloud, app, _ = world
+        device, _ = provision_one(sim, cloud, app)
+        before = dict(cloud.registry.devices["bulb-01"].status)
+        intruder = sim.register("intruder", "device")
+        sim.join(intruder, HOME, PSK)
+        stream = sim.open_stream(intruder, cloud.endpoint, protocol.DEVICE_PORT)
+        stream.send(encode_frame(DeviceFrame(
+            kind="status", device_id="bulb-01", payload={"status": {"power": "pwned"}},
+        )))
+        stream.send(encode_frame(DeviceFrame(
+            kind="ack", device_id="bulb-01", request_id="relay-000001",
+            payload={"success": True, "status": {"power": "pwned"}},
+        )))
+        assert cloud.registry.devices["bulb-01"].status == before
+        assert cloud.channels._pending == {}
+        # the first relayed command gets the device's own ack, not the forged one
+        assert cloud.relay_command("bulb-01", {"power": "on"})["status"]["power"] == "on"
+        assert cloud.registry.devices["bulb-01"].status["power"] == "on"
+
+
 class TestSignatureGate:
     def test_no_mutation_on_tamper(self, world):
         sim, cloud, app, rng = world

@@ -317,3 +317,19 @@ class TestCaptureFormat:
         assert [e.to_json() for e in parsed] == [
             e.to_json() for e in sim.capture.snapshot()
         ]
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", "1"), ("port", 30011.0), ("len", True), ("ssid", 3),
+        ("src", None), ("kind", ["bcast"]), ("dst", 5),
+    ])
+    def test_wrong_field_type_names_the_line(self, field, value):
+        rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
+        good = json.dumps(rec)
+        rec[field] = value
+        with pytest.raises(ValueError, match="^line 2 "):
+            CaptureLog.parse_jsonl(good + "\n" + json.dumps(rec) + "\n")
+
+    def test_dst_may_be_null_or_absent(self):
+        rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
+        parsed = CaptureLog.parse_jsonl(json.dumps(rec) + "\n" + json.dumps({**rec, "dst": None}))
+        assert [e.dst for e in parsed] == [None, None]

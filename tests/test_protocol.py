@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -145,6 +146,12 @@ class TestFrames:
         body = b'{"kind": "explode", "device_id": "d"}'
         with pytest.raises(MalformedFrame):
             reader.push(len(body).to_bytes(4, "big") + body)
+
+    @pytest.mark.parametrize("field", ["token", "request_id"])
+    def test_non_string_token_or_request_id(self, field):
+        body = json.dumps({"kind": "ack", "device_id": "d", field: ["x"]}).encode()
+        with pytest.raises(MalformedFrame):
+            FrameReader().push(len(body).to_bytes(4, "big") + body)
 
     def test_oversized_frame_rejected(self):
         reader = FrameReader()

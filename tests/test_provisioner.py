@@ -145,13 +145,15 @@ class TestProvisionFlow:
     def test_broadcast_into_empty_network_times_out(self, rig):
         sim, cloud, app, _ = rig
         token = app.acquire_token()
-        t0 = sim.clock.now
+        t0, requests0 = sim.clock.now, cloud.requests_total
         outcome = app.provision(
             dpl.Credentials("home-net", "hunter2-long", token.value), rounds=1
         )
         assert not outcome.success
         assert outcome.error == "Timeout"
-        assert sim.clock.now - t0 >= 30  # the whole window elapsed
+        # the whole 30 s window elapsed, one status poll every 2 s from t0 to t0+30
+        assert sim.clock.now - t0 == 30
+        assert cloud.requests_total - requests0 == 16
 
     def test_cloud_down_means_unreachable(self, rig):
         sim, cloud, app, _ = rig

@@ -159,6 +159,25 @@ class TestRelay:
         assert cloud.requests_total == before
 
 
+class TestUpstreamResolution:
+    def test_region_without_endpoints_fails_the_provisioning(self, rig, keyset):
+        sim, cloud, _, rng = rig
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="gw-client", region="XX",
+            user_id="user-01", keys=keyset,
+        )
+        proxy = ProxyGateway(sim, config, {"52.29.0.171": cloud}, rng=rng,
+                             endpoint_id="proxy-xx", dns_available=False)
+        net = proxy.allocate_virtual_network("bulb-01")
+        device = IoTDevice(sim, "bulb-01", proxy.endpoint)
+        sim.join(device.endpoint, net.ssid, net.passphrase)
+        outcome = proxy.provision_isolated("bulb-01", token="t" * 32, idle_hook=device.idle)
+        assert not outcome.success
+        assert "'XX'" in outcome.error
+        assert device.phase is DevicePhase.REGISTER_FAILED
+        assert device.events[-1]["detail"] == "cloud reject: UpstreamUnreachable"
+
+
 class TestLocalControl:
     def test_local_control_with_cloud_down(self, rig):
         sim, cloud, proxy, _ = rig
