@@ -386,7 +386,7 @@ class VendorCloud:
             stream.send(encode_frame(ack))
         elif frame.kind == "status":
             self._set_status(frame.device_id, frame.payload.get("status", {}))
-        # unanswered acks and commands (devices never send those) are dropped
+        # acks that answer no command, and commands, are dropped
 
     def _set_status(self, device_id: str, status) -> None:
         dev = self.registry.devices.get(device_id)

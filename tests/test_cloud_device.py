@@ -153,6 +153,18 @@ class TestRegistrationFlow:
         assert cloud.relay_command("bulb-01", {"power": "on"})["status"]["power"] == "on"
         assert cloud.registry.devices["bulb-01"].status["power"] == "on"
 
+    @pytest.mark.parametrize("status", [5, "on", ["power"]])
+    def test_status_that_is_not_an_object_is_dropped(self, world, status):
+        sim, cloud, app, _ = world
+        token = app.acquire_token()
+        rogue = sim.register("rogue", "device")
+        stream = sim.open_stream(rogue, cloud.endpoint, protocol.DEVICE_PORT)
+        stream.send(encode_frame(DeviceFrame(kind="bind", device_id="rogue-01",
+                                             token=token.value)))
+        stream.send(encode_frame(DeviceFrame(kind="status", device_id="rogue-01",
+                                             payload={"status": status})))
+        assert cloud.registry.devices["rogue-01"].status == {}
+
 
 class TestSignatureGate:
     def test_no_mutation_on_tamper(self, world):
