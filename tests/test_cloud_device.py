@@ -132,7 +132,6 @@ class TestRegistrationFlow:
                 if e.kind == "stream" and e.src == "bulb-01"]
         assert acks  # and the device answered on the same channel
 
-
     def test_device_channel_ignores_frames_off_the_bind_stream(self, world):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
