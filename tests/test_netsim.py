@@ -127,6 +127,87 @@ class TestBroadcast:
                     expected += 1
         assert delivered == expected
 
+    def test_lossy_fan_out_matches_independent_replay(self):
+        # oracle for fan-out to several receivers: per receiver in join
+        # order (the sender skipped), one drop draw, then one dup draw only
+        # if the frame was delivered; a duplicate follows its original
+        drop, dup, seed, port = 0.2, 0.15, 99, 30011
+        sim = fresh_sim(drop=drop, dup=dup, seed=seed)
+        sim.create_network("net-a", "password-a")
+        sim.create_network("net-b", "password-b")
+        names = ["rx-d", "rx-b", "tx", "rx-a", "rx-c"]
+        eps = {name: sim.register(name, "app" if name == "tx" else "device")
+               for name in names}
+        for name in names:
+            sim.join(eps[name], "net-a", "password-a")
+        elsewhere = sim.register("rx-e", "device")
+        sim.join(elsewhere, "net-b", "password-b")
+        handled = []
+
+        def on_datagram(d):
+            assert (d.src.id, d.dst_port, d.ssid) == ("tx", port, "net-a")
+            handled.append(len(d.payload))
+
+        sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
+        draw = random.Random(7)
+        lengths = [draw.randint(1, 2048) for _ in range(400)]
+        for length in lengths:
+            sim.broadcast(eps["tx"], port, b"\x5a" * length)
+
+        rng = random.Random(seed)
+        receivers = [name for name in names if name != "tx"]
+        records, delivered = [], {name: [] for name in receivers}
+        for length in lengths:
+            records.append(("bcast", None, length))
+            for name in receivers:
+                if rng.random() < drop:
+                    records.append(("drop", name, length))
+                    continue
+                copies = 2 if rng.random() < dup else 1
+                records.extend([("deliver", name, length)] * copies)
+                delivered[name].extend([length] * copies)
+        snap = sim.capture.snapshot()
+        assert [(e.kind, e.dst, e.len) for e in snap] == records
+        assert {(e.t, e.ssid, e.src, e.port) for e in snap} == {
+            (1_613_000_000, "net-a", "tx", port)}
+        assert {"drop", "deliver"} <= {record[0] for record in records}
+        assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
+        assert handled == delivered["rx-b"]
+        for name in ("rx-d", "rx-a", "rx-c"):
+            got = sim.poll_datagrams(eps[name])
+            assert [len(d.payload) for d in got] == delivered[name]
+            assert {(d.src.id, d.dst_port, d.ssid) for d in got} == {("tx", port, "net-a")}
+        for name in ("rx-b", "tx"):
+            assert sim.poll_datagrams(eps[name]) == []
+        assert sim.poll_datagrams(elsewhere) == []
+
+    def test_handler_stream_send_follows_the_fan_out_records(self):
+        sim = fresh_sim(drop=0.3, dup=0.3, seed=4)
+        sim.create_network("net-a", "password-a")
+        tx = sim.register("tx", "app")
+        rxs = [sim.register(f"rx-{i}", "device") for i in range(4)]
+        hub = sim.register("hub", "cloud", wan=True)
+        for ep in [rxs[0], tx, *rxs[1:]]:
+            sim.join(ep, "net-a", "password-a")
+        sim.set_stream_handler(hub, 6668, lambda end, src: None)
+        end = sim.open_stream(rxs[0], hub, 6668)
+        sim.set_datagram_handler(rxs[0], 30011, lambda d: end.send(d.payload))
+        for _ in range(50):
+            sim.broadcast(tx, 30011, b"abc")
+        snap = sim.capture.snapshot()
+        starts = [i for i, e in enumerate(snap) if e.kind == "bcast"] + [len(snap)]
+        streams = 0
+        for start, stop in zip(starts, starts[1:]):
+            kinds = [e.kind for e in snap[start + 1:stop]]
+            fan_out = len(kinds) - kinds.count("stream")
+            assert set(kinds[:fan_out]) <= {"deliver", "drop"}
+            assert set(kinds[fan_out:]) <= {"stream"}
+            delivered = [e for e in snap[start + 1:stop]
+                         if e.kind == "deliver" and e.dst == "rx-0"]
+            assert kinds.count("stream") == len(delivered)
+            streams += len(delivered)
+        assert streams > 0
+
     def test_duplication_delivers_twice(self):
         sim = fresh_sim(drop=0.0, dup=1.0, seed=5)
         sim.create_network("net-a", "password-a")
@@ -328,6 +409,22 @@ class TestCaptureFormat:
         rec[field] = value
         with pytest.raises(ValueError, match="^line 2 "):
             CaptureLog.parse_jsonl(good + "\n" + json.dumps(rec) + "\n")
+
+    def test_mutating_a_snapshot_leaves_the_log_unchanged(self, sim):
+        sim.create_network("net-a", "password-a")
+        tx = sim.register("tx", "app")
+        rx = sim.register("rx", "device")
+        sim.join(tx, "net-a", "password-a")
+        sim.join(rx, "net-a", "password-a")
+        sim.broadcast(tx, 30011, b"abc")
+        before = sim.capture.to_jsonl()
+        snap = sim.capture.snapshot()
+        snap.append(snap[0])
+        del snap[0]
+        snap.clear()
+        assert sim.capture.to_jsonl() == before
+        assert [e.to_json() for e in sim.capture.snapshot()] == [
+            json.loads(line) for line in before.splitlines()]
 
     def test_dst_may_be_null_or_absent(self):
         rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
