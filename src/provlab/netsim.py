@@ -107,7 +107,7 @@ class Datagram:
     ssid: str
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptureEntry:
     t: int
     ssid: str
@@ -137,19 +137,28 @@ class CaptureLog:
     Every sent frame appears exactly once (kind ``bcast`` or ``stream``);
     broadcast fan-out additionally appears per receiver as ``deliver``
     or ``drop``, so a dropped frame is visibly sent-but-not-delivered.
+
+    Each record is stored as a plain tuple of its fields: CPython's cyclic
+    garbage collector stops tracking tuples of ints, strs and None, so a
+    large capture adds nothing to a full collection.
     """
 
     def __init__(self, lock: threading.RLock):
-        self._entries: list[CaptureEntry] = []
+        self._rows: list[tuple] = []
         self._lock = lock
 
     def append(self, entry: CaptureEntry) -> None:
-        with self._lock:
-            self._entries.append(entry)
+        """Record one frame.  The caller holds the simulation lock, as
+        ``Simulation.broadcast`` and ``Simulation._stream_send`` do."""
+        self._rows.append(
+            (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
+        )
 
     def snapshot(self) -> list[CaptureEntry]:
+        """A consistent prefix of the log, as fresh entries."""
         with self._lock:
-            return list(self._entries)
+            rows = self._rows.copy()
+        return [CaptureEntry(*row) for row in rows]
 
     def to_jsonl(self) -> str:
         return "".join(
@@ -336,38 +345,28 @@ class Simulation:
                 ssid = next(iter(rec.networks))
             if ssid not in rec.networks:
                 raise NotJoined(f"{endpoint.id} is not a member of {ssid!r}")
-            net = self._networks[ssid]
-            now = self.clock.now
-            self.capture.append(
-                CaptureEntry(now, ssid, endpoint.id, dst_port, len(payload), "bcast")
-            )
-            deliveries: list[tuple[_EndpointRec, Datagram]] = []
-            for member in net.members:
-                if member == endpoint:
+            now, src, length = self.clock.now, endpoint.id, len(payload)
+            append, endpoints = self.capture.append, self._endpoints
+            draw, drop, dup = self._rng.random, self.loss.drop_prob, self.loss.dup_prob
+            append(CaptureEntry(now, ssid, src, dst_port, length, "bcast"))
+            dgram = Datagram(endpoint, dst_port, payload, ssid)
+            deliveries: list[_EndpointRec] = []
+            # LossModel draw order: per receiver, drop, then dup if delivered
+            for member in self._networks[ssid].members:
+                dst = member.id
+                if dst == src:
                     continue
-                if self._rng.random() < self.loss.drop_prob:
-                    self.capture.append(
-                        CaptureEntry(
-                            now, ssid, endpoint.id, dst_port, len(payload),
-                            "drop", dst=member.id,
-                        )
-                    )
+                if draw() < drop:
+                    append(CaptureEntry(now, ssid, src, dst_port, length, "drop", dst))
                     continue
-                copies = 1
-                if self._rng.random() < self.loss.dup_prob:
-                    copies = 2
-                dgram = Datagram(endpoint, dst_port, payload, ssid)
-                for _ in range(copies):
-                    self.capture.append(
-                        CaptureEntry(
-                            now, ssid, endpoint.id, dst_port, len(payload),
-                            "deliver", dst=member.id,
-                        )
-                    )
-                    deliveries.append((self._endpoints[member.id], dgram))
+                append(CaptureEntry(now, ssid, src, dst_port, length, "deliver", dst))
+                deliveries.append(endpoints[dst])
+                if draw() < dup:
+                    append(CaptureEntry(now, ssid, src, dst_port, length, "deliver", dst))
+                    deliveries.append(endpoints[dst])
             # handlers run inside the lock: delivery is synchronous and the
             # lock is reentrant, so handlers may send in turn
-            for mrec, dgram in deliveries:
+            for mrec in deliveries:
                 handler = mrec.datagram_handlers.get(dst_port)
                 if handler is not None:
                     handler(dgram)

@@ -419,6 +419,7 @@ class TestCaptureFormat:
         sim.broadcast(tx, 30011, b"abc")
         before = sim.capture.to_jsonl()
         snap = sim.capture.snapshot()
+        snap[0].len = 999  # snapshot entries are fresh copies
         snap.append(snap[0])
         del snap[0]
         snap.clear()
