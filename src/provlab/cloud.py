@@ -241,12 +241,14 @@ class VendorCloud:
             envelope = json.loads(body)
         except json.JSONDecodeError:
             return json.dumps(self._failure(None, "BadRequest"))
+        if not isinstance(envelope, dict):
+            return json.dumps(self._failure(None, "BadRequest"))
         return json.dumps(self.handle_app_request(envelope))
 
     def handle_app_request(self, envelope: dict) -> dict:
         self.requests_total += 1
         bundle = envelope.get("bundleId")
-        keys = self.registry.vendors.get(bundle)
+        keys = self.registry.vendors.get(bundle) if isinstance(bundle, str) else None
         if keys is None:
             self.verify_failures += 1
             return self._failure(None, "UnknownBundle")
@@ -264,6 +266,8 @@ class VendorCloud:
         try:
             post_obj = json.loads(open_postdata(envelope.get("postData", ""), key))
         except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError):
+            return self._failure(key, "BadPostData")
+        if not isinstance(post_obj, dict):
             return self._failure(key, "BadPostData")
         self.last_envelope = dict(envelope)
         if action == protocol.ACTION_TOKEN_GET:

@@ -167,9 +167,9 @@ class CaptureLog:
 
     @staticmethod
     def parse_jsonl(text: str) -> list[CaptureEntry]:
-        """Inverse of :meth:`to_jsonl`; a line that is not JSON, not an
-        object, lacks a field or has a field of the wrong type raises
-        ``ValueError`` naming its 1-based line number."""
+        """Inverse of :meth:`to_jsonl`; a line that is not JSON, nests too
+        deeply, is not an object, lacks a field or has a field of the wrong
+        type raises ``ValueError`` naming its 1-based line number."""
         entries = []
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -190,7 +190,7 @@ class CaptureLog:
                         " strings, and dst a string or null"
                     )
                 entries.append(CaptureEntry(t, ssid, src, port, length, kind, dst))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(
                     f"line {lineno} is not a capture entry: {type(exc).__name__}: {exc}"
                 ) from exc

@@ -64,12 +64,24 @@ class ProxyPolicy:
 
     @classmethod
     def from_json(cls, text: str) -> "ProxyPolicy":
-        raw = json.loads(text)
-        return cls(
-            allowed_actions=set(raw.get("allowed_actions", [])),
-            redact_fields=set(raw.get("redact_fields", [])),
-            local_control=bool(raw.get("local_control", False)),
-        )
+        """Inverse of :meth:`to_json`.  Policy JSON of the wrong shape
+        raises ``ValueError`` naming the bad field."""
+        try:
+            raw = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("policy JSON nests too deeply") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("policy must be a JSON object")
+        fields = {}
+        for name in ("allowed_actions", "redact_fields"):
+            value = raw.get(name, [])
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"policy field {name!r} must be a list of strings")
+            fields[name] = set(value)
+        local_control = raw.get("local_control", False)
+        if not isinstance(local_control, bool):
+            raise ValueError("policy field 'local_control' must be a boolean")
+        return cls(**fields, local_control=local_control)
 
     def to_json(self) -> str:
         return json.dumps(

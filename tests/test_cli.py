@@ -106,7 +106,8 @@ class TestDecodeCommand:
     @pytest.mark.parametrize("bad_line", [
         '{"t":1,"ssid":"x"}', "[1,2]", "7", "{nope",
         '{"t":1,"ssid":"x","src":"a","port":30011,"len":"5","kind":"bcast"}',
-    ])
+        "[" * 100000,
+    ], ids=lambda line: line if len(line) < 100 else f"{line[:2]}x{len(line)}")
     def test_malformed_line_exits_1_naming_the_line(self, tmp_path, capsys, bad_line):
         path, _creds = make_capture(tmp_path)
         first, rest = path.read_text().split("\n", 1)

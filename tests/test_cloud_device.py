@@ -6,6 +6,7 @@ import pytest
 
 from provlab import dpl, protocol
 from provlab.cloud import (
+    API_PATH,
     CloudRegistry,
     CorruptSnapshot,
     UnknownDevice,
@@ -196,6 +197,27 @@ class TestSignatureGate:
         envelope = app.envelopes.build("m.not.an.action", {}, sim.clock.now)
         response = cloud.handle_app_request(envelope)
         assert response["result"]["error"] == "UnknownAction"
+
+    @pytest.mark.parametrize("action", sorted(protocol.REGISTERED_ACTIONS))
+    @pytest.mark.parametrize("post_obj", [[1], "x", 5, None])
+    def test_post_data_that_is_not_an_object(self, world, action, post_obj):
+        sim, cloud, app, _ = world
+        envelope = app.envelopes.build(action, post_obj, sim.clock.now)
+        fingerprint = cloud.registry.fingerprint()
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["success"] is False
+        assert response["result"]["error"] == "BadPostData"
+        assert cloud.registry.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("body, error", [
+        ("[1]", "BadRequest"), ('"x"', "BadRequest"), ("5", "BadRequest"),
+        ("null", "BadRequest"), ('{"bundleId": [1]}', "UnknownBundle"),
+    ])
+    def test_envelope_of_the_wrong_shape(self, world, body, error):
+        _, cloud, _, _ = world
+        response = json.loads(cloud.post(API_PATH, body))
+        assert response["success"] is False
+        assert response["result"]["error"] == error
 
     def test_missing_sign_rejected(self, world):
         sim, cloud, app, _ = world

@@ -3,8 +3,11 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provlab.netsim import (
+    CaptureEntry,
     CaptureLog,
     DuplicateSsid,
     InvalidLength,
@@ -15,6 +18,15 @@ from provlab.netsim import (
     Simulation,
     UnknownSsid,
     WrongPassphrase,
+)
+
+
+FIELDS = ("t", "ssid", "src", "port", "len", "kind", "dst")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=8),
+    max_leaves=16,
 )
 
 
@@ -431,3 +443,43 @@ class TestCaptureFormat:
         rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
         parsed = CaptureLog.parse_jsonl(json.dumps(rec) + "\n" + json.dumps({**rec, "dst": None}))
         assert [e.dst for e in parsed] == [None, None]
+
+
+class TestCaptureFuzz:
+    """Only ``ValueError`` may escape ``parse_jsonl``, and what it accepts
+    has the documented field types."""
+
+    @staticmethod
+    def _parse(text):
+        try:
+            entries = CaptureLog.parse_jsonl(text)
+        except ValueError:
+            return
+        for e in entries:
+            assert isinstance(e, CaptureEntry)
+            assert {type(e.t), type(e.port), type(e.len)} == {int}
+            assert {type(e.ssid), type(e.src), type(e.kind)} == {str}
+            assert e.dst is None or type(e.dst) is str
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text())
+    def test_arbitrary_text(self, text):
+        self._parse(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(JSON_VALUES, min_size=1, max_size=3))
+    def test_json_shaped_lines(self, values):
+        self._parse("\n".join(json.dumps(v) for v in values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rec=st.fixed_dictionaries(
+            {"t": st.integers(), "ssid": st.text(), "src": st.text(),
+             "port": st.integers(), "len": st.integers(), "kind": st.text()},
+            optional={"dst": st.none() | st.text()},
+        ),
+        field=st.sampled_from(FIELDS),
+        value=JSON_VALUES,
+    )
+    def test_one_field_with_any_value(self, rec, field, value):
+        self._parse(json.dumps({**rec, field: value}))

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provlab import dpl, protocol
 from provlab.cloud import DeviceOffline, VendorCloud
@@ -16,6 +18,15 @@ from provlab.proxy import (
     keys_from_bmp,
 )
 from provlab.stego import StegoRecord, make_bmp, stego_embed
+
+
+POLICY_FIELDS = ("allowed_actions", "redact_fields", "local_control")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(POLICY_FIELDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
 
 
 @pytest.fixture
@@ -209,6 +220,36 @@ class TestPolicyFile:
         )
         again = ProxyPolicy.from_json(policy.to_json())
         assert again == policy
+
+    @pytest.mark.parametrize("text, field", [
+        ("[1]", "object"), ('"x"', "object"), ("null", "object"),
+        ('{"allowed_actions": 5}', "allowed_actions"),
+        ('{"allowed_actions": [1]}', "allowed_actions"),
+        ('{"redact_fields": null}', "redact_fields"),
+        ('{"redact_fields": "lat"}', "redact_fields"),
+        ('{"local_control": 1}', "local_control"),
+        ('{"local_control": "yes"}', "local_control"),
+        ("[" * 100000, "nests"),
+    ], ids=lambda v: v if len(v) < 100 else f"{v[:2]}x{len(v)}")
+    def test_wrong_shape_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            ProxyPolicy.from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | JSON_VALUES.map(json.dumps))
+    def test_fuzz_only_value_error_escapes(self, text):
+        try:
+            policy = ProxyPolicy.from_json(text)
+        except ValueError:
+            return
+        assert isinstance(policy.local_control, bool)
+        assert all(isinstance(name, str)
+                   for name in policy.allowed_actions | policy.redact_fields)
+        assert ProxyPolicy.from_json(policy.to_json()) == policy
+
+    def test_missing_fields_take_the_defaults(self):
+        assert ProxyPolicy.from_json("{}") == ProxyPolicy(
+            allowed_actions=set(), redact_fields=set(), local_control=False)
 
 
 class TestKeyPipeline:
