@@ -107,7 +107,7 @@ class CloudRegistry:
             for bid, ks in snap["vendors"].items():
                 registry.vendors[bid] = SigningKeySet(**ks)
             return registry
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise CorruptSnapshot(f"snapshot does not parse: {exc}") from exc
 
     def fingerprint(self) -> str:

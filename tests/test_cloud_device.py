@@ -315,6 +315,12 @@ class TestRegistryPersistence:
         with pytest.raises(CorruptSnapshot):
             restore(path)
 
+    def test_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "registry.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(CorruptSnapshot):
+            restore(path)
+
 
 class TestFootprint:
     def test_footprint_reports_what_device_said_at_bind(self, world):
