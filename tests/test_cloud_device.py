@@ -311,15 +311,10 @@ class TestRegistryPersistence:
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "registry.json"
-        path.write_text("]]]]")
-        with pytest.raises(CorruptSnapshot):
-            restore(path)
-
-    def test_nested_too_deeply(self, tmp_path):
-        path = tmp_path / "registry.json"
-        path.write_text("[" * 100000)
-        with pytest.raises(CorruptSnapshot):
-            restore(path)
+        for text in ("]]]]", "[" * 100000):
+            path.write_text(text)
+            with pytest.raises(CorruptSnapshot):
+                restore(path)
 
 
 class TestFootprint:
