@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -441,6 +442,92 @@ class TestCaptureFormat:
         rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
         parsed = CaptureLog.parse_jsonl(json.dumps(rec) + "\n" + json.dumps({**rec, "dst": None}))
         assert [e.dst for e in parsed] == [None, None]
+
+
+def _oracle_rows(text):
+    """Per-line reference parse: the row tuples ``json.loads`` gives, or
+    the 1-based number of the first line that is not a capture entry."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.strip())
+            row = tuple(rec[f] for f in FIELDS[:-1]) + (rec.get("dst"),)
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+            return lineno
+        t, ssid, src, port, length, kind, dst = row
+        if not ({type(t), type(port), type(length)} == {int}
+                and {type(ssid), type(src), type(kind)} == {str}
+                and (dst is None or type(dst) is str)):
+            return lineno
+        rows.append(row)
+    return rows
+
+
+TRICKY_STRINGS = st.sampled_from(
+    ["", "\u00e9", '"', "\\", "a\"b\\c", "\x85", "\u2028", "\u2029", "\x00", "\t", "\u3000"]
+)
+# values as JSON source text, so that "-0" and ints past Python's
+# int-string limit can appear
+INT_SOURCES = st.integers().map(str) | st.sampled_from(["0", "-0", "-7"])
+STR_SOURCES = (st.text() | TRICKY_STRINGS).flatmap(
+    lambda s: st.sampled_from([json.dumps(s), json.dumps(s, ensure_ascii=False)])
+)
+ODD_SOURCES = st.sampled_from(
+    ["true", "false", "1.5", "1e3", "null", "[]", "{}", "1" + "0" * 5000]
+)
+RECORDS = st.fixed_dictionaries(
+    {"t": INT_SOURCES, "ssid": STR_SOURCES, "src": STR_SOURCES, "port": INT_SOURCES,
+     "len": INT_SOURCES, "kind": STR_SOURCES},
+    optional={"dst": STR_SOURCES | st.just("null") | st.just('""')},
+)
+
+
+@st.composite
+def _record_line(draw, odd=False):
+    """A record rendered canonically, as ``to_jsonl`` does, or as other
+    valid JSON; with ``odd``, one field may take any other value."""
+    rec = draw(RECORDS)
+    if odd:
+        rec[draw(st.sampled_from(FIELDS))] = draw(ODD_SOURCES | INT_SOURCES | STR_SOURCES)
+    keys, sep, colon = sorted(rec), ", ", ": "
+    if draw(st.integers(0, 3)) == 0:
+        keys = draw(st.permutations(keys))
+        sep, colon = draw(st.sampled_from([(",", ":"), (" ,", " : "), (",\t", ":")]))
+    return "{" + sep.join(f'"{k}"{colon}{rec[k]}' for k in keys) + "}"
+
+
+@st.composite
+def _capture_text(draw):
+    """Records and blank lines, with at most one odd record or garbage line."""
+    blank = st.sampled_from(["", "  ", "\t"])
+    lines = draw(st.lists(_record_line() | blank, max_size=12))
+    if draw(st.booleans()):
+        odd = _record_line(odd=True) | st.text() | st.sampled_from(["{", "[1]", '{"t": 1}'])
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _entry_rows(text):
+    return [astuple(e) for e in CaptureLog.parse_jsonl(text)]
+
+
+class TestCaptureParseDifferential:
+    """The capture parser agrees with a per-line ``json.loads`` oracle: the
+    same rows, or a ``ValueError`` naming the same first bad line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_capture_text())
+    @pytest.mark.parametrize("parse", [_entry_rows], ids=["parse_jsonl"])
+    def test_matches_per_line_json_loads(self, parse, text):
+        expected = _oracle_rows(text)
+        if isinstance(expected, int):
+            with pytest.raises(ValueError, match=f"^line {expected} "):
+                parse(text)
+        else:
+            assert repr(parse(text)) == repr(expected)
 
 
 class TestCaptureFuzz:
