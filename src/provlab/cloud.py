@@ -267,7 +267,10 @@ class VendorCloud:
             post_obj = json.loads(open_postdata(envelope.get("postData", ""), key))
         except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError):
             return self._failure(key, "BadPostData")
-        if not isinstance(post_obj, dict):
+        # the handlers use token and device_id as dict keys
+        if not isinstance(post_obj, dict) or any(
+            not isinstance(post_obj.get(f), (str, type(None))) for f in ("token", "device_id")
+        ):
             return self._failure(key, "BadPostData")
         self.last_envelope = dict(envelope)
         if action == protocol.ACTION_TOKEN_GET:

@@ -209,6 +209,22 @@ class TestSignatureGate:
         assert response["result"]["error"] == "BadPostData"
         assert cloud.registry.fingerprint() == fingerprint
 
+    @pytest.mark.parametrize("action, post_obj", [
+        (protocol.ACTION_DEVICE_STATUS, {"device_id": [1]}),
+        (protocol.ACTION_DEVICE_CONTROL, {"device_id": [1]}),
+        (protocol.ACTION_DEVICE_STATUS, {"token": [1]}),
+        (protocol.ACTION_DEVICE_BIND, {"token": [1]}),
+        (protocol.ACTION_DEVICE_STATUS, {"token": {}, "device_id": None}),
+    ])
+    def test_token_or_device_id_that_is_not_a_string(self, world, action, post_obj):
+        sim, cloud, app, _ = world
+        envelope = app.envelopes.build(action, post_obj, sim.clock.now)
+        fingerprint = cloud.registry.fingerprint()
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["success"] is False
+        assert response["result"]["error"] == "BadPostData"
+        assert cloud.registry.fingerprint() == fingerprint
+
     @pytest.mark.parametrize("body, error", [
         ("[1]", "BadRequest"), ('"x"', "BadRequest"), ("5", "BadRequest"),
         ("null", "BadRequest"), ('{"bundleId": [1]}', "UnknownBundle"),

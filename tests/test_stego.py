@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 
 import pytest
@@ -35,6 +36,17 @@ class TestBmp:
         assert again.header == img.header
         assert again.pixels == img.pixels
         assert (again.width, again.height) == (33, 17)
+
+    @pytest.mark.parametrize("width, height, digest", [
+        (1, 1, "1473ed058f811bf3e8a82c638b8b4b9f95bc2131a27374f010b16c48e973cd2d"),
+        (3, 2, "316ac756ba6625ed10276ee2d987832fa048011005a000d9f4753e73a942e9fe"),
+        (33, 17, "f4f26b094bcd1f255ede67ccf2ffba328ed6e6bee6e4ebaf35b659581abf44f9"),
+        (64, 64, "6db1ec1d38df4b6997199755680f8801561951c2afbaf29fbae895b72ed41aaa"),
+        (256, 97, "b208be273d1752ee127763cfca0e5d37a1efb8825bd10eedeeaff7e9c899e86c"),
+    ])
+    def test_make_bmp_bytes_are_pinned(self, width, height, digest):
+        # scenario worlds build their app assets from these bytes
+        assert hashlib.sha256(make_bmp(width, height).to_bytes()).hexdigest() == digest
 
     def test_rejects_non_bmp(self):
         with pytest.raises(BadBmp):
