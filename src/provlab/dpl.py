@@ -48,9 +48,6 @@ MAX_PAYLOAD = 255
 MAX_ROUNDS = 16
 DEFAULT_ROUNDS = 5
 
-_GUIDE_INDEX = {v: i for i, v in enumerate(GUIDE)}
-_SOM_INDEX = {v: i for i, v in enumerate(SOM)}
-
 
 class CodecError(ValueError):
     """Base class for framing and codec errors."""
@@ -76,16 +73,27 @@ class PayloadTooLong(CodecError):
     pass
 
 
+def _crc8_table() -> bytes:
+    """Sarwate's table (CACM 1988): entry i is the crc of the byte i."""
+    table = bytearray(256)
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table[i] = crc
+    return bytes(table)
+
+
+_CRC8 = _crc8_table()
+# the polynomial has an x^0 term, so the table is a permutation of 0..255
+_CRC8_INV = bytes(_CRC8.index(v) for v in range(256))
+
+
 def crc8(data: bytes) -> int:
     """CRC-8, polynomial 0x07, init 0x00, no reflection, no final xor."""
     crc = 0
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 0x80:
-                crc = ((crc << 1) ^ 0x07) & 0xFF
-            else:
-                crc = (crc << 1) & 0xFF
+        crc = _CRC8[crc ^ byte]
     return crc
 
 
@@ -239,24 +247,17 @@ class Phase(Enum):
     FAILED = "failed"
 
 
-def _classify(length: int) -> tuple[str, int | None]:
-    if length in _GUIDE_INDEX:
-        return "guide", _GUIDE_INDEX[length]
-    if length in _SOM_INDEX:
-        return "som", _SOM_INDEX[length]
-    if IDX_BASE <= length < IDX_BASE + BAND_WIDTH:
-        return "idx", length - IDX_BASE
-    if VAL_BASE <= length < VAL_BASE + BAND_WIDTH:
-        return "val", length - VAL_BASE
-    if LEN_BASE <= length < LEN_BASE + BAND_WIDTH:
-        return "len", length - LEN_BASE
-    if CRC_BASE <= length < CRC_BASE + BAND_WIDTH:
-        return "crc", length - CRC_BASE
-    if 18 <= length <= 65:
-        return "som_noise", None
-    if 1 <= length <= 10:
-        return "guide_noise", None
-    return "gap", None
+# length -> (band, value within the band); every other length is a gap.
+# Out-of-band lengths in 18..65 separate rounds; those in 1..10 are gaps.
+_BANDS: dict[int, tuple[str, int | None]] = {
+    **{v: ("som_noise", None) for v in range(18, 66)},
+    **{v: ("guide", i) for i, v in enumerate(GUIDE)},
+    **{v: ("som", i) for i, v in enumerate(SOM)},
+    **{base + v: (band, v) for band, base in (
+        ("idx", IDX_BASE), ("val", VAL_BASE), ("len", LEN_BASE), ("crc", CRC_BASE))
+       for v in range(BAND_WIDTH)},
+}
+_GAP = ("gap", None)
 
 
 @dataclass
@@ -303,8 +304,8 @@ class DecoderState:
         if length == self._prev_len:
             return self
         self._prev_len = length
-        band, value = _classify(length)
-        if band in ("gap", "guide_noise"):
+        band, value = _BANDS.get(length, _GAP)
+        if band == "gap":
             return self
         if self.phase is Phase.HUNTING:
             self._feed_hunting(band, value)
@@ -501,23 +502,23 @@ class DecoderState:
         return self
 
     def _fill_one(self, hole: int) -> None:
-        n = self.expected_len
-        out = bytearray(n)
-        for i in range(n):
-            if i == hole:
-                continue
-            out[i] = self._majority(self.slots[i])
-        for cand in range(256):
-            out[hole] = cand
-            if crc8(bytes(out)) == self.crc_seen:
-                try:
-                    creds = parse_payload_lax(bytes(out))
-                except CodecError:
-                    return
-                self.payload = bytes(out)
-                self.credentials = creds
-                self.phase = Phase.COMPLETE
-                return
+        """Solve the crc equation for the byte at ``hole``: run the crc
+        forward up to the hole and back from the trailer over the bytes
+        after it.  The table is a permutation, so exactly one byte fits."""
+        out = bytearray(
+            0 if i == hole else self._majority(self.slots[i]) for i in range(self.expected_len)
+        )
+        after = self.crc_seen
+        for byte in reversed(out[hole + 1:]):
+            after = _CRC8_INV[after] ^ byte
+        out[hole] = _CRC8_INV[after] ^ crc8(out[:hole])
+        try:
+            creds = parse_payload_lax(bytes(out))
+        except CodecError:
+            return
+        self.payload = bytes(out)
+        self.credentials = creds
+        self.phase = Phase.COMPLETE
 
 
 def decode_lengths(lengths) -> DecoderState:

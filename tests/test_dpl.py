@@ -9,6 +9,7 @@ from provlab import dpl
 from provlab.dpl import (
     BadTokenLength,
     BadVersion,
+    CodecError,
     Credentials,
     DecoderState,
     FieldTooLong,
@@ -22,6 +23,7 @@ from provlab.dpl import (
     encode_payload,
     frame_fields,
     parse_payload,
+    parse_payload_lax,
 )
 
 ALPHA = string.ascii_lowercase + string.digits
@@ -207,7 +209,7 @@ class TestDecoder:
 
     def test_ignores_band_gap_lengths_while_hunting(self):
         state = DecoderState()
-        for length in (70, 99, 360, 680, 990, 1300, 2048):
+        for length in (70, 99, 360, 680, 990, 1300, 2048, 0, -1, 10**30):
             state.feed(length)
         assert state.phase is Phase.HUNTING
         assert state._guide_run == 0
@@ -298,6 +300,36 @@ class TestDecoder:
         state = decode_lengths(pruned)
         assert state.phase is Phase.COMPLETE
         assert state.payload == payload
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=st.binary(min_size=1, max_size=40) | st.builds(
+            frame_fields, st.text(ALPHA, min_size=1, max_size=32),
+            st.text(ALPHA, max_size=64), st.text(ALPHA, max_size=40)),
+        crc=st.none() | st.integers(0, 255),
+        data=st.data(),
+    )
+    def test_fill_one_matches_brute_force(self, payload, crc, data):
+        hole = data.draw(st.integers(0, len(payload) - 1))
+        crc = crc8(payload) if crc is None else crc
+        state = DecoderState(expected_len=len(payload), crc_seen=crc)
+        state.slots = {i: {b: 1} for i, b in enumerate(payload) if i != hole}
+        state._fill_one(hole)
+        # reference: try all 256 bytes; the crc equation has one solution
+        out = bytearray(payload)
+        fits = []
+        for cand in range(256):
+            out[hole] = cand
+            if crc8(bytes(out)) == crc:
+                fits.append(bytes(out))
+        assert len(fits) == 1
+        try:
+            creds = parse_payload_lax(fits[0])
+        except CodecError:
+            assert (state.phase, state.payload, state.credentials) == (Phase.HUNTING, None, None)
+        else:
+            assert (state.phase, state.payload, state.credentials) == (
+                Phase.COMPLETE, fits[0], creds)
 
 
 class TestLossToleranceInvariant:
