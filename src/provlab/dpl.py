@@ -73,19 +73,15 @@ class PayloadTooLong(CodecError):
     pass
 
 
-def _crc8_table() -> bytes:
-    """Sarwate's table (CACM 1988): entry i is the crc of the byte i."""
-    table = bytearray(256)
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-        table[i] = crc
-    return bytes(table)
+def _crc8_of_byte(crc: int) -> int:
+    for _ in range(8):
+        crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
 
 
-_CRC8 = _crc8_table()
-# the polynomial has an x^0 term, so the table is a permutation of 0..255
+# Sarwate's table (CACM 1988): entry i is the crc of the byte i.  The
+# polynomial has an x^0 term, so the table is a permutation of 0..255.
+_CRC8 = bytes(map(_crc8_of_byte, range(256)))
 _CRC8_INV = bytes(_CRC8.index(v) for v in range(256))
 
 
@@ -505,9 +501,8 @@ class DecoderState:
         """Solve the crc equation for the byte at ``hole``: run the crc
         forward up to the hole and back from the trailer over the bytes
         after it.  The table is a permutation, so exactly one byte fits."""
-        out = bytearray(
-            0 if i == hole else self._majority(self.slots[i]) for i in range(self.expected_len)
-        )
+        n = self.expected_len
+        out = bytearray(0 if i == hole else self._majority(self.slots[i]) for i in range(n))
         after = self.crc_seen
         for byte in reversed(out[hole + 1:]):
             after = _CRC8_INV[after] ^ byte
@@ -531,25 +526,26 @@ def decode_lengths(lengths) -> DecoderState:
     return state.finalize()
 
 
-def decode_capture(entries) -> list[tuple[str, DecoderState]]:
+def decode_capture(rows) -> list[tuple[str, DecoderState]]:
     """Replay the port-30011 broadcasts of a capture through the decoder,
-    exactly as an eavesdropper would.
+    exactly as an eavesdropper would.  ``rows`` are capture records as
+    ``(t, ssid, src, port, len, kind, dst)`` tuples.
 
-    Each sender (``entry.src``) gets its own decoder, and a sender's next
+    Each sender (``src``) gets its own decoder, and a sender's next
     frame after a completed attempt starts a new attempt.  Returns one
     ``(src, finalized decoder)`` pair per attempt, in the order the
     attempts started.
     """
     current: dict[str, DecoderState] = {}
     attempts: list[tuple[str, DecoderState]] = []
-    for entry in entries:
-        if entry.kind != "bcast" or entry.port != PROVISION_PORT:
+    for _t, _ssid, src, port, length, kind, _dst in rows:
+        if kind != "bcast" or port != PROVISION_PORT:
             continue
-        state = current.get(entry.src)
+        state = current.get(src)
         if state is None or state.phase is Phase.COMPLETE:
-            state = current[entry.src] = DecoderState()
-            attempts.append((entry.src, state))
-        state.feed(entry.len)
+            state = current[src] = DecoderState()
+            attempts.append((src, state))
+        state.feed(length)
     for _src, state in attempts:
         state.finalize()
     return attempts
