@@ -96,11 +96,11 @@ def _cmd_scenario(args) -> int:
 def _cmd_decode(args) -> int:
     try:
         with open(args.capture, "r", encoding="utf-8") as fh:
-            entries = CaptureLog.parse_jsonl(fh.read())
+            rows = CaptureLog.parse_rows(fh.read())
     except (OSError, ValueError) as exc:
         print(f"cannot read capture: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    attempts = dpl.decode_capture(entries)
+    attempts = dpl.decode_capture(rows)
     if not attempts:
         print("no provisioning traffic on port 30011 in this capture", file=sys.stderr)
         return EXIT_NO_TRAFFIC

@@ -17,12 +17,25 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
+
+# A capture line as to_jsonl writes it.  Its strings hold no quote, backslash
+# or character that splitlines() breaks on, and its ints stay below Python's
+# int-string limit (640 digits at the least), so each match is one whole line
+# and its groups are what json.loads gives.
+_STR = r'"([^"\\\x00-\x1f\x85\u2028\u2029]*)"'
+_INT = r"(-?(?:0|[1-9][0-9]{0,599}))"
+_CANONICAL_LINE = re.compile(
+    rf'^\{{(?:"dst": {_STR}, )?"kind": {_STR}, "len": {_INT}, "port": {_INT}, '
+    rf'"src": {_STR}, "ssid": {_STR}, "t": {_INT}\}}\r?$', re.MULTILINE)
+# field types of a row; type() rather than isinstance keeps bools out of the ints
+_ROW_TYPES = {(int, str, str, int, int, str, dst) for dst in (str, type(None))}
 
 
 class NetSimError(Exception):
@@ -154,11 +167,14 @@ class CaptureLog:
             (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
         )
 
+    def rows(self) -> list[tuple]:
+        """A consistent prefix of the log, as row tuples."""
+        with self._lock:
+            return self._rows.copy()
+
     def snapshot(self) -> list[CaptureEntry]:
         """A consistent prefix of the log, as fresh entries."""
-        with self._lock:
-            rows = self._rows.copy()
-        return [CaptureEntry(*row) for row in rows]
+        return [CaptureEntry(*row) for row in self.rows()]
 
     def to_jsonl(self) -> str:
         return "".join(
@@ -167,34 +183,43 @@ class CaptureLog:
 
     @staticmethod
     def parse_jsonl(text: str) -> list[CaptureEntry]:
-        """Inverse of :meth:`to_jsonl`; a line that is not JSON, nests too
-        deeply, is not an object, lacks a field or has a field of the wrong
-        type raises ``ValueError`` naming its 1-based line number."""
-        entries = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        """Inverse of :meth:`to_jsonl`, as entries; see :meth:`parse_rows`."""
+        return [CaptureEntry(*row) for row in CaptureLog.parse_rows(text)]
+
+    @staticmethod
+    def parse_rows(text: str) -> list[tuple]:
+        """Parse capture JSONL into ``(t, ssid, src, port, len, kind, dst)``
+        tuples.  One regex pass reads canonical lines, and stands only if every
+        non-empty line matched; else each line goes through ``json.loads``, and
+        the first that is not JSON, nests too deeply, is not an object, lacks a
+        field or has one of the wrong type raises ``ValueError`` naming its
+        1-based line number."""
+        rows = [
+            (int(t), ssid, src, int(port), int(length), kind, dst)
+            for dst, kind, length, port, src, ssid, t
+            in map(re.Match.groups, _CANONICAL_LINE.finditer(text))
+        ]
+        lines = text.splitlines()
+        if len(rows) == len(lines) - lines.count(""):
+            return rows
+        rows = []
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-                t, port, length = rec["t"], rec["port"], rec["len"]
-                ssid, src, kind, dst = rec["ssid"], rec["src"], rec["kind"], rec.get("dst")
-                # type(x) is int also rules out bools
-                if not (
-                    type(t) is int and type(port) is int and type(length) is int
-                    and type(ssid) is str and type(src) is str and type(kind) is str
-                    and (dst is None or type(dst) is str)
-                ):
-                    raise TypeError(
-                        "t, port and len must be integers, ssid, src and kind"
-                        " strings, and dst a string or null"
-                    )
-                entries.append(CaptureEntry(t, ssid, src, port, length, kind, dst))
+                row = tuple(rec[f] for f in ("t", "ssid", "src", "port", "len", "kind"))
+                row += (rec.get("dst"),)
+                if tuple(map(type, row)) not in _ROW_TYPES:
+                    raise TypeError("t, port and len must be integers, ssid, src and kind"
+                                    " strings, and dst a string or null")
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(
                     f"line {lineno} is not a capture entry: {type(exc).__name__}: {exc}"
                 ) from exc
-        return entries
+            rows.append(row)
+        return rows
 
 
 class StreamEnd:

@@ -227,7 +227,7 @@ def _sniffed_tokens(world: World, src_id: str) -> list[str]:
     """Tokens an eavesdropper recovers from ``src_id``'s broadcasts."""
     return [
         state.credentials.token
-        for src, state in dpl.decode_capture(world.sim.capture.snapshot())
+        for src, state in dpl.decode_capture(world.sim.capture.rows())
         if src == src_id and state.phase is dpl.Phase.COMPLETE
     ]
 

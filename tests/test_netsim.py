@@ -518,9 +518,10 @@ class TestCaptureParseDifferential:
     """The capture parser agrees with a per-line ``json.loads`` oracle: the
     same rows, or a ``ValueError`` naming the same first bad line."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(text=_capture_text())
-    @pytest.mark.parametrize("parse", [_entry_rows], ids=["parse_jsonl"])
+    @pytest.mark.parametrize("parse", [CaptureLog.parse_rows, _entry_rows],
+                             ids=["parse_rows", "parse_jsonl"])
     def test_matches_per_line_json_loads(self, parse, text):
         expected = _oracle_rows(text)
         if isinstance(expected, int):
