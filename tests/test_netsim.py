@@ -4,7 +4,7 @@ import threading
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlab.netsim import (
@@ -510,6 +510,9 @@ def _capture_text(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+CANONICAL = '{"kind": "bcast", "len": 5, "port": 30011, "src": "%s", "ssid": "x", "t": %s}'
+
+
 def _entry_rows(text):
     return [astuple(e) for e in CaptureLog.parse_jsonl(text)]
 
@@ -520,6 +523,12 @@ class TestCaptureParseDifferential:
 
     @settings(max_examples=200, deadline=None)
     @given(text=_capture_text())
+    @example(text=CANONICAL % ("a\x85b", "7"))
+    @example(text=CANONICAL % ("a\u2028b", "7"))
+    @example(text=CANONICAL % ("a\u2029b", "7"))
+    @example(text=CANONICAL % ("a\x1fb", "7"))
+    @example(text=CANONICAL % ("a", "1" + "0" * 5000))
+    @example(text=CANONICAL % ("a", "-0") + "\r\n\n" + CANONICAL.replace("{", '{"dst": "", ', 1) % ("", "0"))
     @pytest.mark.parametrize("parse", [CaptureLog.parse_rows, _entry_rows],
                              ids=["parse_rows", "parse_jsonl"])
     def test_matches_per_line_json_loads(self, parse, text):
