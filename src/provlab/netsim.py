@@ -209,8 +209,8 @@ class CaptureLog:
                 continue
             try:
                 rec = json.loads(line)
-                row = tuple(rec[f] for f in ("t", "ssid", "src", "port", "len", "kind"))
-                row += (rec.get("dst"),)
+                t, port, length = rec["t"], rec["port"], rec["len"]
+                row = (t, rec["ssid"], rec["src"], port, length, rec["kind"], rec.get("dst"))
                 if tuple(map(type, row)) not in _ROW_TYPES:
                     raise TypeError("t, port and len must be integers, ssid, src and kind"
                                     " strings, and dst a string or null")
