@@ -511,6 +511,7 @@ def _capture_text(draw):
 
 
 CANONICAL = '{"kind": "bcast", "len": 5, "port": 30011, "src": "%s", "ssid": "x", "t": %s}'
+CANONICAL_DST = '{"dst": "%s", ' + CANONICAL[1:]
 
 
 def _entry_rows(text):
@@ -528,7 +529,7 @@ class TestCaptureParseDifferential:
     @example(text=CANONICAL % ("a\u2029b", "7"))
     @example(text=CANONICAL % ("a\x1fb", "7"))
     @example(text=CANONICAL % ("a", "1" + "0" * 5000))
-    @example(text=CANONICAL % ("a", "-0") + "\r\n\n" + CANONICAL.replace("{", '{"dst": "", ', 1) % ("", "0"))
+    @example(text=CANONICAL % ("a", "-0") + "\r\n\n" + CANONICAL_DST % ("", "", "0"))
     @pytest.mark.parametrize("parse", [CaptureLog.parse_rows, _entry_rows],
                              ids=["parse_rows", "parse_jsonl"])
     def test_matches_per_line_json_loads(self, parse, text):
