@@ -1,12 +1,16 @@
 import hashlib
+import random
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlab.stego import (
+    MAGIC,
+    MAX_KEY_BYTES,
     BadBmp,
+    BmpImage,
     InsufficientCapacity,
     MagicMismatch,
     NotUncompressed24Bit,
@@ -151,3 +155,153 @@ class TestEmbedExtract:
         carrier = stego_embed(img, seed, record)
         recovered, _ = stego_extract(carrier, seed)
         assert recovered.keys == [key]
+
+
+def _oracle_read_bits(pixels, start, count):
+    end = start + 8 * count
+    if end > len(pixels):
+        raise MagicMismatch("record runs past the pixel array")
+    out = bytearray()
+    acc = 0
+    for i, pos in enumerate(range(start, end)):
+        acc = (acc << 1) | (pixels[pos] & 1)
+        if i % 8 == 7:
+            out.append(acc)
+            acc = 0
+    return bytes(out)
+
+
+def _oracle_extract(image, seed):
+    """The per-bit probe loop that ``stego_extract`` first shipped with:
+    sizes ascending, bounds checked against the whole pixel array."""
+    pixels = image.pixels
+    max_size = min(len(pixels) // 8, 3 + 255 * (1 + MAX_KEY_BYTES))
+    for size in range(3, max_size + 1):
+        window = len(pixels) - size - 1
+        if window <= 0:
+            break
+        cand = seed_hash(seed) % window
+        if cand + 8 * size > len(pixels):
+            continue
+        head = _oracle_read_bits(pixels, cand, 3)
+        if head[:2] != MAGIC:
+            continue
+        keys_cnt = head[2]
+        if keys_cnt < 1:
+            continue
+        total = 3
+        keys = []
+        ok = True
+        for _k in range(keys_cnt):
+            if cand + 8 * (total + 1) > len(pixels):
+                ok = False
+                break
+            lenb = _oracle_read_bits(pixels, cand + 8 * total, 1)[0]
+            if not 1 <= lenb <= MAX_KEY_BYTES:
+                ok = False
+                break
+            if cand + 8 * (total + 1 + lenb) > len(pixels):
+                ok = False
+                break
+            keys.append(_oracle_read_bits(pixels, cand + 8 * (total + 1), lenb))
+            total += 1 + lenb
+        if not ok or total != size:
+            continue
+        offsets = [image.off_bits + cand, image.off_bits + cand + 8 * size]
+        return keys, seed_hash(seed), len(keys), offsets
+    raise MagicMismatch("no embedded record found for this seed")
+
+
+def _plant(pixels, pos, blob):
+    """Write ``blob`` MSB-first into the LSBs from ``pos``, cut at the end."""
+    for i, byte in enumerate(blob):
+        for j in range(8):
+            if pos + 8 * i + j < len(pixels):
+                k = pos + 8 * i + j
+                pixels[k] = (pixels[k] & 0xFE) | (byte >> (7 - j)) & 1
+
+
+SEEDS = st.text(st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=12)
+# key lengths as written: 0 and 65+ are outside the accepted 1..64
+KEY_LENGTHS = st.integers(1, 64) | st.integers(1, 64) | st.sampled_from([0, 65, 255])
+KEYS = st.lists(
+    KEY_LENGTHS.flatmap(lambda n: st.binary(min_size=n, max_size=n)), min_size=1, max_size=3
+)
+
+
+@st.composite
+def _planted_blob(draw):
+    """A record as embed writes it, or with a wrong ``keys_cnt``, or only
+    a magic and noise; and the size whose candidate offset it goes to."""
+    keys = draw(KEYS)
+    cnt = len(keys) + draw(st.sampled_from([0, 0, 0, 1, -1, -len(keys)]))
+    blob = MAGIC + bytes([cnt]) + b"".join(bytes([len(k) % 256]) + k for k in keys)
+    if draw(st.integers(0, 3)) == 0:
+        blob = MAGIC + draw(st.binary(max_size=2))
+    return blob, max(3, len(blob) + draw(st.sampled_from([0, 0, 0, 0, -1, 1, -3, 5])))
+
+
+@st.composite
+def _probe_case(draw):
+    """Random pixels of 0 to ~20k bytes with up to three blobs planted
+    where the seed's probe looks: at the candidate of the blob's true size
+    or of a wrong one, or anywhere, cut off where they run past the end."""
+    blobs = draw(st.lists(_planted_blob(), max_size=3))
+    least = 8 * blobs[0][1] if blobs else 0
+    n = draw(st.integers(least, 20_000) | st.integers(0, 200))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pixels = bytearray(rng.randbytes(n))
+    seed = draw(SEEDS)
+    for blob, size in blobs:
+        window = n - size - 1
+        pos = seed_hash(seed) % window if window > 0 else 0
+        if draw(st.integers(0, 7)) == 0:
+            pos = draw(st.integers(0, max(0, n - 1)))
+        _plant(pixels, pos, blob)
+    return BmpImage(header=b"H" * 54, pixels=bytes(pixels), width=0, height=0), seed
+
+
+def _outcome(extract, image, seed):
+    try:
+        result = extract(image, seed)
+    except MagicMismatch as exc:
+        return ("MagicMismatch", str(exc))
+    if isinstance(result, tuple) and len(result) == 2:
+        record, report = result
+        return (record.keys, report.seed_hash, report.keys_cnt, report.offsets)
+    return result
+
+
+class TestExtractDifferential:
+    """``stego_extract`` agrees with the per-bit probe loop: the same keys,
+    hash, count and offsets, or the same ``MagicMismatch`` text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_probe_case())
+    @example(case=(make_bmp(64, 64), SEED))
+    @example(case=(stego_embed(make_bmp(96, 96), SEED, StegoRecord(keys=[KEY])), SEED))
+    @example(case=(stego_embed(make_bmp(96, 96), SEED, StegoRecord(keys=[b"a", KEY])), SEED))
+    @example(case=(BmpImage(header=b"", pixels=b"", width=0, height=0), ""))
+    @example(case=(BmpImage(header=b"", pixels=bytes(23), width=0, height=0), "x"))
+    def test_matches_the_per_bit_probe(self, case):
+        image, seed = case
+        assert _outcome(stego_extract, image, seed) == _outcome(_oracle_extract, image, seed)
+
+    def test_planted_records_agree_on_hits(self):
+        # valid records at their seed's offset: the accepting branch, often
+        rng = random.Random(5)
+        hits = 0
+        for trial in range(200):
+            n = rng.randrange(100, 4000)
+            pixels = bytearray(rng.randbytes(n))
+            keys = [rng.randbytes(rng.randrange(1, 65)) for _ in range(rng.randrange(1, 4))]
+            blob = StegoRecord(keys=keys).to_bytes()
+            window = n - len(blob) - 1
+            if window <= 0 or seed_hash(str(trial)) % window + 8 * len(blob) > n:
+                continue
+            _plant(pixels, seed_hash(str(trial)) % window, blob)
+            image = BmpImage(header=b"", pixels=bytes(pixels), width=0, height=0)
+            got = _outcome(stego_extract, image, str(trial))
+            assert got == _outcome(_oracle_extract, image, str(trial))
+            hits += got[0] == keys
+        assert hits > 20
