@@ -128,6 +128,7 @@ def _cmd_r_keys(args) -> int:
     print(f"read {len(data)} bytes")
     try:
         image = parse_bmp(data)
+        del data  # extraction adds a bit plane; hold two pixel-sized buffers, not three
         record, report = stego_extract(image, args.seed)
     except MagicMismatch as exc:
         print(f"str hash: 0x{seed_hash(args.seed):08x}")

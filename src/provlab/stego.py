@@ -170,18 +170,9 @@ class ExtractReport:
     offsets: list[int] = field(default_factory=list)  # [start, end) file offsets
 
 
-def _read_bits(pixels: bytes, start: int, count: int) -> bytes:
-    end = start + 8 * count
-    if end > len(pixels):
-        raise MagicMismatch("record runs past the pixel array")
-    out = bytearray()
-    acc = 0
-    for i, pos in enumerate(range(start, end)):
-        acc = (acc << 1) | (pixels[pos] & 1)
-        if i % 8 == 7:
-            out.append(acc)
-            acc = 0
-    return bytes(out)
+# each pixel byte's LSB as an ASCII digit: the bit plane is one translate
+_LSB_ASCII = bytes(b"01"[i & 1] for i in range(256))
+_MAGIC_BITS = "".join(f"{byte:08b}" for byte in MAGIC).encode()
 
 
 def stego_extract(image: BmpImage, seed: str) -> tuple[StegoRecord, ExtractReport]:
@@ -195,41 +186,34 @@ def stego_extract(image: BmpImage, seed: str) -> tuple[StegoRecord, ExtractRepor
     raises :exc:`MagicMismatch`.
     """
     pixels = image.pixels
-    max_size = min(len(pixels) // 8, 3 + 255 * (1 + MAX_KEY_BYTES))
+    n = len(pixels)
+    bits = pixels.translate(_LSB_ASCII)
+    hashed = seed_hash(seed)
+    max_size = min(n // 8, 3 + 255 * (1 + MAX_KEY_BYTES))
     for size in range(3, max_size + 1):
-        window = len(pixels) - size - 1
+        window = n - size - 1
         if window <= 0:
             break
-        cand = seed_hash(seed) % window
-        if cand + 8 * size > len(pixels):
+        cand = hashed % window
+        if cand + 8 * size > n or not bits.startswith(_MAGIC_BITS, cand):
             continue
-        head = _read_bits(pixels, cand, 3)
-        if head[:2] != MAGIC:
-            continue
-        keys_cnt = head[2]
-        if keys_cnt < 1:
-            continue
+        keys_cnt = int(bits[cand + 16 : cand + 24], 2)
         total = 3
         keys = []
-        ok = True
         for _k in range(keys_cnt):
-            if cand + 8 * (total + 1) > len(pixels):
-                ok = False
+            pos = cand + 8 * total  # the key's length byte
+            if pos + 8 > n:
                 break
-            lenb = _read_bits(pixels, cand + 8 * total, 1)[0]
-            if not 1 <= lenb <= MAX_KEY_BYTES:
-                ok = False
+            lenb = int(bits[pos : pos + 8], 2)
+            if not 1 <= lenb <= MAX_KEY_BYTES or pos + 8 * (1 + lenb) > n:
                 break
-            if cand + 8 * (total + 1 + lenb) > len(pixels):
-                ok = False
-                break
-            keys.append(_read_bits(pixels, cand + 8 * (total + 1), lenb))
+            keys.append(int(bits[pos + 8 : pos + 8 * (1 + lenb)], 2).to_bytes(lenb, "big"))
             total += 1 + lenb
-        if not ok or total != size:
+        if not 0 < len(keys) == keys_cnt or total != size:
             continue
         record = StegoRecord(keys=keys)
         report = ExtractReport(
-            seed_hash=seed_hash(seed),
+            seed_hash=hashed,
             keys_cnt=len(keys),
             offsets=[image.off_bits + cand, image.off_bits + cand + 8 * size],
         )
