@@ -81,6 +81,11 @@ def parse_bmp(data: bytes) -> BmpImage:
     )
 
 
+_ADD = bytes(range(256)) * 2  # _ADD[k : k + 256] maps v to (v + k) mod 256
+_IDENTITY = int.from_bytes(bytes(range(256)), "big")
+_ONES = int.from_bytes(b"\x01" * 256, "big")  # k * _ONES is byte k, 256 times
+
+
 def make_bmp(width: int, height: int) -> BmpImage:
     """Build a deterministic 24-bit BMP (gradient fill) for fixtures."""
     row_raw = width * 3
@@ -91,12 +96,18 @@ def make_bmp(width: int, height: int) -> BmpImage:
     header += struct.pack(
         "<IiiHHIIiiII", 40, width, height, 1, 24, 0, pixel_len, 2835, 2835, 0, 0
     )
+    # pixel (x, y) is blue (7x + y), green (x + 5y), red (3x ^ y), all mod 256:
+    # each row is row 0's channels passed through an add or xor table
+    blue = bytes(7 * x & 0xFF for x in range(width))
+    green = bytes(x & 0xFF for x in range(width))
+    red = bytes(3 * x & 0xFF for x in range(width))
     pixels = bytearray(pixel_len)
     for y in range(height):
-        base = y * row_padded
-        for x in range(width):
-            b, g, r = (x * 7 + y) & 0xFF, (x + y * 5) & 0xFF, (x * 3 ^ y) & 0xFF
-            pixels[base + 3 * x : base + 3 * x + 3] = bytes((b, g, r))
+        base, b, g = y * row_padded, y & 0xFF, 5 * y & 0xFF
+        pixels[base : base + row_raw : 3] = blue.translate(_ADD[b : b + 256])
+        pixels[base + 1 : base + row_raw : 3] = green.translate(_ADD[g : g + 256])
+        xor_b = (_IDENTITY ^ b * _ONES).to_bytes(256, "big")
+        pixels[base + 2 : base + row_raw : 3] = red.translate(xor_b)
     return BmpImage(header=header, pixels=bytes(pixels), width=width, height=height)
 
 

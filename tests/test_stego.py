@@ -52,6 +52,19 @@ class TestBmp:
         # scenario worlds build their app assets from these bytes
         assert hashlib.sha256(make_bmp(width, height).to_bytes()).hexdigest() == digest
 
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(0, 70), height=st.integers(0, 40) | st.integers(250, 530))
+    def test_make_bmp_matches_the_per_pixel_gradient(self, width, height):
+        # heights past 256 wrap the row term of every channel
+        row_padded = (width * 3 + 3) & ~3
+        expected = bytearray(row_padded * height)
+        for y in range(height):
+            for x in range(width):
+                at = y * row_padded + 3 * x
+                expected[at : at + 3] = bytes(
+                    ((x * 7 + y) & 0xFF, (x + y * 5) & 0xFF, (x * 3 ^ y) & 0xFF))
+        assert make_bmp(width, height).pixels == expected
+
     def test_rejects_non_bmp(self):
         with pytest.raises(BadBmp):
             parse_bmp(b"PNG....definitely not a bitmap....." + bytes(64))
