@@ -444,15 +444,34 @@ class TestCaptureFormat:
         assert [e.dst for e in parsed] == [None, None]
 
 
+    @pytest.mark.parametrize("lead", ["\u3000", "\xa0", "\x1c", "\x0c"])
+    def test_non_json_whitespace_before_a_record_is_not_json(self, lead):
+        # json.loads rejects these; only " \t\r" around a record is whitespace
+        rec = json.dumps({"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5,
+                          "kind": "bcast"})
+        with pytest.raises(ValueError, match="^line 2 "):
+            CaptureLog.parse_rows(rec + "\n" + lead + rec + "\n")
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_separator_inside_a_string_stays_in_its_line(self, sep):
+        rec = {"t": 1, "ssid": "x", "src": f"a{sep}b", "port": 30011, "len": 5,
+               "kind": "bcast"}
+        for text in (json.dumps(rec, ensure_ascii=False),
+                     json.dumps(rec, ensure_ascii=False, sort_keys=True)):
+            assert CaptureLog.parse_rows(text + "\n") == [
+                (1, "x", f"a{sep}b", 30011, 5, "bcast", None)]
+
+
 def _oracle_rows(text):
     """Per-line reference parse: the row tuples ``json.loads`` gives, or
-    the 1-based number of the first line that is not a capture entry."""
+    the 1-based number of the first line that is not a capture entry.
+    Lines end at "\n"; a line of JSON whitespace alone is blank."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip(" \t\r"):
             continue
         try:
-            rec = json.loads(line.strip())
+            rec = json.loads(line)
             row = tuple(rec[f] for f in FIELDS[:-1]) + (rec.get("dst"),)
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
             return lineno
@@ -501,10 +520,13 @@ def _record_line(draw, odd=False):
 @st.composite
 def _capture_text(draw):
     """Records and blank lines, with at most one odd record or garbage line."""
-    blank = st.sampled_from(["", "  ", "\t"])
+    blank = st.sampled_from(["", "  ", "\t", " \r"])
     lines = draw(st.lists(_record_line() | blank, max_size=12))
     if draw(st.booleans()):
         odd = _record_line(odd=True) | st.text() | st.sampled_from(["{", "[1]", '{"t": 1}'])
+        # whitespace to Python's str.strip or line break to splitlines, not to JSON
+        not_json_ws = st.sampled_from(["\u3000", "\xa0", "\x1c", "\x0c", "\x85", "\u2028"])
+        odd |= st.tuples(not_json_ws, _record_line()).map("".join)
         lines.insert(draw(st.integers(0, len(lines))), draw(odd))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
@@ -530,6 +552,8 @@ class TestCaptureParseDifferential:
     @example(text=CANONICAL % ("a\x1fb", "7"))
     @example(text=CANONICAL % ("a", "1" + "0" * 5000))
     @example(text=CANONICAL % ("a", "-0") + "\r\n\n" + CANONICAL_DST % ("", "", "0"))
+    @example(text="\u3000" + CANONICAL % ("a", "7"))
+    @example(text=CANONICAL % ("a", "7") + "\x85" + CANONICAL % ("b", "8"))
     @pytest.mark.parametrize("parse", [CaptureLog.parse_rows, _entry_rows],
                              ids=["parse_rows", "parse_jsonl"])
     def test_matches_per_line_json_loads(self, parse, text):
