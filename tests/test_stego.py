@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import random
+import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from provlab import cli
 from provlab.stego import (
     MAGIC,
     MAX_KEY_BYTES,
@@ -318,3 +324,59 @@ class TestExtractDifferential:
             assert got == _outcome(_oracle_extract, image, str(trial))
             hits += got[0] == keys
         assert hits > 20
+
+
+def _mostly(draw, usual, other):
+    return draw(usual) if draw(st.integers(0, 4)) else draw(other)
+
+
+@st.composite
+def _bmp_shaped(draw):
+    """BM file and info headers with any width, height, planes, bit count,
+    compression and bfOffBits, then any pixel bytes; sometimes cut short.
+    Most fields take a well-formed value, so that many files reach the probe."""
+    u32, i32, u16 = st.integers(0, 2**32 - 1), st.integers(-2**31, 2**31 - 1), st.integers(0, 0xFFFF)
+    data = struct.pack(
+        "<2sIHHIIiiHHI", b"BM", draw(u32), 0, 0,
+        _mostly(draw, st.integers(14, 80), u32),  # bfOffBits
+        _mostly(draw, st.just(40), u32),  # biSize
+        _mostly(draw, st.integers(-4, 96), i32),  # width
+        _mostly(draw, st.integers(-4, 96), i32),  # height
+        _mostly(draw, st.just(1), u16),  # planes
+        _mostly(draw, st.just(24), u16),  # bit count
+        _mostly(draw, st.just(0), u32),  # compression
+    ) + draw(st.binary(max_size=800))
+    return data[: draw(st.integers(0, len(data)))] if draw(st.integers(0, 4)) == 0 else data
+
+
+def _library_exit(data, seed):
+    """The r-keys exit code the library calls for: only ``StegoError`` may
+    escape parse_bmp and stego_extract."""
+    try:
+        stego_extract(parse_bmp(data), seed)
+    except MagicMismatch:
+        return cli.EXIT_MAGIC_MISMATCH
+    except StegoError:
+        return cli.EXIT_FAIL
+    return cli.EXIT_OK
+
+
+class TestBmpFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=400) | _bmp_shaped(), seed=SEEDS)
+    def test_only_stego_errors_escape(self, data, seed):
+        _library_exit(data, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.binary(max_size=200) | _bmp_shaped())
+    def test_r_keys_exits_with_a_declared_code(self, data):
+        # 1 for a malformed file, 2 for a clean one: no traceback either way
+        expected = _library_exit(data, SEED)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "asset.bmp"
+            path.write_bytes(data)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["r-keys", SEED, str(path)])
+        assert code == expected
+        assert "Traceback" not in out.getvalue() + err.getvalue()
