@@ -220,7 +220,7 @@ def stego_extract(image: BmpImage, seed: str) -> tuple[StegoRecord, ExtractRepor
                 break
             keys.append(int(bits[pos + 8 : pos + 8 * (1 + lenb)], 2).to_bytes(lenb, "big"))
             total += 1 + lenb
-        if not 0 < len(keys) == keys_cnt or total != size:
+        if not keys or len(keys) != keys_cnt or total != size:
             continue
         record = StegoRecord(keys=keys)
         report = ExtractReport(

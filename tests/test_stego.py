@@ -17,6 +17,7 @@ from provlab.stego import (
     MAX_KEY_BYTES,
     BadBmp,
     BmpImage,
+    ExtractReport,
     InsufficientCapacity,
     MagicMismatch,
     NotUncompressed24Bit,
@@ -226,8 +227,13 @@ def _oracle_extract(image, seed):
             total += 1 + lenb
         if not ok or total != size:
             continue
-        offsets = [image.off_bits + cand, image.off_bits + cand + 8 * size]
-        return keys, seed_hash(seed), len(keys), offsets
+        record = StegoRecord(keys=keys)
+        report = ExtractReport(
+            seed_hash=seed_hash(seed),
+            keys_cnt=len(keys),
+            offsets=[image.off_bits + cand, image.off_bits + cand + 8 * size],
+        )
+        return record, report
     raise MagicMismatch("no embedded record found for this seed")
 
 
@@ -282,13 +288,10 @@ def _probe_case(draw):
 
 def _outcome(extract, image, seed):
     try:
-        result = extract(image, seed)
+        record, report = extract(image, seed)
     except MagicMismatch as exc:
-        return ("MagicMismatch", str(exc))
-    if isinstance(result, tuple) and len(result) == 2:
-        record, report = result
-        return (record.keys, report.seed_hash, report.keys_cnt, report.offsets)
-    return result
+        return str(exc)
+    return record.keys, report.seed_hash, report.keys_cnt, report.offsets
 
 
 class TestExtractDifferential:
