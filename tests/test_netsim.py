@@ -443,7 +443,6 @@ class TestCaptureFormat:
         parsed = CaptureLog.parse_jsonl(json.dumps(rec) + "\n" + json.dumps({**rec, "dst": None}))
         assert [e.dst for e in parsed] == [None, None]
 
-
     @pytest.mark.parametrize("lead", ["\u3000", "\xa0", "\x1c", "\x0c"])
     def test_non_json_whitespace_before_a_record_is_not_json(self, lead):
         # json.loads rejects these; only " \t\r" around a record is whitespace
@@ -465,7 +464,7 @@ class TestCaptureFormat:
 def _oracle_rows(text):
     """Per-line reference parse: the row tuples ``json.loads`` gives, or
     the 1-based number of the first line that is not a capture entry.
-    Lines end at "\n"; a line of JSON whitespace alone is blank."""
+    Lines end at "\\n"; a line of JSON whitespace alone is blank."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip(" \t\r"):
