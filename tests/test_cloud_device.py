@@ -70,6 +70,19 @@ class TestRegistrationFlow:
             "CredsReceived", "WifiJoined", "BindPending", "Registered",
         ]
 
+    def test_registered_device_does_not_decode_later_broadcasts(self, world, monkeypatch):
+        sim, cloud, app, _ = world
+        device, _ = provision_one(sim, cloud, app)
+        fed = []
+        feed = dpl.DecoderState.feed
+        monkeypatch.setattr(dpl.DecoderState, "feed",
+                            lambda state, length: fed.append(state) or feed(state, length))
+        newcomer, _ = provision_one(sim, cloud, app, device_id="plug-02")
+        assert newcomer.phase is DevicePhase.REGISTERED
+        assert any(state is newcomer.decoder for state in fed)
+        assert not any(state is device.decoder for state in fed)
+        assert device.phase is DevicePhase.REGISTERED
+
     def test_device_verdict_blind_to_freshness(self, world):
         # same 32-char shape, fresh vs stale: identical device behavior,
         # divergent cloud verdicts

@@ -438,6 +438,19 @@ class TestCaptureFormat:
         assert [e.to_json() for e in sim.capture.snapshot()] == [
             json.loads(line) for line in before.splitlines()]
 
+    def test_mutating_an_entry_after_append_leaves_the_log_unchanged(self):
+        # append copies the fields, so a caller may reuse one entry
+        log = CaptureLog(threading.RLock())
+        entry = CaptureEntry(1, "net-a", "tx", 30011, 3, "bcast")
+        log.append(entry)
+        entry.kind, entry.dst = "deliver", "rx"
+        log.append(entry)
+        entry.kind, entry.dst, entry.len = "drop", "rx-2", 999
+        assert log.rows() == [
+            (1, "net-a", "tx", 30011, 3, "bcast", None),
+            (1, "net-a", "tx", 30011, 3, "deliver", "rx"),
+        ]
+
     def test_dst_may_be_null_or_absent(self):
         rec = {"t": 1, "ssid": "x", "src": "a", "port": 30011, "len": 5, "kind": "bcast"}
         parsed = CaptureLog.parse_jsonl(json.dumps(rec) + "\n" + json.dumps({**rec, "dst": None}))
