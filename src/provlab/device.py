@@ -1,9 +1,9 @@
 """IoT device state machine.
 
-Listens for credential broadcasts on port 30011, applies the
-length-only token check, joins whatever SSID it decoded (it has no way
-to tell a real home network from a decoy), binds to the cloud over a
-stream, then obeys command frames.  The local listener on the device's
+Listens for credential broadcasts on port 30011 until it has decoded
+credentials, applies the length-only token check, joins whatever SSID
+it decoded (it has no way to tell a real home network from a decoy),
+binds to the cloud over a stream, then obeys command frames.  The local listener on the device's
 own port is deliberately credulous: any network member that can reach
 it and speaks the framing is obeyed, which is the replay/hijack surface
 the isolation mitigation closes.
@@ -72,6 +72,8 @@ class IoTDevice:
                 self._on_credentials(self.decoder.credentials)
 
     def _on_credentials(self, creds: dpl.Credentials) -> None:
+        # the only way out of Unprovisioned: stop listening for broadcasts
+        self.sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, None)
         self.creds = creds
         self._set_phase(DevicePhase.CREDS_RECEIVED, f"ssid={creds.ssid}")
         if not protocol.device_token_check(creds.token):

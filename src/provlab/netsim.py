@@ -25,6 +25,8 @@ from itertools import repeat
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
+# datagram handler of a port that never had one: keep for poll_datagrams
+_BUFFER = object()
 
 # A capture line as to_jsonl writes it.  Its strings hold no quote, backslash
 # or control character, and its ints stay below Python's int-string limit (640
@@ -164,8 +166,10 @@ class CaptureLog:
         self._lock = lock
 
     def append(self, entry: CaptureEntry) -> None:
-        """Record one frame.  The caller holds the simulation lock, as
-        ``Simulation.broadcast`` and ``Simulation._stream_send`` do."""
+        """Record one frame.  The fields are copied into a tuple, so the caller
+        may change and append the same entry again.  The caller holds the
+        simulation lock, as ``Simulation.broadcast`` and
+        ``Simulation._stream_send`` do."""
         self._rows.append(
             (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
         )
@@ -350,6 +354,10 @@ class Simulation:
     # -- broadcast ---------------------------------------------------------
 
     def set_datagram_handler(self, endpoint: EndpointId, port: int, handler) -> None:
+        """Run ``handler(dgram)`` for each datagram delivered to ``port``.
+        ``None`` closes the port: its datagrams keep their capture records and
+        loss draws, and are then discarded.  A port that was never given a
+        handler buffers its datagrams for :meth:`poll_datagrams`."""
         self._rec(endpoint).datagram_handlers[port] = handler
 
     def broadcast(
@@ -376,7 +384,9 @@ class Simulation:
             now, src, length = self.clock.now, endpoint.id, len(payload)
             append, endpoints = self.capture.append, self._endpoints
             draw, drop, dup = self._rng.random, self.loss.drop_prob, self.loss.dup_prob
-            append(CaptureEntry(now, ssid, src, dst_port, length, "bcast"))
+            # one entry for every record of this broadcast: append copies it
+            entry = CaptureEntry(now, ssid, src, dst_port, length, "bcast")
+            append(entry)
             dgram = Datagram(endpoint, dst_port, payload, ssid)
             deliveries: list[_EndpointRec] = []
             # LossModel draw order: per receiver, drop, then dup if delivered
@@ -384,22 +394,27 @@ class Simulation:
                 dst = member.id
                 if dst == src:
                     continue
+                entry.dst = dst
                 if draw() < drop:
-                    append(CaptureEntry(now, ssid, src, dst_port, length, "drop", dst))
+                    entry.kind = "drop"
+                    append(entry)
                     continue
-                append(CaptureEntry(now, ssid, src, dst_port, length, "deliver", dst))
+                entry.kind = "deliver"
+                append(entry)
                 deliveries.append(endpoints[dst])
                 if draw() < dup:
-                    append(CaptureEntry(now, ssid, src, dst_port, length, "deliver", dst))
+                    append(entry)
                     deliveries.append(endpoints[dst])
             # handlers run inside the lock: delivery is synchronous and the
             # lock is reentrant, so handlers may send in turn
             for mrec in deliveries:
-                handler = mrec.datagram_handlers.get(dst_port)
-                if handler is not None:
-                    handler(dgram)
-                else:
+                handler = mrec.datagram_handlers.get(dst_port, _BUFFER)
+                if handler is None:  # closed port
+                    continue
+                if handler is _BUFFER:
                     mrec.inbox.append(dgram)
+                else:
+                    handler(dgram)
 
     def poll_datagrams(self, endpoint: EndpointId) -> list[Datagram]:
         with self._lock:

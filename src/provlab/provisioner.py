@@ -268,6 +268,8 @@ class MobileApp:
         self.clock = sim.clock
         self.config = config
         self.endpoint = sim.register(endpoint_id or f"app-{config.user_id}", "app")
+        # the app sends on port 30011 but never reads it
+        sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, None)
         self.envelopes = EnvelopeFactory(config, rng, nonce_source=nonce_source)
         self.cloud_client = CloudClient(
             config, self.envelopes, directory, sim.clock, dns_available, dns_answers or {}

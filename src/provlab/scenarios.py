@@ -219,8 +219,9 @@ def _isolated_device(
     return dev, proxy.provision_isolated(device_id, idle_hook=dev.idle)
 
 
-def _device_wire_frames(world: World, device_id: str) -> list:
-    return [e for e in world.sim.capture.snapshot() if e.src == device_id]
+def _frames_from(world: World, src_id: str) -> int:
+    """Capture records sent by ``src_id``."""
+    return [src for _, _, src, *_ in world.sim.capture.rows()].count(src_id)
 
 
 def _sniffed_tokens(world: World, src_id: str) -> list[str]:
@@ -257,7 +258,7 @@ def scenario_token_case_1(seed: int) -> ScenarioReport:
     )
     report.check_eq(
         "no packets are generated by the device (zero device-origin frames)",
-        len(_device_wire_frames(world, "bulb-01")), 0,
+        _frames_from(world, "bulb-01"), 0,
     )
     report.check_eq(
         "device never bound cloud-side", world.cloud.registry.devices, {}
@@ -277,8 +278,8 @@ def _run_direct_broadcast_case(
     device.idle()
     report.check(
         "device accepts the 32-char token and attempts a cloud bind",
-        f"{len(_device_wire_frames(world, 'bulb-01'))} device frames",
-        len(_device_wire_frames(world, "bulb-01")) > 0,
+        f"{_frames_from(world, 'bulb-01')} device frames",
+        _frames_from(world, "bulb-01") > 0,
     )
     return device
 
@@ -337,9 +338,9 @@ def scenario_token_case_3(seed: int) -> ScenarioReport:
         bool(sniffed) and sniffed[0] == token.value,
     )
     direct = [
-        e
-        for e in world.sim.capture.snapshot()
-        if e.src == app.endpoint.id and e.kind == "stream" and e.dst == "bulb-01"
+        src
+        for _, _, src, _, _, kind, dst in world.sim.capture.rows()
+        if src == app.endpoint.id and kind == "stream" and dst == "bulb-01"
     ]
     report.check_eq(
         "app never talks to the device outside port-30011 broadcasts",
@@ -427,12 +428,12 @@ def scenario_isolation_two_devices(seed: int) -> ScenarioReport:
         net_a.ssid != net_b.ssid and net_a.passphrase != net_b.passphrase,
     )
     cross = [
-        e
-        for e in world.sim.capture.snapshot()
-        if e.kind == "deliver"
+        dst
+        for _, ssid, _, _, _, kind, dst in world.sim.capture.rows()
+        if kind == "deliver"
         and (
-            (e.ssid == net_a.ssid and e.dst == "plug-02")
-            or (e.ssid == net_b.ssid and e.dst == "bulb-01")
+            (ssid == net_a.ssid and dst == "plug-02")
+            or (ssid == net_b.ssid and dst == "bulb-01")
         )
     ]
     report.check_eq("cross-network delivered frames", len(cross), 0)
@@ -492,13 +493,13 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
     attacker2 = world.sim.register("evil-plug-2", "device")
     net_b = proxy.assignments["plug-12"]
     world.sim.join(attacker2, net_b.ssid, net_b.passphrase)  # compromised co-tenant
-    before = len([e for e in world.sim.capture.snapshot() if e.src == "evil-plug-2"])
+    before = _frames_from(world, "evil-plug-2")
     try:
         world.sim.open_stream(attacker2, dev_a.endpoint, protocol.DEVICE_PORT)
         reached = True
     except PeerUnreachable:
         reached = False
-    after = len([e for e in world.sim.capture.snapshot() if e.src == "evil-plug-2"])
+    after = _frames_from(world, "evil-plug-2")
     report.check(
         "attack across isolation networks cannot reach the device",
         f"stream open succeeded: {reached}", not reached,

@@ -17,7 +17,7 @@ from provlab.cloud import (
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
-from provlab.provisioner import AppConfig, MobileApp
+from provlab.provisioner import AppConfig, MobileApp, broadcast_lengths
 from provlab.signing import SigningKeySet, derive_signing_key, sign_envelope
 
 HOME = "home-net"
@@ -82,6 +82,17 @@ class TestRegistrationFlow:
         assert any(state is newcomer.decoder for state in fed)
         assert not any(state is device.decoder for state in fed)
         assert device.phase is DevicePhase.REGISTERED
+
+    def test_app_does_not_buffer_other_senders_broadcasts(self, world):
+        # an app never reads port 30011, so another phone's broadcasts must
+        # not pile up in its inbox
+        sim, cloud, app, _ = world
+        phone = sim.register("app-user-02", "app")
+        sim.join(phone, HOME, PSK)
+        creds = dpl.Credentials(HOME, PSK, "t" * 32)
+        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1).flatten())
+        assert sent > 0
+        assert sim.poll_datagrams(app.endpoint) == []
 
     def test_device_verdict_blind_to_freshness(self, world):
         # same 32-char shape, fresh vs stale: identical device behavior,

@@ -242,6 +242,38 @@ class TestBroadcast:
         kinds = [e.kind for e in sim.capture.snapshot()]
         assert kinds == ["bcast", "drop"]
 
+    def test_closed_port_keeps_its_records_but_runs_and_buffers_nothing(self):
+        def run(close):
+            sim = fresh_sim(drop=0.2, dup=0.15, seed=3)
+            sim.create_network("net-a", "password-a")
+            eps = {name: sim.register(name, "device") for name in ("tx", "rx-a", "rx-b", "rx-c")}
+            for ep in eps.values():
+                sim.join(ep, "net-a", "password-a")
+            calls = []
+            sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
+            if close:
+                sim.set_datagram_handler(eps["rx-b"], 30011, None)
+            for length in range(1, 300):
+                sim.broadcast(eps["tx"], 30011, b"x" * length)
+            return sim, eps, calls
+
+        open_sim, open_eps, open_calls = run(close=False)
+        sim, eps, calls = run(close=True)
+        # every draw shows in the records, so equal records mean equal draws
+        assert sim.capture.rows() == open_sim.capture.rows()
+        assert calls == [] and open_calls
+        assert sim.poll_datagrams(eps["rx-b"]) == []
+        for name in ("rx-a", "rx-c"):
+            assert ([len(d.payload) for d in sim.poll_datagrams(eps[name])]
+                    == [len(d.payload) for d in open_sim.poll_datagrams(open_eps[name])])
+        sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
+        open_sim.set_datagram_handler(open_eps["rx-b"], 30011, open_calls.append)
+        for s, ep in ((sim, eps), (open_sim, open_eps)):
+            for _ in range(20):
+                s.broadcast(ep["tx"], 30011, b"reopened")
+        assert [d.payload for d in calls] == [d.payload for d in open_calls[-len(calls):]]
+        assert calls and sim.capture.rows() == open_sim.capture.rows()
+
     def test_handler_gets_frames_synchronously(self, sim):
         sim.create_network("net-a", "password-a")
         tx = sim.register("tx", "app")
