@@ -3,10 +3,10 @@
 Listens for credential broadcasts on port 30011 until it has decoded
 credentials, applies the length-only token check, joins whatever SSID
 it decoded (it has no way to tell a real home network from a decoy),
-binds to the cloud over a stream, then obeys command frames.  The local listener on the device's
-own port is deliberately credulous: any network member that can reach
-it and speaks the framing is obeyed, which is the replay/hijack surface
-the isolation mitigation closes.
+binds to the cloud over a stream, then obeys command frames.  The local
+listener on the device's own port is deliberately credulous: any
+network member that can reach it and speaks the framing is obeyed,
+which is the replay/hijack surface the isolation mitigation closes.
 """
 
 from __future__ import annotations

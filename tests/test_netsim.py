@@ -266,13 +266,14 @@ class TestBroadcast:
         for name in ("rx-a", "rx-c"):
             assert ([len(d.payload) for d in sim.poll_datagrams(eps[name])]
                     == [len(d.payload) for d in open_sim.poll_datagrams(open_eps[name])])
+        # a handler set again reopens the port
         sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
-        open_sim.set_datagram_handler(open_eps["rx-b"], 30011, open_calls.append)
+        reopened = len(open_calls)
         for s, ep in ((sim, eps), (open_sim, open_eps)):
             for _ in range(20):
                 s.broadcast(ep["tx"], 30011, b"reopened")
-        assert [d.payload for d in calls] == [d.payload for d in open_calls[-len(calls):]]
-        assert calls and sim.capture.rows() == open_sim.capture.rows()
+        assert calls and calls == open_calls[reopened:]
+        assert sim.capture.rows() == open_sim.capture.rows()
 
     def test_handler_gets_frames_synchronously(self, sim):
         sim.create_network("net-a", "password-a")
