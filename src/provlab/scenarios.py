@@ -8,6 +8,7 @@ rerun with the same (name, seed) is byte-identical.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass, field
@@ -686,4 +687,10 @@ def run_scenario(name: str, seed: int) -> ScenarioReport:
     fn = SCENARIOS.get(name)
     if fn is None:
         raise UnknownScenario(name)
-    return fn(seed)
+    report = fn(seed)
+    # A world is a reference cycle (the simulation holds handlers bound to
+    # objects that hold the simulation), so only the cycle collector frees it
+    # and its capture.  Collecting the young generations now frees it before
+    # it can be promoted to the oldest one, which is collected rarely.
+    gc.collect(1)
+    return report
