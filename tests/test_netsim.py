@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from provlab import dpl
 from provlab.netsim import (
     CaptureEntry,
     CaptureLog,
@@ -20,6 +21,7 @@ from provlab.netsim import (
     UnknownSsid,
     WrongPassphrase,
 )
+from provlab.provisioner import broadcast_lengths
 
 
 FIELDS = ("t", "ssid", "src", "port", "len", "kind", "dst")
@@ -287,6 +289,175 @@ class TestBroadcast:
         assert seen == [4]
 
 
+T0, PORT = 1_613_000_000, dpl.PROVISION_PORT
+BURST_RX = ("rx-a", "rx-b", "rx-c", "rx-d")
+BURST_RATES = st.sampled_from([0.0, 0.15, 0.5, 1.0])
+# what a receiver's handler does on one of its calls; all but "close" and
+# "leave" act on net-a or on the whole simulation
+BURST_ACTIONS = (
+    st.sampled_from([("leave",), ("close",), ("clock",), ("sender-joins-b",)])
+    | st.tuples(st.just("join"), st.sampled_from(BURST_RX))
+    | st.tuples(st.just("loss"), BURST_RATES, BURST_RATES)
+)
+
+
+@st.composite
+def _burst_case(draw):
+    """``tx`` sends a burst of filler lengths, perhaps with one invalid
+    length among them, to receivers that buffer, close or handle the
+    port; a handler's n-th call may act as ``BURST_ACTIONS`` says."""
+    order = draw(st.permutations(("tx",) + BURST_RX))
+    lengths = draw(st.lists(st.integers(1, 2048), min_size=4, max_size=40))
+    if draw(st.integers(0, 2)) == 0:
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.sampled_from([0, 2049])))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "drop": draw(BURST_RATES),
+        "dup": draw(BURST_RATES),
+        "net-a": [name for name in order if name == "tx" or draw(st.booleans())],
+        "net-b": [name for name in BURST_RX if draw(st.booleans())],
+        "ports": {name: draw(st.sampled_from(["handler", "handler", "buffer", "closed"]))
+                  for name in BURST_RX},
+        "scripts": {name: draw(st.dictionaries(st.integers(0, 4), BURST_ACTIONS, max_size=3))
+                    for name in BURST_RX},
+        "ssid": draw(st.sampled_from([None, "net-a"])),
+        "lengths": lengths,
+    }
+
+
+def _burst_oracle(case):
+    """Replay a burst one frame at a time from the documented contract: per
+    frame the ``bcast`` record, then per receiving member in join order one
+    drop draw and, if delivered, one dup draw; then handlers run in delivery
+    order.  Returns (rows, handler calls, inboxes, rng state, error type)."""
+    rng = random.Random(case["seed"])
+    drop, dup, t = case["drop"], case["dup"], T0
+    members = {ssid: list(case[ssid]) for ssid in ("net-a", "net-b")}
+    tx_networks = ["net-a"]
+    ports, seen = dict(case["ports"]), dict.fromkeys(BURST_RX, 0)
+    rows, calls, inboxes = [], [], {name: [] for name in BURST_RX}
+
+    def result(error=None):
+        return rows, calls, inboxes, rng.getstate(), error
+
+    for length in case["lengths"]:
+        if not 1 <= length <= 2048:
+            return result(InvalidLength)
+        ssid = case["ssid"]
+        if ssid is None:
+            if len(tx_networks) != 1:
+                return result(NotJoined)
+            ssid = tx_networks[0]
+        record = (t, ssid, "tx", PORT, length)
+        rows.append(record + ("bcast", None))
+        deliveries = []
+        for name in members[ssid]:
+            if name == "tx":
+                continue
+            if rng.random() < drop:
+                rows.append(record + ("drop", name))
+                continue
+            copies = 2 if rng.random() < dup else 1
+            rows.extend([record + ("deliver", name)] * copies)
+            deliveries.extend([name] * copies)
+        payload = bytes([dpl.FILLER_BYTE]) * length
+        for name in deliveries:
+            if ports[name] == "buffer":
+                inboxes[name].append(("tx", PORT, payload, ssid))
+            if ports[name] != "handler":
+                continue
+            calls.append((name, length, ssid))
+            action = case["scripts"][name].get(seen[name], ("none",))
+            seen[name] += 1
+            if action[0] == "leave" and name in members["net-a"]:
+                members["net-a"].remove(name)
+            elif action[0] == "join" and action[1] not in members["net-a"]:
+                members["net-a"].append(action[1])
+            elif action[0] == "close":
+                ports[name] = "closed"
+            elif action[0] == "clock":
+                t += 1
+            elif action[0] == "loss":
+                drop, dup = action[1:]
+            elif action[0] == "sender-joins-b" and "net-b" not in tx_networks:
+                tx_networks.append("net-b")
+                members["net-b"].append("tx")
+    return result()
+
+
+def _run_burst(case):
+    """Send the case's burst through ``broadcast_lengths``; returns what
+    :func:`_burst_oracle` does, as the simulation saw it."""
+    sim = fresh_sim(drop=case["drop"], dup=case["dup"], seed=case["seed"])
+    eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
+    for ssid, passphrase in (("net-a", "password-a"), ("net-b", "password-b")):
+        sim.create_network(ssid, passphrase)
+        for name in case[ssid]:
+            sim.join(eps[name], ssid, passphrase)
+    calls, seen = [], dict.fromkeys(BURST_RX, 0)
+
+    def handler_of(name):
+        def on_datagram(d):
+            assert (d.src, d.dst_port) == (eps["tx"], PORT)
+            assert d.payload == bytes([dpl.FILLER_BYTE]) * len(d.payload)
+            calls.append((name, len(d.payload), d.ssid))
+            action = case["scripts"][name].get(seen[name], ("none",))
+            seen[name] += 1
+            if action[0] == "leave":
+                sim.leave(eps[name], "net-a")
+            elif action[0] == "join":
+                sim.join(eps[action[1]], "net-a", "password-a")
+            elif action[0] == "close":
+                sim.set_datagram_handler(eps[name], PORT, None)
+            elif action[0] == "clock":
+                sim.clock.advance(1)
+            elif action[0] == "loss":
+                sim.loss.drop_prob, sim.loss.dup_prob = action[1:]
+            elif action[0] == "sender-joins-b":
+                sim.join(eps["tx"], "net-b", "password-b")
+        return on_datagram
+
+    for name, mode in case["ports"].items():
+        if mode != "buffer":
+            sim.set_datagram_handler(eps[name], PORT,
+                                     handler_of(name) if mode == "handler" else None)
+    error = None
+    try:
+        sent = broadcast_lengths(sim, eps["tx"], case["lengths"], ssid=case["ssid"])
+        assert sent == len(case["lengths"])
+    except (InvalidLength, NotJoined) as exc:
+        error = type(exc)
+    inboxes = {name: [(d.src.id, d.dst_port, d.payload, d.ssid)
+                      for d in sim.poll_datagrams(eps[name])]
+               for name in BURST_RX}
+    return sim.capture.rows(), calls, inboxes, sim._rng.getstate(), error
+
+
+class TestBurst:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_burst_case())
+    @example(case={
+        "seed": 1, "drop": 0.0, "dup": 0.0, "net-a": ["tx", "rx-a", "rx-b"], "net-b": [],
+        "ports": {"rx-a": "handler", "rx-b": "buffer", "rx-c": "closed", "rx-d": "handler"},
+        # frame 1 adds rx-d; frame 2 closes rx-d's port and makes ssid None ambiguous
+        "scripts": {"rx-a": {0: ("join", "rx-d"), 1: ("sender-joins-b",)}, "rx-b": {},
+                    "rx-c": {}, "rx-d": {0: ("close",)}},
+        "ssid": None, "lengths": [5, 6, 7, 8],
+    })
+    def test_broadcast_lengths_matches_per_frame_oracle(self, case):
+        rows, calls, inboxes, rng_state, error = _run_burst(case)
+        want_rows, want_calls, want_inboxes, want_state, want_error = _burst_oracle(case)
+        assert rows == want_rows
+        assert rng_state == want_state
+        assert calls == want_calls
+        assert inboxes == want_inboxes
+        assert error is want_error
+        if error is InvalidLength:
+            # the frames before the bad length went out, none after it
+            bad = next(i for i, n in enumerate(case["lengths"]) if not 1 <= n <= 2048)
+            assert [row[4] for row in rows if row[5] == "bcast"] == case["lengths"][:bad]
+
+
 class TestDeterminism:
     @staticmethod
     def _run(seed):
@@ -373,7 +544,11 @@ class TestStreams:
 
 
 class TestConcurrency:
-    def test_per_sender_order_under_concurrent_sends(self, sim):
+    @staticmethod
+    def _four_senders(sim, pump):
+        """Run ``pump(sim, tx)`` in one thread per sender; each sends 100
+        frames of lengths 1..100 to one receiver, whose frames are checked
+        to keep each sender's order."""
         sim.create_network("net-a", "password-a")
         rx = sim.register("rx", "device")
         sim.join(rx, "net-a", "password-a")
@@ -382,26 +557,33 @@ class TestConcurrency:
             tx = sim.register(f"tx-{i}", "app")
             sim.join(tx, "net-a", "password-a")
             senders.append(tx)
-
-        def pump(tx, base):
-            for k in range(100):
-                sim.broadcast(tx, 30011, bytes([base]) * (k + 1))
-
-        threads = [
-            threading.Thread(target=pump, args=(tx, i + 1))
-            for i, tx in enumerate(senders)
-        ]
+        threads = [threading.Thread(target=pump, args=(sim, tx)) for tx in senders]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         got = sim.poll_datagrams(rx)
         assert len(got) == 400
         per_sender = {}
         for d in got:
             per_sender.setdefault(d.src.id, []).append(len(d.payload))
         for seq in per_sender.values():
-            assert seq == sorted(seq)  # each sender's frames stay in order
+            assert seq == list(range(1, 101))  # each sender's frames stay in order
+
+    def test_per_sender_order_under_concurrent_sends(self, sim):
+        def pump(sim, tx):
+            for k in range(100):
+                sim.broadcast(tx, 30011, bytes([int(tx.id[-1]) + 1]) * (k + 1))
+
+        self._four_senders(sim, pump)
+
+    def test_per_sender_order_under_concurrent_bursts(self, sim):
+        def pump(sim, tx):
+            for k in range(0, 100, 25):
+                broadcast_lengths(sim, tx, list(range(k + 1, k + 26)))
+
+        self._four_senders(sim, pump)
 
     def test_capture_snapshot_is_consistent_prefix(self, sim):
         sim.create_network("net-a", "password-a")
