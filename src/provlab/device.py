@@ -195,6 +195,3 @@ class IoTDevice:
                 "detail": detail,
             }
         )
-
-    def export_events(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.events)
