@@ -10,7 +10,8 @@ Delivery is synchronous: a registered handler runs inside the sender's
 call, which keeps whole scenarios deterministic without an event loop.
 Per-sender ordering is guaranteed under concurrent use; a reentrant
 lock serializes broker state, and capture snapshots always observe a
-consistent prefix.
+consistent prefix.  A burst (``broadcast_many``) holds the lock throughout,
+so concurrent senders interleave per burst, not per frame.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 import re
 import threading
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -100,8 +102,8 @@ class LossModel:
     """Seeded broadcast unreliability.
 
     Draw order is part of the contract so tests can replay it: for each
-    broadcast frame, for each receiving member in join order, one
-    uniform draw decides drop; if delivered, a second draw decides
+    broadcast frame, for each receiving *online* member in join order,
+    one uniform draw decides drop; if delivered, a second draw decides
     duplication.  No draw is consumed for a dropped frame's duplicate.
     """
 
@@ -168,7 +170,7 @@ class CaptureLog:
     def append(self, entry: CaptureEntry) -> None:
         """Record one frame.  The fields are copied into a tuple, so the caller
         may change and append the same entry again.  The caller holds the
-        simulation lock, as ``Simulation.broadcast`` and
+        simulation lock, as ``Simulation.broadcast_many`` and
         ``Simulation._stream_send`` do."""
         self._rows.append(
             (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
@@ -264,7 +266,6 @@ class _EndpointRec:
     def __init__(self, endpoint: EndpointId, wan: bool):
         self.endpoint = endpoint
         self.wan = wan
-        self.online = True
         self.networks: set[str] = set()
         self.inbox: deque[Datagram] = deque()
         self.datagram_handlers: dict[int, object] = {}
@@ -281,6 +282,7 @@ class Simulation:
         self._rng = random.Random(self.loss.seed)
         self._networks: dict[str, VirtualNetwork] = {}
         self._endpoints: dict[str, _EndpointRec] = {}
+        self._offline: set[str] = set()  # ids of the endpoints set offline
         self.capture = CaptureLog(self._lock)
 
     # -- endpoints ---------------------------------------------------------
@@ -294,10 +296,16 @@ class Simulation:
             return ep
 
     def set_online(self, endpoint: EndpointId, online: bool) -> None:
-        self._rec(endpoint).online = online
+        """An offline endpoint neither sends nor receives, by stream or broadcast."""
+        self._rec(endpoint)
+        if online:
+            self._offline.discard(endpoint.id)
+        else:
+            self._offline.add(endpoint.id)
 
     def is_online(self, endpoint: EndpointId) -> bool:
-        return self._rec(endpoint).online
+        self._rec(endpoint)
+        return endpoint.id not in self._offline
 
     def _rec(self, endpoint: EndpointId) -> _EndpointRec:
         rec = self._endpoints.get(endpoint.id)
@@ -360,61 +368,72 @@ class Simulation:
         handler buffers its datagrams for :meth:`poll_datagrams`."""
         self._rec(endpoint).datagram_handlers[port] = handler
 
-    def broadcast(
-        self,
-        endpoint: EndpointId,
-        dst_port: int,
-        payload: bytes,
-        ssid: str | None = None,
-    ) -> None:
-        if not 1 <= len(payload) <= MAX_DATAGRAM:
-            raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
+    def broadcast(self, endpoint: EndpointId, dst_port: int, payload: bytes,
+                  ssid: str | None = None) -> None:
+        self.broadcast_many(endpoint, dst_port, (payload,), ssid)
+
+    def broadcast_many(self, endpoint: EndpointId, dst_port: int, payloads: Sequence[bytes],
+                       ssid: str | None = None) -> int:
+        """Broadcast each payload in turn; returns the count.  Records, draws and
+        handler calls are those of one :meth:`broadcast` per payload: all a handler
+        may change is read again per frame, and a frame that fails a check raises
+        after the frames before it are sent.  The lock is held for the burst."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         with self._lock:
-            rec = self._rec(endpoint)
-            if ssid is None:
-                if len(rec.networks) != 1:
+            networks = self._rec(endpoint).networks
+            src, offline, clock, loss = endpoint.id, self._offline, self.clock, self.loss
+            append, endpoints, draw = self.capture.append, self._endpoints, self._rng.random
+            # one entry for every record of the burst: append copies it
+            entry = CaptureEntry(0, "", src, dst_port, 0, "bcast")
+            for payload in payloads:
+                length = len(payload)
+                if not 1 <= length <= MAX_DATAGRAM:
+                    raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
+                if offline and src in offline:
+                    raise PeerUnreachable(f"{src} is offline")
+                if ssid is None and len(networks) != 1:
                     raise NotJoined(
-                        "endpoint must be joined to exactly one network or name the ssid"
-                    )
-                ssid = next(iter(rec.networks))
-            if ssid not in rec.networks:
-                raise NotJoined(f"{endpoint.id} is not a member of {ssid!r}")
-            now, src, length = self.clock.now, endpoint.id, len(payload)
-            append, endpoints = self.capture.append, self._endpoints
-            draw, drop, dup = self._rng.random, self.loss.drop_prob, self.loss.dup_prob
-            # one entry for every record of this broadcast: append copies it
-            entry = CaptureEntry(now, ssid, src, dst_port, length, "bcast")
-            append(entry)
-            dgram = Datagram(endpoint, dst_port, payload, ssid)
-            deliveries: list[_EndpointRec] = []
-            # LossModel draw order: per receiver, drop, then dup if delivered
-            for member in self._networks[ssid].members:
-                dst = member.id
-                if dst == src:
-                    continue
-                entry.dst = dst
-                if draw() < drop:
-                    entry.kind = "drop"
-                    append(entry)
-                    continue
-                entry.kind = "deliver"
+                        "endpoint must be joined to exactly one network or name the ssid")
+                net = next(iter(networks)) if ssid is None else ssid
+                if net not in networks:
+                    raise NotJoined(f"{src} is not a member of {net!r}")
+                members = self._networks[net].members
+                if offline:
+                    members = [m for m in members if m.id not in offline]
+                drop, dup = loss.drop_prob, loss.dup_prob
+                entry.t, entry.ssid, entry.len, entry.kind, entry.dst = (
+                    clock.now, net, length, "bcast", None)
                 append(entry)
-                deliveries.append(endpoints[dst])
-                if draw() < dup:
+                dgram = Datagram(endpoint, dst_port, payload, net)
+                deliveries: list[_EndpointRec] = []
+                # LossModel draw order: per receiver, drop, then dup if delivered
+                for member in members:
+                    dst = member.id
+                    if dst == src:
+                        continue
+                    entry.dst = dst
+                    if draw() < drop:
+                        entry.kind = "drop"
+                        append(entry)
+                        continue
+                    entry.kind = "deliver"
                     append(entry)
                     deliveries.append(endpoints[dst])
-            # handlers run inside the lock: delivery is synchronous and the
-            # lock is reentrant, so handlers may send in turn
-            for mrec in deliveries:
-                handler = mrec.datagram_handlers.get(dst_port, _BUFFER)
-                if handler is None:  # closed port
-                    continue
-                if handler is _BUFFER:
-                    mrec.inbox.append(dgram)
-                else:
-                    handler(dgram)
+                    if draw() < dup:
+                        append(entry)
+                        deliveries.append(endpoints[dst])
+                # handlers run inside the lock: delivery is synchronous and the
+                # lock is reentrant, so handlers may send in turn
+                for mrec in deliveries:
+                    handler = mrec.datagram_handlers.get(dst_port, _BUFFER)
+                    if handler is None:  # closed port
+                        continue
+                    if handler is _BUFFER:
+                        mrec.inbox.append(dgram)
+                    else:
+                        handler(dgram)
+            return len(payloads)
 
     def poll_datagrams(self, endpoint: EndpointId) -> list[Datagram]:
         with self._lock:
@@ -435,7 +454,7 @@ class Simulation:
         with self._lock:
             src = self._rec(endpoint)
             dst = self._rec(peer)
-            if not src.online or not dst.online:
+            if endpoint.id in self._offline or peer.id in self._offline:
                 raise PeerUnreachable(f"{peer.id} is offline")
             shared = src.networks & dst.networks
             if not (dst.wan or src.wan or shared):
@@ -459,7 +478,7 @@ class Simulation:
         with self._lock:
             src = stream.ends[side]
             dst = stream.ends[1 - side]
-            if not self._rec(src).online or not self._rec(dst).online:
+            if src.id in self._offline or dst.id in self._offline:
                 raise PeerUnreachable(f"{dst.id} is offline")
             self.capture.append(
                 CaptureEntry(

@@ -184,10 +184,9 @@ class IssuedToken:
 def broadcast_lengths(
     sim: Simulation, endpoint: EndpointId, lengths: list[int], ssid: str | None = None
 ) -> int:
-    """Send one filler datagram per length on port 30011; returns the count."""
-    for length in lengths:
-        sim.broadcast(endpoint, dpl.PROVISION_PORT, bytes([dpl.FILLER_BYTE]) * length, ssid=ssid)
-    return len(lengths)
+    """Send one filler datagram per length on port 30011, in one burst; returns the count."""
+    filler = bytes([dpl.FILLER_BYTE])
+    return sim.broadcast_many(endpoint, dpl.PROVISION_PORT, [filler * n for n in lengths], ssid)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import threading
 from dataclasses import astuple
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,6 +290,51 @@ class TestBroadcast:
         sim.broadcast(tx, 30011, b"abcd")
         assert seen == [4]
 
+    def test_offline_sender_raises_before_any_record(self):
+        sim = fresh_sim(drop=0.3, dup=0.3, seed=2)
+        sim.create_network("net-a", "password-a")
+        tx, rx = sim.register("tx", "app"), sim.register("rx", "device")
+        for ep in (tx, rx):
+            sim.join(ep, "net-a", "password-a")
+        sim.set_online(tx, False)
+        with pytest.raises(PeerUnreachable):
+            sim.broadcast(tx, 30011, b"abc")
+        with pytest.raises(PeerUnreachable):
+            broadcast_lengths(sim, tx, [3, 4])
+        assert sim.capture.rows() == [] and sim.poll_datagrams(rx) == []
+        assert sim._rng.getstate() == random.Random(2).getstate()
+        sim.set_online(tx, True)
+        sim.broadcast(tx, 30011, b"abc")
+        assert sim.capture.rows()[0][5] == "bcast"
+
+    def test_offline_member_gets_no_record_draw_or_handler_call(self):
+        def run(offline_member):
+            # with offline_member, rx-b joins but is offline; else it never joins
+            sim = fresh_sim(drop=0.2, dup=0.2, seed=6)
+            sim.create_network("net-a", "password-a")
+            eps = {name: sim.register(name, "device") for name in ("tx", "rx-a", "rx-b", "rx-c")}
+            for name, ep in eps.items():
+                if name != "rx-b" or offline_member:
+                    sim.join(ep, "net-a", "password-a")
+            calls = []
+            sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
+            if offline_member:
+                sim.set_online(eps["rx-b"], False)
+            broadcast_lengths(sim, eps["tx"], list(range(1, 200)))
+            return sim, eps, calls
+
+        absent, _, _ = run(offline_member=False)
+        sim, eps, calls = run(offline_member=True)
+        assert sim.capture.rows() == absent.capture.rows()
+        assert sim._rng.getstate() == absent._rng.getstate()
+        assert calls == [] and not sim.is_online(eps["rx-b"])
+        # back online, it is a receiver again in its join position
+        sim.set_online(eps["rx-b"], True)
+        before = len(sim.capture.rows())
+        sim.broadcast(eps["tx"], 30011, b"x")
+        receivers = [row[6] for row in sim.capture.rows()[before + 1:]]
+        assert sorted(set(receivers), key=receivers.index) == ["rx-a", "rx-b", "rx-c"]
+
 
 T0, PORT = 1_613_000_000, dpl.PROVISION_PORT
 BURST_RX = ("rx-a", "rx-b", "rx-c", "rx-d")
@@ -297,6 +344,7 @@ BURST_RATES = st.sampled_from([0.0, 0.15, 0.5, 1.0])
 BURST_ACTIONS = (
     st.sampled_from([("leave",), ("close",), ("clock",), ("sender-joins-b",)])
     | st.tuples(st.just("join"), st.sampled_from(BURST_RX))
+    | st.tuples(st.sampled_from(["offline", "online"]), st.sampled_from(("tx",) + BURST_RX))
     | st.tuples(st.just("loss"), BURST_RATES, BURST_RATES)
 )
 
@@ -327,14 +375,15 @@ def _burst_case(draw):
 
 def _burst_oracle(case):
     """Replay a burst one frame at a time from the documented contract: per
-    frame the ``bcast`` record, then per receiving member in join order one
-    drop draw and, if delivered, one dup draw; then handlers run in delivery
-    order.  Returns (rows, handler calls, inboxes, rng state, error type)."""
+    frame the ``bcast`` record, then per receiving online member in join
+    order one drop draw and, if delivered, one dup draw; then handlers run
+    in delivery order.  An offline sender raises ``PeerUnreachable``.
+    Returns (rows, handler calls, inboxes, rng state, error type)."""
     rng = random.Random(case["seed"])
     drop, dup, t = case["drop"], case["dup"], T0
     members = {ssid: list(case[ssid]) for ssid in ("net-a", "net-b")}
     tx_networks = ["net-a"]
-    ports, seen = dict(case["ports"]), dict.fromkeys(BURST_RX, 0)
+    ports, seen, offline = dict(case["ports"]), dict.fromkeys(BURST_RX, 0), set()
     rows, calls, inboxes = [], [], {name: [] for name in BURST_RX}
 
     def result(error=None):
@@ -343,6 +392,8 @@ def _burst_oracle(case):
     for length in case["lengths"]:
         if not 1 <= length <= 2048:
             return result(InvalidLength)
+        if "tx" in offline:
+            return result(PeerUnreachable)
         ssid = case["ssid"]
         if ssid is None:
             if len(tx_networks) != 1:
@@ -352,7 +403,7 @@ def _burst_oracle(case):
         rows.append(record + ("bcast", None))
         deliveries = []
         for name in members[ssid]:
-            if name == "tx":
+            if name == "tx" or name in offline:
                 continue
             if rng.random() < drop:
                 rows.append(record + ("drop", name))
@@ -382,6 +433,10 @@ def _burst_oracle(case):
             elif action[0] == "sender-joins-b" and "net-b" not in tx_networks:
                 tx_networks.append("net-b")
                 members["net-b"].append("tx")
+            elif action[0] == "offline":
+                offline.add(action[1])
+            elif action[0] == "online":
+                offline.discard(action[1])
     return result()
 
 
@@ -415,6 +470,8 @@ def _run_burst(case):
                 sim.loss.drop_prob, sim.loss.dup_prob = action[1:]
             elif action[0] == "sender-joins-b":
                 sim.join(eps["tx"], "net-b", "password-b")
+            elif action[0] in ("offline", "online"):
+                sim.set_online(eps[action[1]], action[0] == "online")
         return on_datagram
 
     for name, mode in case["ports"].items():
@@ -425,7 +482,7 @@ def _run_burst(case):
     try:
         sent = broadcast_lengths(sim, eps["tx"], case["lengths"], ssid=case["ssid"])
         assert sent == len(case["lengths"])
-    except (InvalidLength, NotJoined) as exc:
+    except (InvalidLength, NotJoined, PeerUnreachable) as exc:
         error = type(exc)
     inboxes = {name: [(d.src.id, d.dst_port, d.payload, d.ssid)
                       for d in sim.poll_datagrams(eps[name])]
@@ -583,7 +640,16 @@ class TestConcurrency:
             for k in range(0, 100, 25):
                 broadcast_lengths(sim, tx, list(range(k + 1, k + 26)))
 
-        self._four_senders(sim, pump)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            self._four_senders(sim, pump)
+        finally:
+            sys.setswitchinterval(interval)
+        # a burst holds the lock: senders interleave per burst, not per frame
+        senders = [row[2] for row in sim.capture.rows() if row[5] == "bcast"]
+        runs = [len(list(group)) for _, group in groupby(senders)]
+        assert all(run % 25 == 0 for run in runs)
 
     def test_capture_snapshot_is_consistent_prefix(self, sim):
         sim.create_network("net-a", "password-a")
