@@ -2,8 +2,9 @@
 
 One signed-envelope endpoint for app requests (token issuance, device
 status, control relay), one stream endpoint for device binds and
-command delivery, and a JSON-snapshottable registry.  Nothing in the
-registry mutates unless the request signature verified first.
+command delivery, and a JSON-snapshottable registry.  An app request
+changes the registry only after its signature verifies *and* its
+postData matches its action's row of :data:`APP_ACTIONS`.
 """
 
 from __future__ import annotations
@@ -215,7 +216,6 @@ class VendorCloud:
         self.endpoint = sim.register(endpoint_id, "cloud", wan=True)
         self.channels = DeviceChannels(sim, self.endpoint, "relay", self._on_device_frame)
         self.registry = CloudRegistry()
-        self.online = True
         self.requests_total = 0
         self.verify_failures = 0
         self.last_envelope: dict | None = None
@@ -225,8 +225,11 @@ class VendorCloud:
     def register_vendor(self, bundle_id: str, keys: SigningKeySet) -> None:
         self.registry.vendors[bundle_id] = keys
 
+    @property
+    def online(self) -> bool:
+        return self.sim.is_online(self.endpoint)
+
     def set_online(self, online: bool) -> None:
-        self.online = online
         self.sim.set_online(self.endpoint, online)
 
     # -- app endpoint --------------------------------------------------------
@@ -254,34 +257,31 @@ class VendorCloud:
             return self._failure(None, "UnknownBundle")
         key = derive_signing_key(keys)
         try:
-            if not verify_envelope(envelope, key):
-                self.verify_failures += 1
-                return self._failure(key, "BadSignature")
+            verified = verify_envelope(envelope, key)
         except MissingSign:
+            verified = False
+        if not verified:
             self.verify_failures += 1
             return self._failure(key, "BadSignature")
         action = envelope.get("a")
-        if action not in protocol.REGISTERED_ACTIONS:
+        row = APP_ACTIONS.get(action) if isinstance(action, str) else None
+        if row is None:
             return self._failure(key, "UnknownAction")
         try:
             post_obj = json.loads(open_postdata(envelope.get("postData", ""), key))
         except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError):
             return self._failure(key, "BadPostData")
-        # the handlers use token and device_id as dict keys
-        if not isinstance(post_obj, dict) or any(
-            not isinstance(post_obj.get(f), (str, type(None))) for f in ("token", "device_id")
-        ):
+        if not isinstance(post_obj, dict):
             return self._failure(key, "BadPostData")
+        handler, spec = row
+        fields = {}
+        for name, (types, absent) in spec.items():
+            value = post_obj.get(name, absent)
+            if not isinstance(value, types):
+                return self._failure(key, "BadPostData")
+            fields[name] = value
         self.last_envelope = dict(envelope)
-        if action == protocol.ACTION_TOKEN_GET:
-            return self._do_token_get(envelope, post_obj, key)
-        if action == protocol.ACTION_DEVICE_STATUS:
-            return self._do_status(post_obj, key)
-        if action == protocol.ACTION_DEVICE_CONTROL:
-            return self._do_control(post_obj, key)
-        if action == protocol.ACTION_DEVICE_BIND:
-            return self._do_envelope_bind(envelope, post_obj, key)
-        return self._failure(key, "UnknownAction")
+        return handler(self, envelope, fields, key)
 
     def _respond(self, key: bytes, result_obj: dict) -> dict:
         sealed = seal_postdata(
@@ -302,11 +302,10 @@ class VendorCloud:
         response["sign"] = sign_envelope(response, key) if key else ""
         return response
 
-    def _do_token_get(self, envelope: dict, post_obj: dict, key: bytes) -> dict:
-        region = post_obj.get("region", "")
-        user_id = post_obj.get("userId", "")
+    def _do_token_get(self, envelope: dict, fields: dict, key: bytes) -> dict:
+        region = fields["region"]
         token = issue_token(
-            self.rng, self.clock.now, region, envelope["bundleId"], user_id
+            self.rng, self.clock.now, region, envelope["bundleId"], fields["userId"]
         )
         self.registry.tokens.add(token)
         return self._respond(
@@ -318,46 +317,28 @@ class VendorCloud:
             },
         )
 
-    def _do_status(self, post_obj: dict, key: bytes) -> dict:
-        device_id = post_obj.get("device_id")
-        token_value = post_obj.get("token")
-        if device_id is None and token_value is not None:
-            rec = self.registry.tokens.get(token_value)
-            if rec is not None:
-                device_id = rec.bound_device
-                if device_id is None:
-                    return self._respond(
-                        key,
-                        {"online": False, "device_id": None,
-                         "reject_reason": rec.last_reject},
-                    )
-            else:
-                return self._respond(
-                    key, {"online": False, "device_id": None, "reject_reason": None}
-                )
+    def _do_status(self, envelope: dict, fields: dict, key: bytes) -> dict:
+        """A device is online while the far end of its bind stream is."""
+        device_id, reject_reason = fields["device_id"], None
+        rec = self.registry.tokens.get(fields["token"]) if device_id is None else None
+        if rec is not None:
+            device_id = rec.bound_device
+            if device_id is None:
+                reject_reason = rec.last_reject
+        result = {"online": False, "device_id": device_id, "reject_reason": reject_reason}
         dev = self.registry.devices.get(device_id) if device_id else None
-        if dev is None:
-            return self._respond(
-                key, {"online": False, "device_id": device_id, "reject_reason": None}
-            )
-        online = self.channels.stream_of(device_id) is not None
-        return self._respond(
-            key,
-            {
-                "online": online,
-                "device_id": device_id,
-                "status": dict(dev.status),
-                "reject_reason": None,
-            },
-        )
+        if dev is not None:
+            stream = self.channels.stream_of(device_id)
+            result["online"] = stream is not None and self.sim.is_online(stream.peer)
+            result["status"] = dict(dev.status)
+        return self._respond(key, result)
 
-    def _do_control(self, post_obj: dict, key: bytes) -> dict:
-        device_id = post_obj.get("device_id", "")
-        command = post_obj.get("command", {})
+    def _do_control(self, envelope: dict, fields: dict, key: bytes) -> dict:
+        device_id = fields["device_id"]
         if device_id not in self.registry.devices:
             return self._failure(key, "DeviceOffline")
         try:
-            ack_payload = self.relay_command(device_id, command)
+            ack_payload = self.relay_command(device_id, fields["command"])
         except DeviceOffline:
             return self._failure(key, "DeviceOffline")
         if not ack_payload.get("success", False):
@@ -366,16 +347,16 @@ class VendorCloud:
             key, {"device_id": device_id, "status": ack_payload.get("status", {})}
         )
 
-    def _do_envelope_bind(self, envelope: dict, post_obj: dict, key: bytes) -> dict:
+    def _do_envelope_bind(self, envelope: dict, fields: dict, key: bytes) -> dict:
         frame = DeviceFrame(
             kind="bind",
-            device_id=post_obj.get("device_id", ""),
-            token=post_obj.get("token"),
+            device_id=fields["device_id"],
+            token=fields["token"],
             payload={
-                "ssid": post_obj.get("ssid", ""),
-                "passphrase": post_obj.get("passphrase", ""),
+                "ssid": fields["ssid"],
+                "passphrase": fields["passphrase"],
                 "bundle_id": envelope["bundleId"],
-                "user_id": post_obj.get("userId"),
+                "user_id": fields["userId"],
             },
         )
         ack = self.handle_bind(frame)
@@ -413,12 +394,7 @@ class VendorCloud:
             user_id=frame.payload.get("user_id"),
         )
         if not verdict.accepted:
-            return DeviceFrame(
-                kind="ack",
-                device_id=frame.device_id,
-                request_id=frame.request_id,
-                payload={"success": False, "reason": verdict.reason.value},
-            )
+            return frame.reply(False, verdict.reason.value)
         token = self.registry.tokens.get(token_value).token
         self.registry.devices[frame.device_id] = DeviceRecord(
             device_id=frame.device_id,
@@ -428,12 +404,7 @@ class VendorCloud:
             passphrase=frame.payload.get("passphrase", ""),
             token_value=token_value,
         )
-        return DeviceFrame(
-            kind="ack",
-            device_id=frame.device_id,
-            request_id=frame.request_id,
-            payload={"success": True},
-        )
+        return frame.reply(True)
 
     def relay_command(self, device_id: str, command: dict) -> dict:
         """Push one command frame to the device and return its ack payload;
@@ -457,3 +428,22 @@ class VendorCloud:
             "bundle_id": dev.bundle_id,
             "status": dict(dev.status),
         }
+
+
+# The app endpoint's one postData schema: action -> (handler, {field: (accepted
+# JSON types, value when absent)}).  A present field of another type is
+# BadPostData.  Handlers never mutate field values, so absent values are shared.
+_TEXT = (str,), ""
+_TEXT_OR_NULL = (str, type(None)), None
+_OBJECT = (dict,), {}
+APP_ACTIONS = {
+    protocol.ACTION_TOKEN_GET: (VendorCloud._do_token_get, {
+        "region": _TEXT, "userId": _TEXT}),
+    protocol.ACTION_DEVICE_STATUS: (VendorCloud._do_status, {
+        "device_id": _TEXT_OR_NULL, "token": _TEXT_OR_NULL}),
+    protocol.ACTION_DEVICE_CONTROL: (VendorCloud._do_control, {
+        "device_id": _TEXT, "command": _OBJECT}),
+    protocol.ACTION_DEVICE_BIND: (VendorCloud._do_envelope_bind, {
+        "device_id": _TEXT, "token": _TEXT_OR_NULL, "ssid": _TEXT,
+        "passphrase": _TEXT, "userId": _TEXT_OR_NULL}),
+}

@@ -130,13 +130,15 @@ class IoTDevice:
     def handle_command(self, frame: DeviceFrame) -> DeviceFrame:
         """Cloud-path command handling: requires a completed registration."""
         if self.phase is not DevicePhase.REGISTERED:
-            return self._ack(frame, False, reason="NotRegistered")
-        ok, detail = self.apply_command(frame.payload.get("command", {}))
-        return self._ack(frame, ok, reason=detail)
+            reason = "NotRegistered"
+        else:
+            reason = self.apply_command(frame.payload.get("command", {}))
+        return frame.reply(reason is None, reason, status=dict(self.attributes))
 
-    def apply_command(self, command: dict) -> tuple[bool, str]:
+    def apply_command(self, command: dict) -> str | None:
+        """Apply all of ``command`` or none of it; the reject reason, if any."""
         if not isinstance(command, dict) or not command:
-            return False, "UnknownCommand"
+            return "UnknownCommand"
         staged = {}
         for key, value in command.items():
             if key == "power" and value in VALID_POWER:
@@ -148,21 +150,10 @@ class IoTDevice:
             ):
                 staged[key] = value
             else:
-                return False, "UnknownCommand"
+                return "UnknownCommand"
         self.attributes.update(staged)
         self._log("command", json.dumps(staged, sort_keys=True))
-        return True, ""
-
-    def _ack(self, frame: DeviceFrame, success: bool, reason: str | None = None) -> DeviceFrame:
-        payload = {"success": success, "status": dict(self.attributes)}
-        if reason:
-            payload["reason"] = reason
-        return DeviceFrame(
-            kind="ack",
-            device_id=self.device_id,
-            request_id=frame.request_id,
-            payload=payload,
-        )
+        return None
 
     # -- the open local listener --------------------------------------------------
 
@@ -176,8 +167,9 @@ class IoTDevice:
         if frame.kind != "command":
             return
         # no authentication whatsoever: whoever reaches this port is obeyed
-        ok, detail = self.apply_command(frame.payload.get("command", {}))
-        stream.send(encode_frame(self._ack(frame, ok, reason=detail)))
+        reason = self.apply_command(frame.payload.get("command", {}))
+        ack = frame.reply(reason is None, reason, status=dict(self.attributes))
+        stream.send(encode_frame(ack))
 
     # -- event log ----------------------------------------------------------------
 

@@ -353,12 +353,6 @@ class Simulation:
     def networks_of(self, endpoint: EndpointId) -> set[str]:
         return set(self._rec(endpoint).networks)
 
-    def network(self, ssid: str) -> VirtualNetwork:
-        net = self._networks.get(ssid)
-        if net is None:
-            raise UnknownSsid(f"no network {ssid!r}")
-        return net
-
     # -- broadcast ---------------------------------------------------------
 
     def set_datagram_handler(self, endpoint: EndpointId, port: int, handler) -> None:

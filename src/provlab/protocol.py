@@ -208,6 +208,14 @@ class DeviceFrame:
             body["request_id"] = self.request_id
         return body
 
+    def reply(self, success: bool, reason: str | None = None, **payload) -> "DeviceFrame":
+        """The ack for this frame; ``reason`` is in its payload only when given."""
+        payload["success"] = success
+        if reason is not None:
+            payload["reason"] = reason
+        return DeviceFrame(kind="ack", device_id=self.device_id,
+                           request_id=self.request_id, payload=payload)
+
 
 def encode_frame(frame: DeviceFrame) -> bytes:
     """4-byte big-endian body length, then the JSON body."""

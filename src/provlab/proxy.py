@@ -223,16 +223,7 @@ class ProxyGateway:
             self.channels.bind(frame.device_id, stream)
             upstream = self._open_upstream(frame.device_id)
             if upstream is None:
-                stream.send(
-                    encode_frame(
-                        DeviceFrame(
-                            kind="ack",
-                            device_id=frame.device_id,
-                            request_id=frame.request_id,
-                            payload={"success": False, "reason": "UpstreamUnreachable"},
-                        )
-                    )
-                )
+                stream.send(encode_frame(frame.reply(False, "UpstreamUnreachable")))
                 return
             upstream.send(encode_frame(frame))
         else:

@@ -3,10 +3,13 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provlab import dpl, protocol
 from provlab.cloud import (
     API_PATH,
+    APP_ACTIONS,
     CloudRegistry,
     CorruptSnapshot,
     UnknownDevice,
@@ -18,6 +21,7 @@ from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
 from provlab.provisioner import AppConfig, MobileApp, broadcast_lengths
+from provlab.scenarios import _app, _device, _provision, build_world
 from provlab.signing import SigningKeySet, derive_signing_key, sign_envelope
 
 HOME = "home-net"
@@ -177,6 +181,20 @@ class TestRegistrationFlow:
         assert cloud.relay_command("bulb-01", {"power": "on"})["status"]["power"] == "on"
         assert cloud.registry.devices["bulb-01"].status["power"] == "on"
 
+    def test_status_goes_offline_with_the_device(self, world):
+        sim, cloud, app, _ = world
+        device, token = provision_one(sim, cloud, app)
+
+        def status():
+            return app.cloud_client.call(protocol.ACTION_DEVICE_STATUS, {"token": token.value})
+
+        assert status()["online"] is True
+        sim.set_online(device.endpoint, False)
+        assert status()["online"] is False
+        assert status()["device_id"] == "bulb-01"
+        sim.set_online(device.endpoint, True)
+        assert status()["online"] is True
+
     @pytest.mark.parametrize("status", [5, "on", ["power"]])
     def test_status_that_is_not_an_object_is_dropped(self, world, status):
         sim, cloud, app, _ = world
@@ -239,8 +257,15 @@ class TestSignatureGate:
         (protocol.ACTION_DEVICE_STATUS, {"token": [1]}),
         (protocol.ACTION_DEVICE_BIND, {"token": [1]}),
         (protocol.ACTION_DEVICE_STATUS, {"token": {}, "device_id": None}),
+        (protocol.ACTION_TOKEN_GET, {"region": 5}),
+        (protocol.ACTION_TOKEN_GET, {"userId": ["x"]}),
+        (protocol.ACTION_DEVICE_CONTROL, {"device_id": "bulb-01", "command": "on"}),
+        (protocol.ACTION_DEVICE_CONTROL, {"device_id": None, "command": {"power": "on"}}),
+        (protocol.ACTION_DEVICE_BIND, {"device_id": "bulb-09", "ssid": 7}),
+        (protocol.ACTION_DEVICE_BIND, {"device_id": "bulb-09", "passphrase": []}),
+        (protocol.ACTION_DEVICE_BIND, {"device_id": "bulb-09", "userId": 5}),
     ])
-    def test_token_or_device_id_that_is_not_a_string(self, world, action, post_obj):
+    def test_post_data_field_of_the_wrong_type(self, world, action, post_obj):
         sim, cloud, app, _ = world
         envelope = app.envelopes.build(action, post_obj, sim.clock.now)
         fingerprint = cloud.registry.fingerprint()
@@ -259,6 +284,14 @@ class TestSignatureGate:
         assert response["success"] is False
         assert response["result"]["error"] == error
 
+    def test_signed_action_that_is_not_a_string(self, world, keyset):
+        sim, cloud, app, _ = world
+        envelope = app.envelopes.build(protocol.ACTION_TOKEN_GET, {}, sim.clock.now)
+        envelope["a"] = [protocol.ACTION_TOKEN_GET]
+        envelope["sign"] = sign_envelope(envelope, derive_signing_key(keyset))
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["result"]["error"] == "UnknownAction"
+
     def test_missing_sign_rejected(self, world):
         sim, cloud, app, _ = world
         envelope = app.envelopes.build(
@@ -267,6 +300,77 @@ class TestSignatureGate:
         del envelope["sign"]
         response = cloud.handle_app_request(envelope)
         assert response["result"]["error"] == "BadSignature"
+
+
+# Written apart from APP_ACTIONS: the JSON types each postData field accepts.
+_TEXT_OR_NULL = (str, type(None))
+ACCEPTED = {
+    protocol.ACTION_TOKEN_GET: {"region": str, "userId": str},
+    protocol.ACTION_DEVICE_STATUS: {"device_id": _TEXT_OR_NULL, "token": _TEXT_OR_NULL},
+    protocol.ACTION_DEVICE_CONTROL: {"device_id": str, "command": dict},
+    protocol.ACTION_DEVICE_BIND: {
+        "device_id": str, "token": _TEXT_OR_NULL, "ssid": str, "passphrase": str,
+        "userId": _TEXT_OR_NULL,
+    },
+}
+# well-typed postData; the property puts a drawn value into one of its fields
+WELL_TYPED = {
+    protocol.ACTION_TOKEN_GET: {"region": "EU", "userId": "user-01"},
+    protocol.ACTION_DEVICE_STATUS: {"device_id": "bulb-01"},
+    protocol.ACTION_DEVICE_CONTROL: {"device_id": "bulb-01", "command": {"power": "on"}},
+    protocol.ACTION_DEVICE_BIND: {
+        "device_id": "bulb-77", "token": "no-such-token", "ssid": "s", "passphrase": "p",
+        "userId": "user-01",
+    },
+}
+DECLARED_ERRORS = {"BadPostData", "DeviceOffline", "UnknownCommand"} | {
+    reason.value for reason in protocol.RejectReason
+}
+# one value of each JSON type often, then anything
+JSON_VALUES = st.sampled_from([None, True, 5, 1.5, "x", [], {}]) | st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def provisioned_world():
+    world = build_world(0)
+    app = _app(world)
+    _token, outcome = _provision(world, app, _device(world, "bulb-01"))
+    assert outcome.success
+    return world, app
+
+
+class TestPostDataTable:
+    def test_table_actions_are_the_registered_ones(self):
+        assert set(APP_ACTIONS) == protocol.REGISTERED_ACTIONS
+
+    def test_table_fields_are_the_accepted_ones(self):
+        assert {action: set(spec) for action, (_handler, spec) in APP_ACTIONS.items()} == {
+            action: set(fields) for action, fields in ACCEPTED.items()
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_in_any_field(self, provisioned_world, data):
+        world, app = provisioned_world
+        action = data.draw(st.sampled_from(sorted(ACCEPTED)))
+        name = data.draw(st.sampled_from(sorted(ACCEPTED[action])))
+        value = data.draw(JSON_VALUES)
+        envelope = app.envelopes.build(action, {**WELL_TYPED[action], name: value},
+                                       world.clock.now)
+        fingerprint = world.cloud.registry.fingerprint()
+        response = json.loads(world.cloud.post(API_PATH, json.dumps(envelope)))
+        if isinstance(value, ACCEPTED[action][name]):
+            assert response["success"] or response["result"]["error"] in DECLARED_ERRORS
+        else:
+            assert response["success"] is False
+            assert response["result"]["error"] == "BadPostData"
+            assert world.cloud.registry.fingerprint() == fingerprint
 
 
 class TestBind:

@@ -121,6 +121,17 @@ class TestFrames:
         out = FrameReader().push(wire)
         assert out == [frame]
 
+    def test_reply_is_the_ack_for_its_frame(self):
+        frame = DeviceFrame(kind="command", device_id="d", token="t", request_id="r-1")
+        assert frame.reply(True) == DeviceFrame(
+            kind="ack", device_id="d", request_id="r-1", payload={"success": True})
+        ack = frame.reply(False, "UnknownCommand", status={"power": "on"})
+        assert ack.payload == {"success": False, "reason": "UnknownCommand",
+                               "status": {"power": "on"}}
+        body = (b'{"device_id": "d", "kind": "ack", "payload": {"reason": "UnknownCommand", '
+                b'"status": {"power": "on"}, "success": false}, "request_id": "r-1"}')
+        assert encode_frame(ack) == len(body).to_bytes(4, "big") + body
+
     def test_reader_handles_partial_and_coalesced_input(self):
         frames = [
             DeviceFrame(kind="command", device_id="d", payload={"command": {"power": "on"}}),

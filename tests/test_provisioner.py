@@ -54,10 +54,19 @@ class TestEndpointFallback:
 
     def test_all_candidates_dead(self, sim, rng):
         cloud = VendorCloud(sim, rng=rng)
-        cloud.online = False
+        cloud.set_online(False)
         directory = {"52.29.0.171": cloud, "35.156.160.91": cloud}
         with pytest.raises(CloudUnreachable):
             resolve_cloud_endpoint("EU", False, {}, directory)
+
+    def test_cloud_presence_is_the_sims(self, sim, rng):
+        cloud = VendorCloud(sim, rng=rng)
+        sim.set_online(cloud.endpoint, False)
+        assert cloud.online is False
+        with pytest.raises(CloudUnreachable):
+            resolve_cloud_endpoint("EU", False, {}, {"52.29.0.171": cloud})
+        cloud.set_online(True)
+        assert sim.is_online(cloud.endpoint)
 
 
 class TestConfigLoading:
