@@ -242,7 +242,7 @@ class VendorCloud:
             return json.dumps(self._failure(None, "NotFound"))
         try:
             envelope = json.loads(body)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             return json.dumps(self._failure(None, "BadRequest"))
         if not isinstance(envelope, dict):
             return json.dumps(self._failure(None, "BadRequest"))
@@ -269,7 +269,8 @@ class VendorCloud:
             return self._failure(key, "UnknownAction")
         try:
             post_obj = json.loads(open_postdata(envelope.get("postData", ""), key))
-        except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError):
+        except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError):
             return self._failure(key, "BadPostData")
         if not isinstance(post_obj, dict):
             return self._failure(key, "BadPostData")
@@ -317,16 +318,24 @@ class VendorCloud:
             },
         )
 
-    def _do_status(self, envelope: dict, fields: dict, key: bytes) -> dict:
-        """A device is online while the far end of its bind stream is."""
-        device_id, reject_reason = fields["device_id"], None
-        rec = self.registry.tokens.get(fields["token"]) if device_id is None else None
-        if rec is not None:
+    def _vendor_view(self, envelope: dict, device_id, token=None) -> tuple:
+        """``(device_id, reject_reason, DeviceRecord or None)`` for the device
+        an app request names by id, or else by token.  Another vendor's
+        token or device answers exactly as an unknown one."""
+        bundle, reject_reason = envelope["bundleId"], None
+        rec = self.registry.tokens.get(token) if device_id is None else None
+        if rec is not None and rec.token.bundle_id == bundle:
             device_id = rec.bound_device
             if device_id is None:
                 reject_reason = rec.last_reject
-        result = {"online": False, "device_id": device_id, "reject_reason": reject_reason}
         dev = self.registry.devices.get(device_id) if device_id else None
+        return device_id, reject_reason, dev if dev and dev.bundle_id == bundle else None
+
+    def _do_status(self, envelope: dict, fields: dict, key: bytes) -> dict:
+        """A device is online while the far end of its bind stream is."""
+        device_id, reject_reason, dev = self._vendor_view(
+            envelope, fields["device_id"], fields["token"])
+        result = {"online": False, "device_id": device_id, "reject_reason": reject_reason}
         if dev is not None:
             stream = self.channels.stream_of(device_id)
             result["online"] = stream is not None and self.sim.is_online(stream.peer)
@@ -335,7 +344,7 @@ class VendorCloud:
 
     def _do_control(self, envelope: dict, fields: dict, key: bytes) -> dict:
         device_id = fields["device_id"]
-        if device_id not in self.registry.devices:
+        if self._vendor_view(envelope, device_id)[2] is None:
             return self._failure(key, "DeviceOffline")
         try:
             ack_payload = self.relay_command(device_id, fields["command"])

@@ -1,9 +1,10 @@
 """IoT device state machine.
 
-Listens for credential broadcasts on port 30011 until it has decoded
-credentials, applies the length-only token check, joins whatever SSID
-it decoded (it has no way to tell a real home network from a decoy),
-binds to the cloud over a stream, then obeys command frames.  The local
+Listens for credential broadcasts on port 30011, one decoder per sender,
+until it has decoded credentials, applies the length-only token check,
+joins whatever SSID it decoded (it has no way to tell a real home
+network from a decoy), binds to the cloud over a stream, then obeys
+command frames.  The local
 listener on the device's own port is deliberately credulous: any
 network member that can reach it and speaks the framing is obeyed,
 which is the replay/hijack surface the isolation mitigation closes.
@@ -49,7 +50,7 @@ class IoTDevice:
         self.phase = DevicePhase.UNPROVISIONED
         self.creds: dpl.Credentials | None = None
         self.attributes = {"power": "off", "brightness": 0}
-        self.decoder = dpl.DecoderState()
+        self.bank = dpl.DecoderBank()
         self.events: list[dict] = []
         sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, self._on_datagram)
         protocol.listen_frames(sim, self.endpoint, self._on_local_frame)  # garbage is dropped
@@ -60,16 +61,16 @@ class IoTDevice:
     def _on_datagram(self, dgram) -> None:
         if self.phase is not DevicePhase.UNPROVISIONED:
             return
-        self.decoder.feed(len(dgram.payload))
-        if self.decoder.phase is dpl.Phase.COMPLETE:
-            self._on_credentials(self.decoder.credentials)
+        state = self.bank.feed(dgram.src.id, len(dgram.payload))
+        if state.phase is dpl.Phase.COMPLETE:
+            self._on_credentials(state.credentials)
 
     def idle(self) -> None:
         """The decode window closed with no more frames arriving; settle."""
         if self.phase is DevicePhase.UNPROVISIONED:
-            self.decoder.finalize()
-            if self.decoder.phase is dpl.Phase.COMPLETE:
-                self._on_credentials(self.decoder.credentials)
+            state = self.bank.finalize()
+            if state is not None:
+                self._on_credentials(state.credentials)
 
     def _on_credentials(self, creds: dpl.Credentials) -> None:
         # the only way out of Unprovisioned: stop listening for broadcasts
@@ -145,7 +146,7 @@ class IoTDevice:
                 staged[key] = value
             elif (
                 key == "brightness"
-                and isinstance(value, int)
+                and type(value) is int
                 and BRIGHTNESS_RANGE[0] <= value <= BRIGHTNESS_RANGE[1]
             ):
                 staged[key] = value

@@ -526,26 +526,55 @@ def decode_lengths(lengths) -> DecoderState:
     return state.finalize()
 
 
-def decode_capture(rows) -> list[tuple[str, DecoderState]]:
-    """Replay the port-30011 broadcasts of a capture through the decoder,
-    exactly as an eavesdropper would.  ``rows`` are capture records as
-    ``(t, ssid, src, port, len, kind, dst)`` tuples.
+MAX_SENDERS = 16  # decoders one listener keeps at once
+_SETTLED = (Phase.COMPLETE, Phase.FAILED)
 
-    Each sender (``src``) gets its own decoder, and a sender's next
-    frame after a completed attempt starts a new attempt.  Returns one
-    ``(src, finalized decoder)`` pair per attempt, in the order the
-    attempts started.
+
+class DecoderBank:
+    """Port-30011 decoding for every listener: the device and the
+    eavesdropper alike.
+
+    Each sender (``src``) gets its own :class:`DecoderState`, so frames of
+    interleaved senders never mix.  A sender's next frame after its
+    attempt is COMPLETE or FAILED starts a new attempt.  At most
+    :data:`MAX_SENDERS` attempts are kept; a new sender at a full bank
+    drops the attempt that started first.
     """
-    current: dict[str, DecoderState] = {}
-    attempts: list[tuple[str, DecoderState]] = []
+
+    def __init__(self) -> None:
+        self._attempts: dict[str, DecoderState] = {}  # by src, in start order
+
+    def feed(self, src: str, length: int) -> DecoderState:
+        """Feed one frame from ``src``; return the attempt it went to."""
+        state = self._attempts.get(src)
+        if state is None or state.phase in _SETTLED:
+            self._attempts.pop(src, None)
+            if len(self._attempts) >= MAX_SENDERS:
+                del self._attempts[next(iter(self._attempts))]
+            state = self._attempts[src] = DecoderState()
+        return state.feed(length)
+
+    def finalize(self) -> DecoderState | None:
+        """Settle every kept attempt; the first COMPLETE one in start order wins."""
+        for state in self._attempts.values():
+            state.finalize()
+        return next((s for s in self._attempts.values() if s.phase is Phase.COMPLETE), None)
+
+
+def decode_capture(rows) -> list[tuple[str, DecoderState]]:
+    """Replay the port-30011 broadcasts of a capture through a
+    :class:`DecoderBank`, exactly as an eavesdropper would.  ``rows`` are
+    capture records as ``(t, ssid, src, port, len, kind, dst)`` tuples.
+
+    Returns one ``(src, finalized decoder)`` pair per attempt, in the
+    order the attempts started.
+    """
+    bank, attempts = DecoderBank(), {}  # attempts by id(decoder), each once, in start order
     for _t, _ssid, src, port, length, kind, _dst in rows:
-        if kind != "bcast" or port != PROVISION_PORT:
-            continue
-        state = current.get(src)
-        if state is None or state.phase is Phase.COMPLETE:
-            state = current[src] = DecoderState()
-            attempts.append((src, state))
-        state.feed(length)
-    for _src, state in attempts:
+        if kind == "bcast" and port == PROVISION_PORT:
+            state = bank.feed(src, length)
+            if id(state) not in attempts:
+                attempts[id(state)] = (src, state)
+    for _src, state in attempts.values():
         state.finalize()
-    return attempts
+    return list(attempts.values())

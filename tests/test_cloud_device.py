@@ -12,6 +12,7 @@ from provlab.cloud import (
     APP_ACTIONS,
     CloudRegistry,
     CorruptSnapshot,
+    DeviceOffline,
     UnknownDevice,
     VendorCloud,
     persist,
@@ -20,9 +21,9 @@ from provlab.cloud import (
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
-from provlab.provisioner import AppConfig, MobileApp, broadcast_lengths
-from provlab.scenarios import _app, _device, _provision, build_world
-from provlab.signing import SigningKeySet, derive_signing_key, sign_envelope
+from provlab.provisioner import AppConfig, CloudRejected, MobileApp, broadcast_lengths
+from provlab.scenarios import HOME_SSID, _app, _device, _provision, build_world
+from provlab.signing import SigningKeySet, derive_signing_key, seal_postdata, sign_envelope
 
 HOME = "home-net"
 PSK = "hunter2-long"
@@ -78,13 +79,51 @@ class TestRegistrationFlow:
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
         fed = []
-        feed = dpl.DecoderState.feed
-        monkeypatch.setattr(dpl.DecoderState, "feed",
-                            lambda state, length: fed.append(state) or feed(state, length))
+        feed = dpl.DecoderBank.feed
+        monkeypatch.setattr(dpl.DecoderBank, "feed",
+                            lambda bank, src, length: fed.append(bank) or feed(bank, src, length))
         newcomer, _ = provision_one(sim, cloud, app, device_id="plug-02")
         assert newcomer.phase is DevicePhase.REGISTERED
-        assert any(state is newcomer.decoder for state in fed)
-        assert not any(state is device.decoder for state in fed)
+        assert any(bank is newcomer.bank for bank in fed)
+        assert not any(bank is device.bank for bank in fed)
+        assert device.phase is DevicePhase.REGISTERED
+
+    def test_interleaved_senders_give_the_device_one_senders_credentials(self):
+        for trial in range(20):
+            rng = random.Random(trial)
+            sim = Simulation(loss=LossModel(), clock=SimClock(1_613_000_000))
+            sim.create_network(HOME, PSK)
+            device = IoTDevice(sim, "bulb-01", sim.register("cloud", "cloud", wan=True))
+            sim.join(device.endpoint, HOME, PSK)
+            phones, sent, lengths = [], [], []
+            for k in range(2):
+                phones.append(sim.register(f"phone-{k}", "app"))
+                sim.join(phones[k], HOME, PSK)
+                sent.append(dpl.Credentials(HOME, PSK, protocol.generate_token_value(rng)))
+                lengths.append(dpl.encode(sent[k], 5).flatten())
+            # a uniform order-keeping interleaving: shuffle the sender of each slot
+            picks = [k for k in range(2) for _ in lengths[k]]
+            rng.shuffle(picks)
+            streams = [iter(seq) for seq in lengths]
+            for k in picks:
+                broadcast_lengths(sim, phones[k], [next(streams[k])])
+            device.idle()
+            assert device.creds in sent, trial
+
+    def test_failed_attempt_does_not_block_a_genuine_provisioning(self, world):
+        sim, cloud, app, _ = world
+        device = IoTDevice(sim, "bulb-01", cloud.endpoint)
+        sim.join(device.endpoint, HOME, PSK)
+        rig = sim.register("rig", "app")
+        sim.join(rig, HOME, PSK)
+        lengths = dpl.encode(dpl.Credentials(HOME, PSK, "x" * 32), 1).flatten()
+        lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
+        broadcast_lengths(sim, rig, lengths)
+        device.idle()
+        assert device.phase is DevicePhase.UNPROVISIONED
+        token = app.acquire_token()
+        outcome = app.provision(dpl.Credentials(HOME, PSK, token.value), idle_hook=device.idle)
+        assert outcome.success
         assert device.phase is DevicePhase.REGISTERED
 
     def test_app_does_not_buffer_other_senders_broadcasts(self, world):
@@ -127,15 +166,15 @@ class TestRegistrationFlow:
         assert device.attributes["brightness"] == 42
         assert cloud.registry.devices["bulb-01"].status["brightness"] == 42
 
-    def test_command_range_violation(self, world):
+    @pytest.mark.parametrize("brightness", [150, True, False])
+    def test_command_range_violation(self, world, brightness):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
-        from provlab.provisioner import CloudRejected
-
         with pytest.raises(CloudRejected) as err:
-            app.control_device("bulb-01", {"brightness": 150})
+            app.control_device("bulb-01", {"brightness": brightness})
         assert "UnknownCommand" in str(err.value)
         assert device.attributes["brightness"] == 0
+        assert type(device.attributes["brightness"]) is int
 
     def test_command_before_registered_is_refused(self, world):
         sim, cloud, app, _ = world
@@ -277,12 +316,22 @@ class TestSignatureGate:
     @pytest.mark.parametrize("body, error", [
         ("[1]", "BadRequest"), ('"x"', "BadRequest"), ("5", "BadRequest"),
         ("null", "BadRequest"), ('{"bundleId": [1]}', "UnknownBundle"),
+        pytest.param("[" * 100_000, "BadRequest", id="nested-100k"),
     ])
     def test_envelope_of_the_wrong_shape(self, world, body, error):
         _, cloud, _, _ = world
         response = json.loads(cloud.post(API_PATH, body))
         assert response["success"] is False
         assert response["result"]["error"] == error
+
+    def test_post_data_nested_too_deeply(self, world, keyset):
+        sim, cloud, app, _ = world
+        key = derive_signing_key(keyset)
+        envelope = app.envelopes.build(protocol.ACTION_DEVICE_STATUS, {}, sim.clock.now)
+        envelope["postData"] = seal_postdata(b"[" * 100_000, key)
+        envelope["sign"] = sign_envelope(envelope, key)
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["result"]["error"] == "BadPostData"
 
     def test_signed_action_that_is_not_a_string(self, world, keyset):
         sim, cloud, app, _ = world
@@ -504,11 +553,59 @@ class TestLocalListener:
         )))
         assert device.attributes["power"] == "on"
 
-    def test_malformed_frames_ignored(self, world):
+    @pytest.mark.parametrize("body", [b"x" * 100, b"[" * 100_000], ids=["not-json", "nested-100k"])
+    def test_malformed_frames_ignored(self, world, body):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
         attacker = sim.register("attacker", "device")
         sim.join(attacker, HOME, PSK)
         stream = sim.open_stream(attacker, device.endpoint, protocol.DEVICE_PORT)
-        stream.send((100).to_bytes(4, "big") + b"x" * 100)
+        stream.send(len(body).to_bytes(4, "big") + body)
         assert device.attributes == {"power": "off", "brightness": 0}
+
+
+class TestVendorScope:
+    """An app sees and controls only its own vendor's devices; another
+    vendor's device or token answers exactly as an unknown one."""
+
+    @pytest.fixture
+    def two_vendors(self):
+        world = build_world(0, bundles=("com.xyz.smart", "com.abc.home"))
+        owner = _app(world)
+        token, outcome = _provision(world, owner, _device(world, "bulb-01"))
+        assert outcome.success
+        stale = owner.acquire_token()
+        world.clock.advance(protocol.TTL_SECONDS + 60)
+        device = _device(world, "bulb-02")
+        owner.broadcast_credentials(dpl.Credentials(HOME_SSID, world.home_passphrase,
+                                                    stale.value), rounds=1)
+        device.idle()
+        assert world.cloud.registry.tokens.get(stale.value).last_reject == "Expired"
+        return world, owner, _app(world, bundle="com.abc.home", user="user-99"), token, stale
+
+    def test_control_of_another_vendors_device(self, two_vendors):
+        world, _owner, other, _token, _stale = two_vendors
+        for device_id in ("bulb-01", "ghost"):
+            with pytest.raises(DeviceOffline, match=device_id):
+                other.control_device(device_id, {"power": "on"})
+        assert world.cloud.registry.devices["bulb-01"].status == {}
+
+    @pytest.mark.parametrize("post_obj, unknown", [
+        ({"device_id": "bulb-01"}, {"device_id": "ghost"}),
+        ({"token": "bound"}, {"token": "no-such-token"}),
+        ({"token": "stale"}, {"token": "no-such-token"}),
+    ])
+    def test_status_of_another_vendors_device(self, two_vendors, post_obj, unknown):
+        _world, owner, other, token, stale = two_vendors
+        values = {"bound": token.value, "stale": stale.value}
+        post_obj = {k: values.get(v, v) for k, v in post_obj.items()}
+
+        def status(app, obj):
+            return app.cloud_client.call(protocol.ACTION_DEVICE_STATUS, obj)
+
+        seen_by_owner = status(owner, post_obj)
+        assert seen_by_owner.get("status") is not None or seen_by_owner["reject_reason"]
+        expected = status(other, unknown)
+        if "device_id" in post_obj:
+            expected["device_id"] = post_obj["device_id"]
+        assert status(other, post_obj) == expected

@@ -2,8 +2,9 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from provlab import dpl
 from provlab.dpl import (
@@ -11,6 +12,7 @@ from provlab.dpl import (
     BadVersion,
     CodecError,
     Credentials,
+    DecoderBank,
     DecoderState,
     FieldTooLong,
     Phase,
@@ -369,3 +371,171 @@ class TestLossToleranceInvariant:
                     wrong += 1
         assert wrong == 0, "a lossy decode completed with wrong credentials"
         assert ok / trials >= 0.95
+
+
+# short credentials keep a round near 100 frames, so a few rounds fit a run
+CREDS = st.builds(
+    Credentials,
+    st.text(ALPHA, min_size=1, max_size=6),
+    st.text(ALPHA, max_size=6),
+    st.text(ALPHA, min_size=32, max_size=32),
+)
+_RANK = {Phase.HUNTING: 0, Phase.SYNCED: 1, Phase.COLLECTING: 2,
+         Phase.COMPLETE: 3, Phase.FAILED: 3}
+
+
+class DecoderMachine(RuleBasedStateMachine):
+    """One sender's broadcast under loss and adjacent duplication, with the
+    decode window closing (``finalize``) at any point."""
+
+    @initialize(creds=CREDS, rounds=st.integers(1, 4))
+    def start(self, creds, rounds):
+        self.creds = creds
+        self.stream = encode(creds, rounds).flatten()
+        self.pos = 0
+        self.state = DecoderState()
+        self.settled = None
+
+    @precondition(lambda self: self.pos < len(self.stream))
+    @rule(n=st.integers(1, 300), drop=st.sampled_from([0.0, 0.05, 0.2, 0.4]),
+          dup=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def frames(self, n, drop, dup, seed):
+        """The next ``n`` frames, each lost with probability ``drop`` or
+        else arriving twice in a row with probability ``dup``."""
+        rng = random.Random(seed)
+        for length in self.stream[self.pos : self.pos + n]:
+            if rng.random() < drop:
+                continue
+            for _ in range(2 if rng.random() < dup else 1):
+                self._step(lambda: self.state.feed(length))
+        self.pos += n
+
+    @rule()
+    def finalize(self):
+        self._step(self.state.finalize)
+
+    def _step(self, act):
+        before = self.state.phase
+        act()
+        assert _RANK[self.state.phase] >= _RANK[before], (before, self.state.phase)
+        if self.settled is not None:
+            assert (self.state.phase, self.state.credentials) == self.settled
+        elif _RANK[self.state.phase] == 3:
+            self.settled = (self.state.phase, self.state.credentials)
+
+    @invariant()
+    def never_wrong(self):
+        if self.state.phase is Phase.COMPLETE:
+            assert self.state.credentials == self.creds
+
+
+DecoderMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+TestDecoderMachine = DecoderMachine.TestCase
+
+
+def _bad_crc_round(creds):
+    lengths = encode(creds, 1).flatten()
+    lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
+    return lengths
+
+
+class TestDecoderBank:
+    def test_interleaved_senders_each_decode_their_own(self):
+        a = Credentials("net", "alpha-pass", token(random.Random(1)))
+        b = Credentials("net", "bravo-pass", token(random.Random(2)))
+        bank = DecoderBank()
+        states = {}
+        for la, lb in zip(encode(a, 1).flatten(), encode(b, 1).flatten()):
+            states["a"] = bank.feed("a", la)
+            states["b"] = bank.feed("b", lb)
+        assert states["a"].credentials == a
+        assert states["b"].credentials == b
+
+    def test_next_frame_after_failed_starts_a_new_attempt(self):
+        creds = Credentials("net", "pass", token())
+        bank = DecoderBank()
+        for length in _bad_crc_round(creds):
+            failed = bank.feed("a", length)
+        assert bank.finalize() is None
+        assert failed.phase is Phase.FAILED
+        for length in encode(creds, 1).flatten():
+            state = bank.feed("a", length)
+        assert state is not failed
+        assert state.credentials == creds
+
+    def test_first_complete_in_start_order_wins(self):
+        # each sender loses one value frame, so each completes only when
+        # finalize solves the crc for it
+        first = Credentials("net", "first", token(random.Random(3)))
+        second = Credentials("net", "second", token(random.Random(4)))
+        bank = DecoderBank()
+        for src, creds in (("z", first), ("a", second)):
+            lengths = encode(creds, 1).flatten()
+            del lengths[lengths.index(dpl.IDX_BASE + 2) + 1]
+            for length in lengths:
+                bank.feed(src, length)
+        assert bank.finalize().credentials == first
+
+    def test_a_new_sender_at_a_full_bank_drops_the_oldest_attempt(self):
+        bank = DecoderBank()
+        states = [bank.feed(f"s{i}", 1) for i in range(dpl.MAX_SENDERS)]
+        assert [bank.feed(f"s{i}", 3) for i in range(dpl.MAX_SENDERS)] == states
+        newcomer = bank.feed("late", 1)
+        assert bank.feed("late", 3) is newcomer
+        assert all(bank.feed(f"s{i}", 6) is states[i] for i in range(1, dpl.MAX_SENDERS))
+        assert bank.feed("s0", 6) is not states[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        genuine=st.lists(st.tuples(CREDS, st.integers(1, 3)), min_size=2, max_size=4),
+        injected=st.lists(
+            st.one_of(
+                st.tuples(CREDS, st.integers(1, 2)),
+                st.lists(st.integers(0, 1300), max_size=120),
+            ),
+            max_size=2,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_interleaving_never_completes_with_another_senders_credentials(
+        self, genuine, injected, order
+    ):
+        streams, sent = [], {}
+        for i, (creds, rounds) in enumerate(genuine):
+            streams.append((f"phone-{i}", encode(creds, rounds).flatten()))
+            sent[f"phone-{i}"] = creds
+        for i, item in enumerate(injected):
+            if isinstance(item, tuple):
+                sent[f"inj-{i}"] = item[0]
+                item = encode(*item).flatten()
+            streams.append((f"inj-{i}", item))
+        # a uniform order-keeping interleaving: shuffle the sender of each slot
+        picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
+        order.shuffle(picks)
+        cursors = [iter(lengths) for _src, lengths in streams]
+        bank, attempts = DecoderBank(), {}
+        for k in picks:
+            src = streams[k][0]
+            state = bank.feed(src, next(cursors[k]))
+            attempts.setdefault(id(state), (src, state))
+        winner = bank.finalize()
+        for src, state in attempts.values():
+            if state.phase is Phase.COMPLETE:
+                assert state.credentials == sent.get(src), src
+        assert winner is None or winner.credentials in sent.values()
+        for i, (creds, _rounds) in enumerate(genuine):
+            assert any(src == f"phone-{i}" and state.credentials == creds
+                       for src, state in attempts.values())
+
+
+class TestParseFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=300))
+    @example(bytes([1, 3]) + b"abc" + bytes([2]) + b"\xff\xfe" + b"t" * 32)
+    def test_only_codec_errors_escape(self, data):
+        try:
+            creds = parse_payload_lax(data)
+        except CodecError:
+            return
+        assert isinstance(creds, Credentials)

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provlab import protocol
@@ -13,6 +13,7 @@ from provlab.protocol import (
     RejectReason,
     TokenStore,
     canonicalize,
+    decode_frame_body,
     device_token_check,
     encode_frame,
     issue_token,
@@ -168,3 +169,22 @@ class TestFrames:
         reader = FrameReader()
         with pytest.raises(MalformedFrame):
             reader.push((2**21).to_bytes(4, "big"))
+
+    def test_deeply_nested_body(self):
+        with pytest.raises(MalformedFrame):
+            decode_frame_body(b"[" * 100_000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.binary(max_size=64) | st.sampled_from([
+        b"\x00\x00\x00\x02{}", b"\x00\x00\x00\x04null", b"\x00\x01\x86\xa0" + b"[" * 100_000,
+        encode_frame(DeviceFrame(kind="ack", device_id="d")),
+    ]), max_size=6))
+    @example([b"\x00\x01\x86\xa0", b"{" * 100_000])
+    def test_reader_fuzz_only_malformed_frame_escapes(self, chunks):
+        reader = FrameReader()
+        for chunk in chunks:
+            try:
+                frames = reader.push(chunk)
+            except MalformedFrame:
+                return
+            assert all(isinstance(frame, DeviceFrame) for frame in frames)

@@ -198,6 +198,14 @@ class TestLocalControl:
         assert status["power"] == "on"
         assert device.attributes["power"] == "on"
 
+    @pytest.mark.parametrize("brightness", [True, 101])
+    def test_local_command_of_the_wrong_type_is_refused(self, rig, brightness):
+        sim, _cloud, proxy, _ = rig
+        device, _ = provision_proxied(sim, proxy)
+        status = proxy.local_control("bulb-01", {"brightness": brightness})
+        assert status == device.attributes == {"power": "off", "brightness": 0}
+        assert type(device.attributes["brightness"]) is int
+
     def test_local_control_disabled_by_policy(self, rig):
         sim, cloud, proxy, _ = rig
         provision_proxied(sim, proxy)
