@@ -668,6 +668,35 @@ def scenario_multi_vendor(seed: int) -> ScenarioReport:
     return report
 
 
+def scenario_concurrent_provisioning(seed: int) -> ScenarioReport:
+    """Two phones broadcast at once on one network; every listener keeps
+    their frames apart by sender."""
+    report = ScenarioReport("concurrent-provisioning", seed)
+    world = build_world(seed)
+    apps = [_app(world, user=user) for user in ("user-01", "user-02")]
+    devices = [_device(world, device_id) for device_id in ("bulb-01", "plug-02")]
+    sent = [dpl.Credentials(HOME_SSID, world.home_passphrase, app.acquire_token().value)
+            for app in apps]
+    lengths = [dpl.encode(creds).flatten() for creds in sent]
+    picks = [i for i, seq in enumerate(lengths) for _ in seq]
+    world.rng.shuffle(picks)  # an order-keeping interleaving of the two bursts
+    streams = [iter(seq) for seq in lengths]
+    for i in picks:
+        broadcast_lengths(world.sim, apps[i].endpoint, [next(streams[i])])
+    for device in devices:
+        device.idle()
+        report.check(
+            f"{device.device_id} decodes credentials that one of the apps sent",
+            device.creds.token if device.creds else None, device.creds in sent,
+        )
+    for app, creds in zip(apps, sent):
+        report.check_eq(
+            f"an eavesdropper recovers {app.endpoint.id}'s token from the air",
+            sorted(set(_sniffed_tokens(world, app.endpoint.id))), [creds.token],
+        )
+    return report
+
+
 SCENARIOS = {
     "token-case-1": scenario_token_case_1,
     "token-case-2-random": scenario_token_case_2_random,
@@ -680,6 +709,7 @@ SCENARIOS = {
     "proxy-offline-control": scenario_proxy_offline_control,
     "stovepipe-baseline": scenario_stovepipe_baseline,
     "multi-vendor": scenario_multi_vendor,
+    "concurrent-provisioning": scenario_concurrent_provisioning,
 }
 
 
