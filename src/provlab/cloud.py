@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import weakref
 from dataclasses import dataclass, field, asdict
 
 from . import protocol
@@ -142,7 +143,8 @@ class DeviceChannels:
 
     def __init__(self, sim: Simulation, endpoint: EndpointId, prefix: str, on_frame):
         self._prefix = prefix  # request ids are f"{prefix}-NNNNNN"
-        self._on_frame = on_frame
+        # weak: the owner holds these channels, and a strong ref would be a cycle
+        self._on_frame = weakref.WeakMethod(on_frame)
         self._lock = threading.RLock()
         self._streams: dict[str, StreamEnd] = {}
         self._pending: dict[str, tuple[StreamEnd, DeviceFrame | None]] = {}
@@ -191,7 +193,9 @@ class DeviceChannels:
                     self._pending[frame.request_id] = (stream, frame)
                     return
         if frame.kind == "bind" or self._streams.get(frame.device_id) is stream:
-            self._on_frame(stream, frame)
+            on_frame = self._on_frame()
+            if on_frame is not None:
+                on_frame(stream, frame)
 
 
 class VendorCloud:

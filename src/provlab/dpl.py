@@ -564,17 +564,17 @@ class DecoderBank:
 def decode_capture(rows) -> list[tuple[str, DecoderState]]:
     """Replay the port-30011 broadcasts of a capture through a
     :class:`DecoderBank`, exactly as an eavesdropper would.  ``rows`` are
-    capture records as ``(t, ssid, src, port, len, kind, dst)`` tuples.
+    capture records (``parse_rows``) or frames (``CaptureLog.frames``).
 
     Returns one ``(src, finalized decoder)`` pair per attempt, in the
     order the attempts started.
     """
     bank, attempts = DecoderBank(), {}  # attempts by id(decoder), each once, in start order
-    for _t, _ssid, src, port, length, kind, _dst in rows:
-        if kind == "bcast" and port == PROVISION_PORT:
-            state = bank.feed(src, length)
+    for row in rows:
+        if row[5] == "bcast" and row[3] == PROVISION_PORT:
+            state = bank.feed(row[2], row[4])
             if id(state) not in attempts:
-                attempts[id(state)] = (src, state)
+                attempts[id(state)] = (row[2], state)
     for _src, state in attempts.values():
         state.finalize()
     return list(attempts.values())

@@ -3,15 +3,16 @@
 Virtual Wi-Fi networks gate membership on an (ssid, passphrase) pair.
 Broadcast datagrams reach every co-member, subject to a seeded
 loss/duplication model; streams are lossless ordered byte pipes.  Every
-frame lands in a global capture log so scenarios can assert on what was
-actually observable on the wire.
+frame lands in a capture log, one row per frame, so scenarios can assert on
+what was actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
 call, which keeps whole scenarios deterministic without an event loop.
 Per-sender ordering is guaranteed under concurrent use; a reentrant
-lock serializes broker state, and capture snapshots always observe a
-consistent prefix.  A burst (``broadcast_many``) holds the lock throughout,
-so concurrent senders interleave per burst, not per frame.
+lock serializes broker state, and a read of the capture always observes
+a consistent prefix of whole frames.  A burst (``broadcast_many``) holds
+the lock throughout, so concurrent senders interleave per burst, not per
+frame.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ _CANONICAL_LINE = re.compile(
 _JSON_WS = " \t\n\r"
 # field types of a row; type() rather than isinstance keeps bools out of the ints
 _ROW_TYPES = {(int, str, str, int, int, str, dst) for dst in (str, type(None))}
+# record kind of a broadcast receiver by its outcome byte: drop, deliver, deliver twice
+_FAN_OUT_KINDS = ("drop", "deliver", "deliver")
 
 
 class NetSimError(Exception):
@@ -152,15 +155,20 @@ class CaptureEntry:
 
 
 class CaptureLog:
-    """Append-only wire log.
+    """Append-only wire log, one row per sent frame.
 
     Every sent frame appears exactly once (kind ``bcast`` or ``stream``);
     broadcast fan-out additionally appears per receiver as ``deliver``
     or ``drop``, so a dropped frame is visibly sent-but-not-delivered.
 
-    Each record is stored as a plain tuple of its fields: CPython's cyclic
-    garbage collector stops tracking tuples of ints, strs and None, so a
-    large capture adds nothing to a full collection.
+    A stream send is stored as its ``(t, ssid, src, port, len, "stream",
+    dst)`` record, a broadcast frame as ``(t, ssid, src, port, len, "bcast",
+    dsts, outcomes)``: its receivers in join order, one tuple shared while
+    it is equal, and a byte per receiver, 0 drop, 1 deliver, 2 deliver
+    twice.  :meth:`rows` and :meth:`to_jsonl` expand a frame into records.
+    Rows hold only ints, strs, bytes, tuples and None, so CPython's cycle
+    collector stops tracking them and a large capture costs a full
+    collection nothing.
     """
 
     def __init__(self, lock: threading.RLock):
@@ -170,24 +178,33 @@ class CaptureLog:
     def append(self, entry: CaptureEntry) -> None:
         """Record one frame.  The fields are copied into a tuple, so the caller
         may change and append the same entry again.  The caller holds the
-        simulation lock, as ``Simulation.broadcast_many`` and
-        ``Simulation._stream_send`` do."""
+        simulation lock, as ``Simulation._stream_send`` does."""
         self._rows.append(
             (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
         )
 
-    def rows(self) -> list[tuple]:
-        """A consistent prefix of the log, as row tuples."""
+    def frames(self) -> list[tuple]:
+        """A consistent prefix of the log, one row per sent frame."""
         with self._lock:
             return self._rows.copy()
 
-    def snapshot(self) -> list[CaptureEntry]:
-        """A consistent prefix of the log, as fresh entries."""
-        return [CaptureEntry(*row) for row in self.rows()]
+    def rows(self) -> list[tuple]:
+        """A consistent prefix of the log, as ``(t, ssid, src, port, len, kind, dst)``."""
+        out = []
+        for row in self.frames():
+            if len(row) == 7:
+                out.append(row)
+                continue
+            head = row[:5]
+            out.append(head + ("bcast", None))
+            for dst, outcome in zip(row[6], row[7]):
+                out += [head + (_FAN_OUT_KINDS[outcome], dst)] * (outcome or 1)
+        return out
 
     def to_jsonl(self) -> str:
         return "".join(
-            json.dumps(e.to_json(), sort_keys=True) + "\n" for e in self.snapshot()
+            json.dumps(CaptureEntry(*row).to_json(), sort_keys=True) + "\n"
+            for row in self.rows()
         )
 
     @staticmethod
@@ -283,7 +300,21 @@ class Simulation:
         self._networks: dict[str, VirtualNetwork] = {}
         self._endpoints: dict[str, _EndpointRec] = {}
         self._offline: set[str] = set()  # ids of the endpoints set offline
+        self._streams: list[_Stream] = []
         self.capture = CaptureLog(self._lock)
+
+    def close(self) -> None:
+        """Drop the handlers, stream links and ``on_data`` callbacks, whose cycles
+        would keep a finished world alive.  Only the capture stays readable."""
+        with self._lock:
+            for rec in self._endpoints.values():
+                rec.datagram_handlers.clear()
+                rec.stream_handlers.clear()
+            for stream in self._streams:
+                for end in stream.end_objs:
+                    end.on_data = None
+                stream.end_objs = ()
+            self._streams.clear()
 
     # -- endpoints ---------------------------------------------------------
 
@@ -377,9 +408,9 @@ class Simulation:
         with self._lock:
             networks = self._rec(endpoint).networks
             src, offline, clock, loss = endpoint.id, self._offline, self.clock, self.loss
-            append, endpoints, draw = self.capture.append, self._endpoints, self._rng.random
-            # one entry for every record of the burst: append copies it
-            entry = CaptureEntry(0, "", src, dst_port, 0, "bcast")
+            rows, endpoints, draw = self.capture._rows, self._endpoints, self._rng.random
+            # receivers of the last frame, and the (members, offline) they came from
+            dsts, recs, seen = (), [], None
             for payload in payloads:
                 length = len(payload)
                 if not 1 <= length <= MAX_DATAGRAM:
@@ -393,30 +424,27 @@ class Simulation:
                 if net not in networks:
                     raise NotJoined(f"{src} is not a member of {net!r}")
                 members = self._networks[net].members
-                if offline:
-                    members = [m for m in members if m.id not in offline]
+                if (members, offline) != seen:
+                    seen = (members.copy(), offline.copy())
+                    now = tuple([m.id for m in members if m.id != src and m.id not in offline])
+                    if now != dsts:
+                        dsts, recs = now, [endpoints[dst] for dst in now]
                 drop, dup = loss.drop_prob, loss.dup_prob
-                entry.t, entry.ssid, entry.len, entry.kind, entry.dst = (
-                    clock.now, net, length, "bcast", None)
-                append(entry)
-                dgram = Datagram(endpoint, dst_port, payload, net)
+                outcomes = bytearray()
                 deliveries: list[_EndpointRec] = []
                 # LossModel draw order: per receiver, drop, then dup if delivered
-                for member in members:
-                    dst = member.id
-                    if dst == src:
-                        continue
-                    entry.dst = dst
+                for mrec in recs:
                     if draw() < drop:
-                        entry.kind = "drop"
-                        append(entry)
-                        continue
-                    entry.kind = "deliver"
-                    append(entry)
-                    deliveries.append(endpoints[dst])
-                    if draw() < dup:
-                        append(entry)
-                        deliveries.append(endpoints[dst])
+                        outcomes.append(0)
+                    elif draw() < dup:
+                        outcomes.append(2)
+                        deliveries += (mrec, mrec)
+                    else:
+                        outcomes.append(1)
+                        deliveries.append(mrec)
+                rows.append((clock.now, net, src, dst_port, length, "bcast", dsts,
+                             bytes(outcomes)))
+                dgram = Datagram(endpoint, dst_port, payload, net)
                 # handlers run inside the lock: delivery is synchronous and the
                 # lock is reentrant, so handlers may send in turn
                 for mrec in deliveries:
@@ -463,6 +491,7 @@ class Simulation:
             handler = dst.stream_handlers.get(port)
             if handler is None:
                 raise PeerUnreachable(f"{peer.id} is not listening on port {port}")
+            self._streams.append(stream)
             handler(b_end, endpoint)
             return a_end
 

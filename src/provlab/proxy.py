@@ -52,6 +52,12 @@ class UpstreamRejected(ProxyError):
     pass
 
 
+class LocalCommandRefused(ProxyError):
+    """The device refused a local command; ``reason`` is its ack's."""
+
+    reason = property(lambda self: self.args[0])
+
+
 @dataclass
 class ProxyPolicy:
     """What the proxy lets through and what it scrubs."""
@@ -258,7 +264,11 @@ class ProxyGateway:
 
     def local_control(self, device_id: str, command: dict) -> dict:
         """Command the device directly over the proxy's device-side channel;
-        works with the vendor cloud completely dark."""
+        works with the vendor cloud completely dark.  Returns the device's
+        status, or raises :class:`LocalCommandRefused` if it refused."""
         if not self.policy.local_control:
             raise PolicyDenied("local_control is disabled by policy")
-        return self.channels.command(device_id, command).get("status", {})
+        ack = self.channels.command(device_id, command)
+        if not ack.get("success", False):
+            raise LocalCommandRefused(ack.get("reason", "CommandRejected"))
+        return ack.get("status", {})

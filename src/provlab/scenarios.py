@@ -8,9 +8,9 @@ rerun with the same (name, seed) is byte-identical.
 
 from __future__ import annotations
 
-import gc
 import json
 import random
+import threading
 from dataclasses import dataclass, field
 
 from . import dpl, protocol
@@ -34,6 +34,8 @@ from .stego import InsufficientCapacity, StegoRecord, make_bmp, stego_embed
 HOME_SSID = "home-net"
 EPOCH = 1_613_000_000
 ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
+# .worlds: the worlds built by this thread's run_scenario call in progress
+_run = threading.local()
 
 
 class UnknownScenario(KeyError):
@@ -133,16 +135,11 @@ def build_world(
     directory = {addr: cloud for addr in hardcoded_endpoints("EU")}
     home_psk = "".join(rng.choice(ALPHA) for _ in range(12))
     sim.create_network(HOME_SSID, home_psk)
-    return World(
-        seed=seed,
-        rng=rng,
-        clock=clock,
-        sim=sim,
-        cloud=cloud,
-        directory=directory,
-        keys=keys,
-        home_passphrase=home_psk,
-    )
+    world = World(seed=seed, rng=rng, clock=clock, sim=sim, cloud=cloud,
+                  directory=directory, keys=keys, home_passphrase=home_psk)
+    if getattr(_run, "worlds", None) is not None:
+        _run.worlds.append(world)
+    return world
 
 
 def _config(world: World, client_id: str, bundle: str = "com.xyz.smart",
@@ -221,15 +218,16 @@ def _isolated_device(
 
 
 def _frames_from(world: World, src_id: str) -> int:
-    """Capture records sent by ``src_id``."""
-    return [src for _, _, src, *_ in world.sim.capture.rows()].count(src_id)
+    """Capture records sent by ``src_id``, counted from its frames."""
+    return sum(1 if len(row) == 7 else 1 + len(row[7]) + row[7].count(2)
+               for row in world.sim.capture.frames() if row[2] == src_id)
 
 
 def _sniffed_tokens(world: World, src_id: str) -> list[str]:
     """Tokens an eavesdropper recovers from ``src_id``'s broadcasts."""
     return [
         state.credentials.token
-        for src, state in dpl.decode_capture(world.sim.capture.rows())
+        for src, state in dpl.decode_capture(world.sim.capture.frames())
         if src == src_id and state.phase is dpl.Phase.COMPLETE
     ]
 
@@ -339,9 +337,9 @@ def scenario_token_case_3(seed: int) -> ScenarioReport:
         bool(sniffed) and sniffed[0] == token.value,
     )
     direct = [
-        src
-        for _, _, src, _, _, kind, dst in world.sim.capture.rows()
-        if src == app.endpoint.id and kind == "stream" and dst == "bulb-01"
+        row
+        for row in world.sim.capture.frames()
+        if row[2] == app.endpoint.id and row[5] == "stream" and row[6] == "bulb-01"
     ]
     report.check_eq(
         "app never talks to the device outside port-30011 broadcasts",
@@ -428,14 +426,11 @@ def scenario_isolation_two_devices(seed: int) -> ScenarioReport:
         (net_a.ssid, net_b.ssid),
         net_a.ssid != net_b.ssid and net_a.passphrase != net_b.passphrase,
     )
-    cross = [
+    cross = [  # a broadcast frame's deliveries: its receivers, once per copy
         dst
-        for _, ssid, _, _, _, kind, dst in world.sim.capture.rows()
-        if kind == "deliver"
-        and (
-            (ssid == net_a.ssid and dst == "plug-02")
-            or (ssid == net_b.ssid and dst == "bulb-01")
-        )
+        for row in world.sim.capture.frames() if len(row) == 8
+        for dst, outcome in zip(row[6], row[7]) for _ in range(outcome)
+        if (row[1], dst) in ((net_a.ssid, "plug-02"), (net_b.ssid, "bulb-01"))
     ]
     report.check_eq("cross-network delivered frames", len(cross), 0)
     foot_a = world.cloud.stored_footprint("bulb-01")
@@ -717,10 +712,12 @@ def run_scenario(name: str, seed: int) -> ScenarioReport:
     fn = SCENARIOS.get(name)
     if fn is None:
         raise UnknownScenario(name)
-    report = fn(seed)
-    # A world is a reference cycle (the simulation holds handlers bound to
-    # objects that hold the simulation), so only the cycle collector frees it
-    # and its capture.  Collecting the young generations now frees it before
-    # it can be promoted to the oldest one, which is collected rarely.
-    gc.collect(1)
-    return report
+    # A world is full of reference cycles through its simulation's handlers
+    # and streams; closing it breaks them, so the world is freed on return.
+    _run.worlds = worlds = []
+    try:
+        return fn(seed)
+    finally:
+        _run.worlds = None
+        for world in worlds:
+            world.sim.close()

@@ -189,15 +189,15 @@ class TestRegistrationFlow:
     def test_relay_matches_request_ids(self, world):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
-        before = [e for e in sim.capture.snapshot()
-                  if e.kind == "stream" and e.src == cloud.endpoint.id]
+        before = [row for row in sim.capture.rows()
+                  if row[5] == "stream" and row[2] == cloud.endpoint.id]
         app.control_device("bulb-01", {"power": "on"})
-        after = [e for e in sim.capture.snapshot()
-                 if e.kind == "stream" and e.src == cloud.endpoint.id]
+        after = [row for row in sim.capture.rows()
+                 if row[5] == "stream" and row[2] == cloud.endpoint.id]
         # exactly one command frame left the cloud for this control call
         assert len(after) == len(before) + 1
-        acks = [e for e in sim.capture.snapshot()
-                if e.kind == "stream" and e.src == "bulb-01"]
+        acks = [row for row in sim.capture.rows()
+                if row[5] == "stream" and row[2] == "bulb-01"]
         assert acks  # and the device answered on the same channel
 
     def test_device_channel_ignores_frames_off_the_bind_stream(self, world):

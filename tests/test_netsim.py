@@ -2,14 +2,17 @@ import json
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from dataclasses import astuple
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provlab import dpl
+from provlab import dpl, scenarios
 from provlab.netsim import (
     CaptureEntry,
     CaptureLog,
@@ -88,7 +91,7 @@ class TestBroadcast:
             sim.broadcast(tx, 30011, bytes([i % 251 + 1]) * (i + 1))
         got = sim.poll_datagrams(rx)
         assert [len(d.payload) for d in got] == list(range(1, 101))
-        delivered = [e for e in sim.capture.snapshot() if e.kind == "deliver"]
+        delivered = [row for row in sim.capture.rows() if row[5] == "deliver"]
         assert len(delivered) == 100
 
     def test_not_joined(self, sim):
@@ -117,8 +120,8 @@ class TestBroadcast:
             sim.broadcast(tx, 30011, b"xx", ssid="net-a")
         assert sim.poll_datagrams(rx_b) == []
         bad = [
-            e for e in sim.capture.snapshot()
-            if e.kind == "deliver" and e.dst == "rx-b"
+            row for row in sim.capture.rows()
+            if row[5] == "deliver" and row[6] == "rx-b"
         ]
         assert bad == []
 
@@ -183,10 +186,9 @@ class TestBroadcast:
                 copies = 2 if rng.random() < dup else 1
                 records.extend([("deliver", name, length)] * copies)
                 delivered[name].extend([length] * copies)
-        snap = sim.capture.snapshot()
-        assert [(e.kind, e.dst, e.len) for e in snap] == records
-        assert {(e.t, e.ssid, e.src, e.port) for e in snap} == {
-            (1_613_000_000, "net-a", "tx", port)}
+        snap = sim.capture.rows()
+        assert [(kind, dst, length) for _, _, _, _, length, kind, dst in snap] == records
+        assert {row[:4] for row in snap} == {(1_613_000_000, "net-a", "tx", port)}
         assert {"drop", "deliver"} <= {record[0] for record in records}
         assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
         assert handled == delivered["rx-b"]
@@ -211,16 +213,16 @@ class TestBroadcast:
         sim.set_datagram_handler(rxs[0], 30011, lambda d: end.send(d.payload))
         for _ in range(50):
             sim.broadcast(tx, 30011, b"abc")
-        snap = sim.capture.snapshot()
-        starts = [i for i, e in enumerate(snap) if e.kind == "bcast"] + [len(snap)]
+        snap = sim.capture.rows()
+        starts = [i for i, row in enumerate(snap) if row[5] == "bcast"] + [len(snap)]
         streams = 0
         for start, stop in zip(starts, starts[1:]):
-            kinds = [e.kind for e in snap[start + 1:stop]]
+            kinds = [row[5] for row in snap[start + 1:stop]]
             fan_out = len(kinds) - kinds.count("stream")
             assert set(kinds[:fan_out]) <= {"deliver", "drop"}
             assert set(kinds[fan_out:]) <= {"stream"}
-            delivered = [e for e in snap[start + 1:stop]
-                         if e.kind == "deliver" and e.dst == "rx-0"]
+            delivered = [row for row in snap[start + 1:stop]
+                         if row[5] == "deliver" and row[6] == "rx-0"]
             assert kinds.count("stream") == len(delivered)
             streams += len(delivered)
         assert streams > 0
@@ -243,7 +245,7 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         sim.broadcast(tx, 30011, b"abc")
-        kinds = [e.kind for e in sim.capture.snapshot()]
+        kinds = [row[5] for row in sim.capture.rows()]
         assert kinds == ["bcast", "drop"]
 
     def test_closed_port_keeps_its_records_but_runs_and_buffers_nothing(self):
@@ -440,9 +442,9 @@ def _burst_oracle(case):
     return result()
 
 
-def _run_burst(case):
-    """Send the case's burst through ``broadcast_lengths``; returns what
-    :func:`_burst_oracle` does, as the simulation saw it."""
+def _burst_sim(case):
+    """The case's simulation and endpoints, with its receivers' ports set;
+    returns (sim, endpoints, handler calls)."""
     sim = fresh_sim(drop=case["drop"], dup=case["dup"], seed=case["seed"])
     eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
     for ssid, passphrase in (("net-a", "password-a"), ("net-b", "password-b")):
@@ -478,6 +480,13 @@ def _run_burst(case):
         if mode != "buffer":
             sim.set_datagram_handler(eps[name], PORT,
                                      handler_of(name) if mode == "handler" else None)
+    return sim, eps, calls
+
+
+def _run_burst(case):
+    """Send the case's burst through ``broadcast_lengths``; returns what
+    :func:`_burst_oracle` does, as the simulation saw it."""
+    sim, eps, calls = _burst_sim(case)
     error = None
     try:
         sent = broadcast_lengths(sim, eps["tx"], case["lengths"], ssid=case["ssid"])
@@ -513,6 +522,85 @@ class TestBurst:
             # the frames before the bad length went out, none after it
             bad = next(i for i, n in enumerate(case["lengths"]) if not 1 <= n <= 2048)
             assert [row[4] for row in rows if row[5] == "bcast"] == case["lengths"][:bad]
+
+
+GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2).flatten()
+
+
+class TestFrames:
+    """``CaptureLog.frames`` keeps one row per broadcast frame; every reader
+    of those rows sees what the expanded records of ``rows`` show."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_burst_case())
+    def test_frame_readers_agree_with_row_readers(self, case):
+        sim, eps, _calls = _burst_sim(case)
+        hub = sim.register("hub", "cloud", wan=True)
+        sim.set_stream_handler(hub, 6668, lambda end, src: None)
+        uplink = sim.open_stream(eps["rx-b"], hub, 6668)
+        escaped = []
+
+        def send():
+            # a genuine broadcast, a stream send and the case's burst, while
+            # handlers change membership, ports, loss and presence
+            for step in (lambda: broadcast_lengths(sim, eps["tx"], GENUINE, case["ssid"]),
+                         lambda: uplink.send(b"status"),
+                         lambda: broadcast_lengths(sim, eps["tx"], case["lengths"], case["ssid"])):
+                try:
+                    step()
+                except (InvalidLength, NotJoined, PeerUnreachable):
+                    pass
+                except Exception as exc:  # the handlers' own assertions
+                    escaped.append(exc)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        taken, deadline = [], time.monotonic() + 60
+        while sender.is_alive() and time.monotonic() < deadline:
+            taken.append(sim.capture.frames())
+        sender.join(timeout=1)
+        assert not sender.is_alive()
+        assert escaped == []
+        frames, rows = sim.capture.frames(), sim.capture.rows()
+        # a read while another thread bursts holds only whole frames
+        for snap in taken:
+            assert snap == frames[:len(snap)]
+        for frame in frames:
+            if frame[5] == "bcast":
+                assert len(frame) == 8 and len(frame[6]) == len(frame[7])
+                assert set(frame[7]) <= {0, 1, 2}
+            else:
+                assert frame[1:] == ("wan", "rx-b", 6668, 6, "stream", "hub")
+
+        def decoded(capture_rows):
+            return [(src, state.phase, state.credentials)
+                    for src, state in dpl.decode_capture(capture_rows)]
+
+        assert decoded(frames) == decoded(rows)
+        world = SimpleNamespace(sim=sim)
+        for src in ("tx", "hub") + BURST_RX:
+            assert scenarios._frames_from(world, src) == [row[2] for row in rows].count(src)
+
+    def test_a_burst_to_closed_ports_stores_one_small_row_per_frame(self):
+        sim = fresh_sim(drop=0.1, dup=0.05, seed=8)
+        sim.create_network("net-a", "password-a")
+        tx = sim.register("tx", "app")
+        sim.join(tx, "net-a", "password-a")
+        for i in range(32):
+            rx = sim.register(f"rx-{i:02d}", "device")
+            sim.join(rx, "net-a", "password-a")
+            sim.set_datagram_handler(rx, PORT, None)
+        payloads = [bytes([dpl.FILLER_BYTE]) * (1 + i % 600) for i in range(1000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim.broadcast_many(tx, PORT, payloads)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sim.capture.frames()) == 1000
+        # about 0.2 MB as one row per frame; a record per receiver is 3.6 MB
+        assert grown < 500_000
 
 
 class TestDeterminism:
@@ -581,8 +669,8 @@ class TestStreams:
         sim.set_stream_handler(cloud, 6668, lambda end, src: None)
         end = sim.open_stream(a, cloud, 6668)
         end.send(b"hello")
-        entries = [e for e in sim.capture.snapshot() if e.kind == "stream"]
-        assert entries[0].ssid == "wan"
+        entries = [row for row in sim.capture.rows() if row[5] == "stream"]
+        assert entries[0][1] == "wan"
 
     def test_offline_peer_unreachable(self, sim):
         a, b = self._pair(sim)
@@ -662,8 +750,8 @@ class TestConcurrency:
 
         def reader():
             while not stop.is_set():
-                snap = sim.capture.snapshot()
-                sends = [e for e in snap if e.kind == "bcast"]
+                snap = sim.capture.rows()
+                sends = [row for row in snap if row[5] == "bcast"]
                 if len(snap) and len(sends) == 0:
                     errors.append("saw deliveries without a send")
 
@@ -690,7 +778,7 @@ class TestCaptureFormat:
             assert set(rec) >= {"t", "ssid", "src", "port", "len", "kind"}
         parsed = CaptureLog.parse_jsonl(text)
         assert [e.to_json() for e in parsed] == [
-            e.to_json() for e in sim.capture.snapshot()
+            CaptureEntry(*row).to_json() for row in sim.capture.rows()
         ]
 
     @pytest.mark.parametrize("field, value", [
@@ -712,11 +800,11 @@ class TestCaptureFormat:
         sim.join(rx, "net-a", "password-a")
         sim.broadcast(tx, 30011, b"abc")
         before = sim.capture.to_jsonl()
-        snap = sim.capture.snapshot()
-        snap[0].len = 999  # snapshot entries are fresh copies
+        snap = sim.capture.rows()
+        snap[0] = snap[0][:4] + (999,) + snap[0][5:]  # rows() is a fresh list
         snap.clear()
         assert sim.capture.to_jsonl() == before
-        assert [e.to_json() for e in sim.capture.snapshot()] == [
+        assert [CaptureEntry(*row).to_json() for row in sim.capture.rows()] == [
             json.loads(line) for line in before.splitlines()]
 
     def test_mutating_an_entry_after_append_leaves_the_log_unchanged(self):

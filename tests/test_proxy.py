@@ -12,6 +12,7 @@ from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.provisioner import AppConfig, MobileApp
 from provlab.proxy import (
     AlreadyAssigned,
+    LocalCommandRefused,
     PolicyDenied,
     ProxyGateway,
     ProxyPolicy,
@@ -202,8 +203,10 @@ class TestLocalControl:
     def test_local_command_of_the_wrong_type_is_refused(self, rig, brightness):
         sim, _cloud, proxy, _ = rig
         device, _ = provision_proxied(sim, proxy)
-        status = proxy.local_control("bulb-01", {"brightness": brightness})
-        assert status == device.attributes == {"power": "off", "brightness": 0}
+        with pytest.raises(LocalCommandRefused) as refused:
+            proxy.local_control("bulb-01", {"brightness": brightness})
+        assert refused.value.reason == "UnknownCommand"
+        assert device.attributes == {"power": "off", "brightness": 0}
         assert type(device.attributes["brightness"]) is int
 
     def test_local_control_disabled_by_policy(self, rig):

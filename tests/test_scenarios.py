@@ -20,3 +20,32 @@ def test_a_finished_scenario_frees_its_world(monkeypatch):
     for name in sorted(scenarios.SCENARIOS):
         scenarios.run_scenario(name, 0)
         assert [ref() for ref in sims] == [None] * len(sims), name
+
+
+def test_a_closed_world_is_freed_by_reference_counting():
+    # the cycles run through device, cloud and proxy handlers, device
+    # channels and stream callbacks; close() breaks them all, and the
+    # capture stays readable
+    gc.collect()
+    gc.disable()
+    try:
+        world = scenarios.build_world(0)
+        device = scenarios._device(world, "bulb-01")
+        app = scenarios._app(world)
+        scenarios._provision(world, app, device)
+        app.control_device("bulb-01", {"power": "on"})
+        proxy = scenarios._proxy(world, scenarios.ProxyPolicy())
+        proxied, _outcome = scenarios._isolated_device(world, proxy, "plug-02")
+        proxy.local_control("plug-02", {"power": "on"})
+        listening = scenarios._device(world, "lamp-03")  # still on port 30011
+        capture = world.sim.capture
+        frames, text = capture.frames(), capture.to_jsonl()
+        refs = [weakref.ref(obj)
+                for obj in (world.sim, world.cloud, device, proxy, proxied, listening)]
+        world.sim.close()
+        del world, device, app, proxy, proxied, listening
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert capture.frames() == frames
+        assert capture.to_jsonl() == text
+    finally:
+        gc.enable()
