@@ -186,9 +186,10 @@ class TestBroadcast:
                 copies = 2 if rng.random() < dup else 1
                 records.extend([("deliver", name, length)] * copies)
                 delivered[name].extend([length] * copies)
-        snap = sim.capture.rows()
-        assert [(kind, dst, length) for _, _, _, _, length, kind, dst in snap] == records
-        assert {row[:4] for row in snap} == {(1_613_000_000, "net-a", "tx", port)}
+        snap = [CaptureEntry(*row) for row in sim.capture.rows()]
+        assert [(e.kind, e.dst, e.len) for e in snap] == records
+        assert {(e.t, e.ssid, e.src, e.port) for e in snap} == {
+            (1_613_000_000, "net-a", "tx", port)}
         assert {"drop", "deliver"} <= {record[0] for record in records}
         assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
         assert handled == delivered["rx-b"]
