@@ -342,13 +342,16 @@ class TestBroadcast:
 T0, PORT = 1_613_000_000, dpl.PROVISION_PORT
 BURST_RX = ("rx-a", "rx-b", "rx-c", "rx-d")
 BURST_RATES = st.sampled_from([0.0, 0.15, 0.5, 1.0])
-# what a receiver's handler does on one of its calls; all but "close" and
-# "leave" act on net-a or on the whole simulation
+# what a receiver's handler does on one of its calls; "close" and "leave" act
+# on its own receiver, "open" sets a receiver's port to a handler, "send"
+# broadcasts a frame of that length from its own receiver on net-a, and the
+# rest act on net-a or on the whole simulation
 BURST_ACTIONS = (
     st.sampled_from([("leave",), ("close",), ("clock",), ("sender-joins-b",)])
-    | st.tuples(st.just("join"), st.sampled_from(BURST_RX))
+    | st.tuples(st.sampled_from(["join", "open"]), st.sampled_from(BURST_RX))
     | st.tuples(st.sampled_from(["offline", "online"]), st.sampled_from(("tx",) + BURST_RX))
     | st.tuples(st.just("loss"), BURST_RATES, BURST_RATES)
+    | st.tuples(st.just("send"), st.integers(1, 2048))
 )
 
 
@@ -380,33 +383,33 @@ def _burst_oracle(case):
     """Replay a burst one frame at a time from the documented contract: per
     frame the ``bcast`` record, then per receiving online member in join
     order one drop draw and, if delivered, one dup draw; then handlers run
-    in delivery order.  An offline sender raises ``PeerUnreachable``.
-    Returns (rows, handler calls, inboxes, rng state, error type)."""
+    in delivery order, and a frame a handler sends is replayed the same way
+    inside it.  An offline sender raises ``PeerUnreachable``.  Returns
+    (rows, handler calls, inboxes, rng state, error type)."""
     rng = random.Random(case["seed"])
     drop, dup, t = case["drop"], case["dup"], T0
     members = {ssid: list(case[ssid]) for ssid in ("net-a", "net-b")}
-    tx_networks = ["net-a"]
-    ports, seen, offline = dict(case["ports"]), dict.fromkeys(BURST_RX, 0), set()
-    rows, calls, inboxes = [], [], {name: [] for name in BURST_RX}
+    ports, seen, offline = dict(case["ports"], tx="buffer"), dict.fromkeys(BURST_RX, 0), set()
+    rows, calls, inboxes = [], [], {name: [] for name in ("tx",) + BURST_RX}
 
-    def result(error=None):
-        return rows, calls, inboxes, rng.getstate(), error
-
-    for length in case["lengths"]:
+    def send(src, ssid, length):
+        nonlocal drop, dup, t
         if not 1 <= length <= 2048:
-            return result(InvalidLength)
-        if "tx" in offline:
-            return result(PeerUnreachable)
-        ssid = case["ssid"]
+            raise InvalidLength
+        if src in offline:
+            raise PeerUnreachable
+        joined = [net for net, names in members.items() if src in names]
         if ssid is None:
-            if len(tx_networks) != 1:
-                return result(NotJoined)
-            ssid = tx_networks[0]
-        record = (t, ssid, "tx", PORT, length)
+            if len(joined) != 1:
+                raise NotJoined
+            ssid = joined[0]
+        if ssid not in joined:
+            raise NotJoined
+        record = (t, ssid, src, PORT, length)
         rows.append(record + ("bcast", None))
         deliveries = []
         for name in members[ssid]:
-            if name == "tx" or name in offline:
+            if name == src or name in offline:
                 continue
             if rng.random() < drop:
                 rows.append(record + ("drop", name))
@@ -417,10 +420,10 @@ def _burst_oracle(case):
         payload = bytes([dpl.FILLER_BYTE]) * length
         for name in deliveries:
             if ports[name] == "buffer":
-                inboxes[name].append(("tx", PORT, payload, ssid))
+                inboxes[name].append((src, PORT, payload, ssid))
             if ports[name] != "handler":
                 continue
-            calls.append((name, length, ssid))
+            calls.append((name, src, length, ssid))
             action = case["scripts"][name].get(seen[name], ("none",))
             seen[name] += 1
             if action[0] == "leave" and name in members["net-a"]:
@@ -429,18 +432,27 @@ def _burst_oracle(case):
                 members["net-a"].append(action[1])
             elif action[0] == "close":
                 ports[name] = "closed"
+            elif action[0] == "open":
+                ports[action[1]] = "handler"
             elif action[0] == "clock":
                 t += 1
             elif action[0] == "loss":
                 drop, dup = action[1:]
-            elif action[0] == "sender-joins-b" and "net-b" not in tx_networks:
-                tx_networks.append("net-b")
+            elif action[0] == "sender-joins-b" and "tx" not in members["net-b"]:
                 members["net-b"].append("tx")
             elif action[0] == "offline":
                 offline.add(action[1])
             elif action[0] == "online":
                 offline.discard(action[1])
-    return result()
+            elif action[0] == "send":
+                send(name, "net-a", action[1])
+
+    try:
+        for length in case["lengths"]:
+            send("tx", case["ssid"], length)
+    except (InvalidLength, NotJoined, PeerUnreachable) as exc:
+        return rows, calls, inboxes, rng.getstate(), type(exc)
+    return rows, calls, inboxes, rng.getstate(), None
 
 
 def _burst_sim(case):
@@ -456,9 +468,9 @@ def _burst_sim(case):
 
     def handler_of(name):
         def on_datagram(d):
-            assert (d.src, d.dst_port) == (eps["tx"], PORT)
+            assert d.src is eps[d.src.id] and d.dst_port == PORT
             assert d.payload == bytes([dpl.FILLER_BYTE]) * len(d.payload)
-            calls.append((name, len(d.payload), d.ssid))
+            calls.append((name, d.src.id, len(d.payload), d.ssid))
             action = case["scripts"][name].get(seen[name], ("none",))
             seen[name] += 1
             if action[0] == "leave":
@@ -467,6 +479,8 @@ def _burst_sim(case):
                 sim.join(eps[action[1]], "net-a", "password-a")
             elif action[0] == "close":
                 sim.set_datagram_handler(eps[name], PORT, None)
+            elif action[0] == "open":
+                sim.set_datagram_handler(eps[action[1]], PORT, handler_of(action[1]))
             elif action[0] == "clock":
                 sim.clock.advance(1)
             elif action[0] == "loss":
@@ -475,6 +489,8 @@ def _burst_sim(case):
                 sim.join(eps["tx"], "net-b", "password-b")
             elif action[0] in ("offline", "online"):
                 sim.set_online(eps[action[1]], action[0] == "online")
+            elif action[0] == "send":
+                sim.broadcast(eps[name], PORT, bytes([dpl.FILLER_BYTE]) * action[1], "net-a")
         return on_datagram
 
     for name, mode in case["ports"].items():
@@ -496,7 +512,7 @@ def _run_burst(case):
         error = type(exc)
     inboxes = {name: [(d.src.id, d.dst_port, d.payload, d.ssid)
                       for d in sim.poll_datagrams(eps[name])]
-               for name in BURST_RX}
+               for name in ("tx",) + BURST_RX}
     return sim.capture.rows(), calls, inboxes, sim._rng.getstate(), error
 
 
@@ -511,6 +527,17 @@ class TestBurst:
                     "rx-c": {}, "rx-d": {0: ("close",)}},
         "ssid": None, "lengths": [5, 6, 7, 8],
     })
+    @example(case={
+        "seed": 2, "drop": 0.0, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "buffer", "rx-c": "closed",
+                               "rx-d": "closed"},
+        # in frame 1, rx-a's first copy opens rx-c's port, which gets both its
+        # copies, and its second copy sends a frame whose draws come before
+        # rx-b's and rx-c's deliveries; rx-c then sends in turn
+        "scripts": {"rx-a": {0: ("open", "rx-c"), 1: ("send", 9)}, "rx-b": {},
+                    "rx-c": {1: ("send", 3)}, "rx-d": {}},
+        "ssid": "net-a", "lengths": [5, 6],
+    })
     def test_broadcast_lengths_matches_per_frame_oracle(self, case):
         rows, calls, inboxes, rng_state, error = _run_burst(case)
         want_rows, want_calls, want_inboxes, want_state, want_error = _burst_oracle(case)
@@ -522,7 +549,8 @@ class TestBurst:
         if error is InvalidLength:
             # the frames before the bad length went out, none after it
             bad = next(i for i, n in enumerate(case["lengths"]) if not 1 <= n <= 2048)
-            assert [row[4] for row in rows if row[5] == "bcast"] == case["lengths"][:bad]
+            sent = [row[4] for row in rows if row[5] == "bcast" and row[2] == "tx"]
+            assert sent == case["lengths"][:bad]
 
 
 GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2).flatten()
