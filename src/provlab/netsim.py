@@ -11,8 +11,8 @@ call, which keeps whole scenarios deterministic without an event loop.
 Per-sender ordering is guaranteed under concurrent use; a reentrant
 lock serializes broker state, and a read of the capture always observes
 a consistent prefix of whole frames.  A burst (``broadcast_many``) holds
-the lock throughout, so concurrent senders interleave per burst, not per
-frame.
+the lock throughout: concurrent senders interleave per burst, not per
+frame, and a change from another thread waits for the burst to end.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ class LossModel:
 class VirtualNetwork:
     ssid: str
     passphrase: str
+    # in join order; only Simulation.join and Simulation.leave change it
     members: list[EndpointId] = field(default_factory=list)
 
 
@@ -302,11 +303,13 @@ class Simulation:
         self._offline: set[str] = set()  # ids of the endpoints set offline
         self._streams: list[_Stream] = []
         self.capture = CaptureLog(self._lock)
+        self._gen = 0  # bumped by each change to membership, presence or a datagram port
 
     def close(self) -> None:
         """Drop the handlers, stream links and ``on_data`` callbacks, whose cycles
         would keep a finished world alive.  Only the capture stays readable."""
         with self._lock:
+            self._gen += 1
             for rec in self._endpoints.values():
                 rec.datagram_handlers.clear()
                 rec.stream_handlers.clear()
@@ -328,15 +331,18 @@ class Simulation:
 
     def set_online(self, endpoint: EndpointId, online: bool) -> None:
         """An offline endpoint neither sends nor receives, by stream or broadcast."""
-        self._rec(endpoint)
-        if online:
-            self._offline.discard(endpoint.id)
-        else:
-            self._offline.add(endpoint.id)
+        with self._lock:
+            self._rec(endpoint)
+            self._gen += 1
+            if online:
+                self._offline.discard(endpoint.id)
+            else:
+                self._offline.add(endpoint.id)
 
     def is_online(self, endpoint: EndpointId) -> bool:
-        self._rec(endpoint)
-        return endpoint.id not in self._offline
+        with self._lock:
+            self._rec(endpoint)
+            return endpoint.id not in self._offline
 
     def _rec(self, endpoint: EndpointId) -> _EndpointRec:
         rec = self._endpoints.get(endpoint.id)
@@ -366,6 +372,7 @@ class Simulation:
                 raise UnknownSsid(f"no network {ssid!r}")
             if passphrase != net.passphrase:
                 raise WrongPassphrase(f"bad passphrase for {ssid!r}")
+            self._gen += 1
             if endpoint not in net.members:
                 net.members.append(endpoint)
             rec.networks.add(ssid)
@@ -377,12 +384,14 @@ class Simulation:
             net = self._networks.get(ssid)
             if net is None:
                 raise UnknownSsid(f"no network {ssid!r}")
+            self._gen += 1
             if endpoint in net.members:
                 net.members.remove(endpoint)
             rec.networks.discard(ssid)
 
     def networks_of(self, endpoint: EndpointId) -> set[str]:
-        return set(self._rec(endpoint).networks)
+        with self._lock:
+            return set(self._rec(endpoint).networks)
 
     # -- broadcast ---------------------------------------------------------
 
@@ -391,7 +400,9 @@ class Simulation:
         ``None`` closes the port: its datagrams keep their capture records and
         loss draws, and are then discarded.  A port that was never given a
         handler buffers its datagrams for :meth:`poll_datagrams`."""
-        self._rec(endpoint).datagram_handlers[port] = handler
+        with self._lock:
+            self._rec(endpoint).datagram_handlers[port] = handler
+            self._gen += 1
 
     def broadcast(self, endpoint: EndpointId, dst_port: int, payload: bytes,
                   ssid: str | None = None) -> None:
@@ -400,61 +411,59 @@ class Simulation:
     def broadcast_many(self, endpoint: EndpointId, dst_port: int, payloads: Sequence[bytes],
                        ssid: str | None = None) -> int:
         """Broadcast each payload in turn; returns the count.  Records, draws and
-        handler calls are those of one :meth:`broadcast` per payload: all a handler
-        may change is read again per frame, and a frame that fails a check raises
-        after the frames before it are sent.  The lock is held for the burst."""
+        handler calls are those of one :meth:`broadcast` per payload, and a frame
+        that fails a check raises after the frames before it are sent.  A handler's
+        change to membership or presence applies from the next frame, to a port
+        from the next delivery.  The lock is held for the burst."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         with self._lock:
             networks = self._rec(endpoint).networks
-            src, offline, clock, loss = endpoint.id, self._offline, self.clock, self.loss
-            rows, endpoints, draw = self.capture._rows, self._endpoints, self._rng.random
-            # receivers of the last frame, and the (members, offline) they came from
-            dsts, recs, seen = (), [], None
+            src, clock, loss = endpoint.id, self.clock, self.loss
+            rows, draw = self.capture._rows, self._rng.random
+            # the last frame's receivers, and the _gen they and their ports were read at
+            dsts, recs, gen = (), [], None
             for payload in payloads:
                 length = len(payload)
                 if not 1 <= length <= MAX_DATAGRAM:
                     raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
-                if offline and src in offline:
-                    raise PeerUnreachable(f"{src} is offline")
-                if ssid is None and len(networks) != 1:
-                    raise NotJoined(
-                        "endpoint must be joined to exactly one network or name the ssid")
-                net = next(iter(networks)) if ssid is None else ssid
-                if net not in networks:
-                    raise NotJoined(f"{src} is not a member of {net!r}")
-                members = self._networks[net].members
-                if (members, offline) != seen:
-                    seen = (members.copy(), offline.copy())
-                    now = tuple([m.id for m in members if m.id != src and m.id not in offline])
+                if gen != self._gen:
+                    gen = self._gen
+                    if src in self._offline:
+                        raise PeerUnreachable(f"{src} is offline")
+                    if ssid is None and len(networks) != 1:
+                        raise NotJoined(
+                            "endpoint must be joined to exactly one network or name the ssid")
+                    net = next(iter(networks)) if ssid is None else ssid
+                    if net not in networks:
+                        raise NotJoined(f"{src} is not a member of {net!r}")
+                    now = tuple([m.id for m in self._networks[net].members
+                                 if m.id != src and m.id not in self._offline])
                     if now != dsts:
-                        dsts, recs = now, [endpoints[dst] for dst in now]
+                        dsts, recs = now, [self._endpoints[dst] for dst in now]
+                    # positions of the receivers whose port is open, last first
+                    live = [i for i in range(len(recs) - 1, -1, -1)
+                            if recs[i].datagram_handlers.get(dst_port, _BUFFER) is not None]
                 drop, dup = loss.drop_prob, loss.dup_prob
-                outcomes = bytearray()
-                deliveries: list[_EndpointRec] = []
                 # LossModel draw order: per receiver, drop, then dup if delivered
-                for mrec in recs:
-                    if draw() < drop:
-                        outcomes.append(0)
-                    elif draw() < dup:
-                        outcomes.append(2)
-                        deliveries += (mrec, mrec)
-                    else:
-                        outcomes.append(1)
-                        deliveries.append(mrec)
-                rows.append((clock.now, net, src, dst_port, length, "bcast", dsts,
-                             bytes(outcomes)))
-                dgram = Datagram(endpoint, dst_port, payload, net)
+                outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
+                                  for _ in recs])
+                rows.append((clock.now, net, src, dst_port, length, "bcast", dsts, outcomes))
                 # handlers run inside the lock: delivery is synchronous and the
                 # lock is reentrant, so handlers may send in turn
-                for mrec in deliveries:
-                    handler = mrec.datagram_handlers.get(dst_port, _BUFFER)
-                    if handler is None:  # closed port
-                        continue
-                    if handler is _BUFFER:
-                        mrec.inbox.append(dgram)
-                    else:
-                        handler(dgram)
+                dgram, todo = None, live.copy()
+                while todo:
+                    i = todo.pop()
+                    for _ in range(outcomes[i]):
+                        handler = recs[i].datagram_handlers.get(dst_port, _BUFFER)
+                        if handler is not None:  # None: the port is closed
+                            dgram = dgram or Datagram(endpoint, dst_port, payload, net)
+                            if handler is _BUFFER:
+                                recs[i].inbox.append(dgram)
+                            else:
+                                handler(dgram)
+                    if gen != self._gen:  # a handler changed something: read every later port
+                        todo = list(range(len(recs) - 1, i, -1))
             return len(payloads)
 
     def poll_datagrams(self, endpoint: EndpointId) -> list[Datagram]:
@@ -468,7 +477,8 @@ class Simulation:
 
     def set_stream_handler(self, endpoint: EndpointId, port: int, handler) -> None:
         """handler(stream_end, src_endpoint) is invoked on incoming opens."""
-        self._rec(endpoint).stream_handlers[port] = handler
+        with self._lock:
+            self._rec(endpoint).stream_handlers[port] = handler
 
     def open_stream(
         self, endpoint: EndpointId, peer: EndpointId, port: int

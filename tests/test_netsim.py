@@ -768,6 +768,39 @@ class TestConcurrency:
         runs = [len(list(group)) for _, group in groupby(senders)]
         assert all(run % 25 == 0 for run in runs)
 
+    def test_presence_change_from_another_thread_waits_for_the_burst(self, sim):
+        sim.create_network("net-a", "password-a")
+        tx = sim.register("tx", "app")
+        rxs = [sim.register(f"rx-{i}", "device") for i in range(4)]
+        for ep in [tx, *rxs]:
+            sim.join(ep, "net-a", "password-a")
+        stop = threading.Event()
+
+        def toggle():
+            online = False
+            while not stop.is_set():
+                sim.set_online(rxs[0], online)
+                online = not online
+
+        toggler = threading.Thread(target=toggle)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        toggler.start()
+        try:
+            for _ in range(200):
+                broadcast_lengths(sim, tx, [1] * 300)
+        finally:
+            stop.set()
+            toggler.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not toggler.is_alive()
+        frames = sim.capture.frames()
+        assert len(frames) == 200 * 300
+        # each burst reaches one set of receivers: the change lands between bursts
+        mixed = [k for k in range(0, len(frames), 300)
+                 if len({frame[6] for frame in frames[k:k + 300]}) > 1]
+        assert mixed == []
+
     def test_capture_snapshot_is_consistent_prefix(self, sim):
         sim.create_network("net-a", "password-a")
         tx = sim.register("tx", "app")
