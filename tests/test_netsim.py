@@ -531,9 +531,9 @@ class TestBurst:
         "seed": 2, "drop": 0.0, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
         "net-b": [], "ports": {"rx-a": "handler", "rx-b": "buffer", "rx-c": "closed",
                                "rx-d": "closed"},
-        # in frame 1, rx-a's first copy opens rx-c's port, which gets both its
-        # copies, and its second copy sends a frame whose draws come before
-        # rx-b's and rx-c's deliveries; rx-c then sends in turn
+        # in frame 1, rx-a's first copy opens rx-c's port, so rx-c gets both
+        # copies; rx-a's second copy sends a frame, whose draws and deliveries
+        # come before frame 1 reaches rx-b, and rx-c's second call sends too
         "scripts": {"rx-a": {0: ("open", "rx-c"), 1: ("send", 9)}, "rx-b": {},
                     "rx-c": {1: ("send", 3)}, "rx-d": {}},
         "ssid": "net-a", "lengths": [5, 6],
