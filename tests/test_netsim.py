@@ -962,15 +962,22 @@ def _record_line(draw, odd=False):
 
 @st.composite
 def _capture_text(draw):
-    """Records and blank lines, with at most one odd record or garbage line."""
+    """Records and blank lines, fresh or drawn again from a small pool, bare or
+    wrapped in JSON whitespace, so that lines recur; with at most one odd
+    record or garbage line, which may occur twice."""
     blank = st.sampled_from(["", "  ", "\t", " \r"])
-    lines = draw(st.lists(_record_line() | blank, max_size=12))
+    pool = draw(st.lists(_record_line(), min_size=1, max_size=3))
+    ws = st.sampled_from(["", "", " ", "\t", "\r"])
+    again = st.tuples(ws, st.sampled_from(pool), ws).map("".join)
+    lines = draw(st.lists(_record_line() | blank | again, max_size=12))
     if draw(st.booleans()):
         odd = _record_line(odd=True) | st.text() | st.sampled_from(["{", "[1]", '{"t": 1}'])
         # whitespace to Python's str.strip or line break to splitlines, not to JSON
         not_json_ws = st.sampled_from(["\u3000", "\xa0", "\x1c", "\x0c", "\x85", "\u2028"])
         odd |= st.tuples(not_json_ws, _record_line()).map("".join)
-        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+        odd = draw(odd)
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), odd)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
@@ -997,6 +1004,10 @@ class TestCaptureParseDifferential:
     @example(text=CANONICAL % ("a", "-0") + "\r\n\n" + CANONICAL_DST % ("", "", "0"))
     @example(text="\u3000" + CANONICAL % ("a", "7"))
     @example(text=CANONICAL % ("a", "7") + "\x85" + CANONICAL % ("b", "8"))
+    @example(text="\n".join([CANONICAL % ("a", "7"), "{", CANONICAL % ("b", "8"), "{"]))
+    @example(text=CANONICAL % ("a", "7") + "\n" + CANONICAL % ("a", "7") + "\r\n  "
+             + CANONICAL % ("a", "7") + "\n")
+    @example(text=CANONICAL % ("a", "-0") + "\n" + CANONICAL % ("a", "0"))
     @pytest.mark.parametrize("parse", [CaptureLog.parse_rows, _entry_rows],
                              ids=["parse_rows", "parse_jsonl"])
     def test_matches_per_line_json_loads(self, parse, text):
