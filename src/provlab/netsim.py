@@ -31,15 +31,15 @@ WAN_LABEL = "wan"
 # datagram handler of a port that never had one: keep for poll_datagrams
 _BUFFER = object()
 
-# A capture line as to_jsonl writes it.  Its strings hold no quote, backslash
-# or control character, and its ints stay below Python's int-string limit (640
-# digits at the least), so each match is one whole "\n"-ended line and its
+# A capture line as to_jsonl writes it, stripped.  Its strings hold no quote,
+# backslash or control character, and its ints stay below Python's int-string
+# limit (640 digits at the least), so each match is one whole line and its
 # groups are what json.loads gives.
 _STR = r'"([^"\\\x00-\x1f]*)"'
 _INT = r"(-?(?:0|[1-9][0-9]{0,599}))"
 _CANONICAL_LINE = re.compile(
     rf'^\{{(?:"dst": {_STR}, )?"kind": {_STR}, "len": {_INT}, "port": {_INT}, '
-    rf'"src": {_STR}, "ssid": {_STR}, "t": {_INT}\}}\r?$', re.MULTILINE)
+    rf'"src": {_STR}, "ssid": {_STR}, "t": {_INT}\}}$', re.MULTILINE)
 # what json.loads skips around a value; a line of nothing else is blank
 _JSON_WS = " \t\n\r"
 # field types of a row; type() rather than isinstance keeps bools out of the ints
@@ -216,20 +216,22 @@ class CaptureLog:
     @staticmethod
     def parse_rows(text: str) -> list[tuple]:
         """Parse capture JSONL into ``(t, ssid, src, port, len, kind, dst)``
-        tuples.  Lines end at "\\n", and one of JSON whitespace alone is blank.
-        One regex pass reads canonical lines, and stands only if every non-blank
-        line matched; else each line goes through ``json.loads``, and the first
-        that is not JSON, nests too deeply, is not an object, lacks a field or
-        has one of the wrong type raises ``ValueError`` naming its 1-based line
-        number."""
+        tuples.  Lines end at "\\n", are stripped of the JSON whitespace around
+        them, and one of nothing else is blank.  One regex pass matches each
+        distinct non-blank line once, and stands only if every one is canonical;
+        equal lines then share one row.  Else each line goes through
+        ``json.loads``, and the first that is not JSON, nests too deeply, is not
+        an object, lacks a field or has one of the wrong type raises
+        ``ValueError`` naming its 1-based line number."""
+        lines = list(map(str.strip, text.split("\n"), repeat(_JSON_WS)))
+        distinct = dict.fromkeys(filter(None, lines))
         rows = [
             (int(t), ssid, src, int(port), int(length), kind, dst)
             for dst, kind, length, port, src, ssid, t
-            in map(re.Match.groups, _CANONICAL_LINE.finditer(text))
+            in map(re.Match.groups, _CANONICAL_LINE.finditer("\n".join(distinct)))
         ]
-        lines = list(map(str.strip, text.split("\n"), repeat(_JSON_WS)))
-        if len(rows) == len(lines) - lines.count(""):
-            return rows
+        if len(rows) == len(distinct):
+            return list(map(dict(zip(distinct, rows)).__getitem__, filter(None, lines)))
         rows = []
         for lineno, line in enumerate(lines, 1):
             if not line:

@@ -904,6 +904,22 @@ class TestCaptureFormat:
             assert CaptureLog.parse_rows(text + "\n") == [
                 (1, "x", f"a{sep}b", 30011, 5, "bcast", None)]
 
+    def test_equal_lines_share_one_row(self):
+        # a lossy credential burst in one tick repeats most of its lines
+        sim = Simulation(loss=LossModel(drop_prob=0.2, seed=77), clock=SimClock())
+        sim.create_network("home-net", "hunter2-long")
+        tx = sim.register("phone", "app")
+        rx = sim.register("bulb", "device")
+        sim.join(tx, "home-net", "hunter2-long")
+        sim.join(rx, "home-net", "hunter2-long")
+        creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
+        sim.broadcast_many(tx, dpl.PROVISION_PORT,
+                           [b"\x55" * n for n in dpl.encode(creds, 5).flatten()])
+        text = sim.capture.to_jsonl()
+        rows = CaptureLog.parse_rows(text)
+        assert len({id(r) for r in rows}) == len(set(text.split("\n")) - {""})
+        assert rows == _oracle_rows(text)
+
 
 def _oracle_rows(text):
     """Per-line reference parse: the row tuples ``json.loads`` gives, or
