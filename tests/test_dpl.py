@@ -27,6 +27,7 @@ from provlab.dpl import (
     parse_payload,
     parse_payload_lax,
 )
+from dpl_reference import ReferenceDecoderState
 
 ALPHA = string.ascii_lowercase + string.digits
 
@@ -539,3 +540,48 @@ class TestParseFuzz:
         except CodecError:
             return
         assert isinstance(creds, Credentials)
+
+
+def _public(state):
+    return (state.phase, state.expected_len, state.crc_seen, state.slots,
+            state.payload, state.credentials)
+
+
+class TestDecoderDifferential:
+    """The decoder against the frozen reference in ``dpl_reference``: the
+    same public state after every frame and after ``finalize``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        creds=st.builds(
+            Credentials,
+            st.text(ALPHA, min_size=1, max_size=32),
+            st.text(ALPHA, max_size=64),
+            st.text(ALPHA, min_size=32, max_size=32),
+        ),
+        rounds=st.integers(1, 16),
+        drop=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+        dup=st.sampled_from([0.0, 0.1, 0.3]),
+        noise=st.sampled_from([0.0, 0.02, 0.1]),
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_frame_by_frame(self, creds, rounds, drop, dup, noise, cut, seed):
+        rng = random.Random(seed)
+        stream = []
+        for length in encode(creds, rounds).flatten():
+            if rng.random() < noise:
+                # any length up to the top of the crc band: gaps, separators
+                # and stray votes in every data band
+                stream.append(rng.randint(0, 1300))
+            if rng.random() < drop:
+                continue
+            stream.extend([length] * (2 if rng.random() < dup else 1))
+        live, ref = DecoderState(), ReferenceDecoderState()
+        for length in stream[: round(len(stream) * cut)]:
+            live.feed(length)
+            ref.feed(length)
+            assert _public(live) == _public(ref)
+        live.finalize()
+        ref.finalize()
+        assert _public(live) == _public(ref)
