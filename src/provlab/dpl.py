@@ -256,6 +256,11 @@ _BANDS: dict[int, tuple[str, int | None]] = {
 _GAP = ("gap", None)
 
 
+def _majority(votes: dict[int, int]) -> int:
+    # highest count wins; ties break to the smallest value
+    return min(votes, key=lambda v: (-votes[v], v))
+
+
 @dataclass
 class DecoderState:
     """Streaming decoder over a sequence of observed datagram lengths.
@@ -265,10 +270,14 @@ class DecoderState:
     position anchors (explicit index frames, the round head, or the crc
     trailer) and its count exactly matches the slot span, which proves
     no frame in the run was lost.  Assignments vote into per-slot
-    tallies across rounds, and the payload is accepted only when every
-    slot is filled and the crc-8 trailer matches.  At end of stream,
-    :meth:`finalize` additionally recovers a single still-missing byte
-    by solving the crc equation.
+    tallies across rounds.  Each slot, the payload size n and the crc
+    take the majority of their votes; a tie goes to the smallest value.
+    Completion is checked each time a round settles (at its crc frame or
+    at the next separator): the payload is accepted when every slot
+    below n has a vote and the crc-8 of the majority bytes matches.  At
+    end of stream, :meth:`finalize` settles the open round, checks
+    again, and recovers a single still-missing byte by solving the crc
+    equation.
 
     A length equal to the immediately preceding one is treated as a
     link-level duplicate and skipped; the encoder never emits two equal
@@ -287,8 +296,6 @@ class DecoderState:
     _head_known: bool = False
     _len_votes: dict[int, int] = field(default_factory=dict)
     _crc_votes: dict[int, int] = field(default_factory=dict)
-    _filled: int = 0
-    _dirty: bool = False
     payload: bytes | None = None
     credentials: Credentials | None = None
 
@@ -313,11 +320,7 @@ class DecoderState:
 
     def _feed_hunting(self, band: str, value: int | None) -> None:
         if band == "guide":
-            pos = self._guide_run % len(GUIDE)
-            if value >= pos:
-                self._guide_run += value - pos + 1
-            else:
-                self._guide_run += len(GUIDE) - pos + value + 1
+            self._guide_run += (value - self._guide_run) % len(GUIDE) + 1
             if self._guide_run >= 2 * len(GUIDE):
                 self.phase = Phase.SYNCED
                 self._som_pos = 0
@@ -348,10 +351,10 @@ class DecoderState:
             return
         if band == "len":
             self._len_votes[value] = self._len_votes.get(value, 0) + 1
-            self._refresh_expected_len()
+            self.expected_len = _majority(self._len_votes)
         elif band == "crc":
             self._crc_votes[value] = self._crc_votes.get(value, 0) + 1
-            self._refresh_crc_seen()
+            self.crc_seen = _majority(self._crc_votes)
         self._round_buf.append((band, value))
         if band == "crc":
             # crc closes the round on the wire
@@ -370,12 +373,7 @@ class DecoderState:
         self._round_buf = []
         if not buf:
             return
-        round_n: int | None = None
-        for band, value in buf:
-            if band == "len":
-                round_n = value
-                break
-        n = round_n if round_n is not None else self.expected_len
+        n = next((value for band, value in buf if band == "len"), self.expected_len)
 
         seg_vals: list[int] = []
         seg_start: int | None = 0 if self._head_known else None
@@ -400,47 +398,14 @@ class DecoderState:
     def _close_segment(
         self, start: int | None, vals: list[int], end: int | None
     ) -> None:
-        if start is None or end is None or not vals:
+        if start is None or end is None or end - start + 1 != len(vals):
             return
-        if end - start + 1 != len(vals):
-            return
-        if start < 0 or end >= BAND_WIDTH:
-            return
-        for offset, value in enumerate(vals):
-            self._vote(start + offset, value)
-
-    # -- candidate bookkeeping -------------------------------------------
+        for slot, value in enumerate(vals, start):
+            self._vote(slot, value)
 
     def _vote(self, slot: int, value: int) -> None:
         votes = self.slots.setdefault(slot, {})
-        if not votes:
-            if self.expected_len is None or slot < self.expected_len:
-                self._filled += 1
-            self._dirty = True
-        old_major = self._majority(votes) if votes else None
         votes[value] = votes.get(value, 0) + 1
-        if old_major is not None and self._majority(votes) != old_major:
-            self._dirty = True
-
-    @staticmethod
-    def _majority(votes: dict[int, int]) -> int | None:
-        if not votes:
-            return None
-        # highest count wins; ties break to the smallest value
-        return min(votes, key=lambda v: (-votes[v], v))
-
-    def _refresh_expected_len(self) -> None:
-        new = self._majority(self._len_votes)
-        if new != self.expected_len:
-            self.expected_len = new
-            self._filled = sum(1 for i in self.slots if i < new)
-            self._dirty = True
-
-    def _refresh_crc_seen(self) -> None:
-        new = self._majority(self._crc_votes)
-        if new != self.crc_seen:
-            self.crc_seen = new
-            self._dirty = True
 
     # -- completion -------------------------------------------------------
 
@@ -453,24 +418,22 @@ class DecoderState:
             votes = self.slots.get(i)
             if not votes:
                 return None
-            out[i] = self._majority(votes)
+            out[i] = _majority(votes)
         return bytes(out)
 
     def _try_complete(self) -> None:
-        if not self._dirty or self.expected_len is None or self.crc_seen is None:
-            return
-        self._dirty = False
-        if self._filled < self.expected_len or self.expected_len == 0:
+        if self.crc_seen is None:
             return
         payload = self._assemble()
-        if payload is None or crc8(payload) != self.crc_seen:
-            return
+        if payload is not None and crc8(payload) == self.crc_seen:
+            self._accept(payload)
+
+    def _accept(self, payload: bytes) -> None:
         try:
-            creds = parse_payload_lax(payload)
+            self.credentials = parse_payload_lax(payload)
         except CodecError:
             return
         self.payload = payload
-        self.credentials = creds
         self.phase = Phase.COMPLETE
 
     def finalize(self) -> "DecoderState":
@@ -482,7 +445,6 @@ class DecoderState:
         """
         if self.phase is not Phase.COLLECTING:
             return self
-        self._dirty = True
         self._flush_round()
         if self.phase is Phase.COMPLETE:
             return self
@@ -502,18 +464,12 @@ class DecoderState:
         forward up to the hole and back from the trailer over the bytes
         after it.  The table is a permutation, so exactly one byte fits."""
         n = self.expected_len
-        out = bytearray(0 if i == hole else self._majority(self.slots[i]) for i in range(n))
+        out = bytearray(0 if i == hole else _majority(self.slots[i]) for i in range(n))
         after = self.crc_seen
         for byte in reversed(out[hole + 1:]):
             after = _CRC8_INV[after] ^ byte
         out[hole] = _CRC8_INV[after] ^ crc8(out[:hole])
-        try:
-            creds = parse_payload_lax(bytes(out))
-        except CodecError:
-            return
-        self.payload = bytes(out)
-        self.credentials = creds
-        self.phase = Phase.COMPLETE
+        self._accept(bytes(out))
 
 
 def decode_lengths(lengths) -> DecoderState:
