@@ -132,6 +132,7 @@ class ProxyGateway:
         )
         self.assignments: dict[str, VirtualNetwork] = {}
         self._upstreams: dict[str, StreamEnd] = {}
+        self._binding: dict[str, StreamEnd] = {}  # device id -> stream awaiting its bind ack
 
     # -- isolation manager ------------------------------------------------------
 
@@ -203,7 +204,7 @@ class ProxyGateway:
     def relay_app_envelope(self, envelope: dict) -> dict:
         """Terminate an app request, scrub it per policy, re-sign, forward."""
         action = envelope.get("a")
-        if action not in self.policy.allowed_actions:
+        if not isinstance(action, str) or action not in self.policy.allowed_actions:
             raise PolicyDenied(f"action {action!r} not allowed")
         forwarded = {k: v for k, v in envelope.items() if k != protocol.SIGN_FIELD}
         for name in self.policy.redact_fields:
@@ -226,11 +227,12 @@ class ProxyGateway:
 
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
-            self.channels.bind(frame.device_id, stream)
             upstream = self._open_upstream(frame.device_id)
             if upstream is None:
                 stream.send(encode_frame(frame.reply(False, "UpstreamUnreachable")))
                 return
+            # the stream takes the device's channel only once the cloud accepts
+            self._binding[frame.device_id] = stream
             upstream.send(encode_frame(frame))
         else:
             upstream = self._upstreams.get(frame.device_id)
@@ -256,7 +258,12 @@ class ProxyGateway:
         return upstream
 
     def _on_upstream_frame(self, device_id: str, _upstream: StreamEnd, frame: DeviceFrame) -> None:
-        down = self.channels.stream_of(device_id)
+        # the cloud acks nothing but binds, so an ack answers the bind in flight
+        down = self._binding.pop(device_id, None) if frame.kind == "ack" else None
+        if down is None:
+            down = self.channels.stream_of(device_id)
+        elif frame.payload.get("success"):
+            self.channels.bind(device_id, down)
         if down is not None:
             down.send(encode_frame(frame))
 

@@ -9,6 +9,7 @@ from provlab import dpl, protocol
 from provlab.cloud import DeviceOffline, VendorCloud
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
+from provlab.protocol import DeviceFrame, encode_frame, serve_frames
 from provlab.provisioner import AppConfig, MobileApp
 from provlab.proxy import (
     AlreadyAssigned,
@@ -169,6 +170,48 @@ class TestRelay:
         with pytest.raises(PolicyDenied):
             proxy.relay_app_envelope({"a": protocol.ACTION_DEVICE_CONTROL})
         assert cloud.requests_total == before
+
+    @pytest.mark.parametrize("action", [[protocol.ACTION_TOKEN_GET], {"a": 1}])
+    def test_an_action_that_is_not_a_string_is_denied(self, rig, action):
+        _sim, cloud, proxy, _rng = rig
+        before = cloud.requests_total
+        with pytest.raises(PolicyDenied):
+            proxy.relay_app_envelope({"a": action})
+        assert cloud.requests_total == before
+
+
+class TestBindHijack:
+    def test_a_bind_the_cloud_rejects_takes_no_channel(self, rig, keyset):
+        sim, cloud, proxy, rng = rig
+        device, _ = provision_proxied(sim, proxy, "bulb-11")
+        # an endpoint on another decoy network binds as bulb-11
+        decoy = proxy.allocate_virtual_network("plug-12")
+        intruder = sim.register("intruder", "device")
+        sim.join(intruder, decoy.ssid, decoy.passphrase)
+        stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
+        received = []
+        serve_frames(stream, lambda _stream, frame: received.append(frame))
+        stream.send(encode_frame(DeviceFrame(
+            kind="bind", device_id="bulb-11", token="t" * 32,
+            payload={"ssid": decoy.ssid, "passphrase": decoy.passphrase,
+                     "bundle_id": "com.xyz.smart"})))
+        assert [f.payload for f in received] == [{"success": False, "reason": "Unknown"}]
+
+        assert proxy.local_control("bulb-11", {"power": "on"})["power"] == "on"
+        app = MobileApp(
+            sim, AppConfig(bundle_id="com.xyz.smart", client_id="app-client", region="EU",
+                           user_id="user-01", keys=keyset),
+            {"52.29.0.171": cloud}, rng=rng, dns_available=False, endpoint_id="phone",
+            nonce_source=rng,
+        )
+        envelope = app.envelopes.build(
+            protocol.ACTION_DEVICE_CONTROL,
+            {"device_id": "bulb-11", "command": {"brightness": 40}},
+            sim.clock.now,
+        )
+        assert proxy.relay_app_envelope(envelope)["success"] is True
+        assert device.attributes == {"power": "on", "brightness": 40}
+        assert len(received) == 1  # no command reached the intruder
 
 
 class TestUpstreamResolution:
