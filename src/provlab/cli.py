@@ -75,7 +75,11 @@ def _cmd_scenario(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("PROVLAB_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"PROVLAB_SEED is not an integer: {env_seed!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         report = run_scenario(args.name, seed)
     except UnknownScenario:
@@ -88,8 +92,12 @@ def _cmd_scenario(args) -> int:
     print(f"scenario {report.scenario} seed={report.seed}: "
           f"{'PASS' if report.passed else 'FAIL'}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_FAIL
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -163,6 +171,16 @@ def _cmd_embed(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # argv bytes that are not UTF-8 arrive as lone surrogates, which no
+    # seed or key can be encoded with
+    for name in ("seed", "key"):
+        value = getattr(args, name, None)
+        try:
+            if isinstance(value, str):
+                value.encode("utf-8")
+        except UnicodeEncodeError:
+            print(f"{name} is not valid UTF-8", file=sys.stderr)
+            return EXIT_FAIL
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "decode":

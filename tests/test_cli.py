@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 
@@ -159,3 +160,34 @@ class TestEmbedCommand:
         # the carrier still parses as a clean 24-bit bitmap
         image = parse_bmp(dst.read_bytes())
         assert (image.width, image.height) == (64, 64)
+
+
+class TestMalformedInputs:
+    """Bad input ends in a declared exit code and a message, not a traceback."""
+
+    def test_env_seed_that_is_not_an_integer_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("PROVLAB_SEED", "abc")
+        assert cli.main(["scenario", "token-case-1"]) == cli.EXIT_USAGE
+        assert "PROVLAB_SEED" in capsys.readouterr().err
+
+    def test_unwritable_report_path_exits_1(self, tmp_path, capsys):
+        report = tmp_path / "missing-dir" / "out.json"
+        assert cli.main(
+            ["scenario", "token-case-1", "--seed", "3", "--report", str(report)]
+        ) == cli.EXIT_FAIL
+        assert "cannot write report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["r-keys", "{bad}", "{bmp}"],
+        ["embed-secret", "{bad}", KEY, "{bmp}", "{out}"],
+        ["embed-secret", SEED, "{bad}", "{bmp}", "{out}"],
+    ], ids=["r-keys-seed", "embed-seed", "embed-key"])
+    def test_argument_that_is_not_utf8_exits_1(self, tmp_path, capsys, argv):
+        bmp, out = tmp_path / "in.bmp", tmp_path / "out.bmp"
+        bmp.write_bytes(make_bmp(64, 64).to_bytes())
+        # what the interpreter makes of the raw argument byte 0xff
+        bad = os.fsdecode(b"\xff")
+        argv = [a.format(bad=bad, bmp=bmp, out=out) for a in argv]
+        assert cli.main(argv) == cli.EXIT_FAIL
+        assert "not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
