@@ -384,15 +384,10 @@ class DecoderState:
                 self._close_segment(seg_start, seg_vals, value - 1)
                 seg_vals = []
                 seg_start = value
-            elif band == "crc":
-                if n is not None:
-                    self._close_segment(seg_start, seg_vals, n - 1)
-                seg_vals = []
-                seg_start = None
-            # len frames carry no position information beyond the head
-        if seg_vals and seg_start is not None and n is not None:
-            # tail segment closed by the known payload size
-            self._close_segment(seg_start, seg_vals, n - 1)
+            # len frames carry no position information beyond the head,
+            # and a crc frame only ever ends the buffer
+        # the last segment ends at the round's last slot, if n is known
+        self._close_segment(seg_start, seg_vals, None if n is None else n - 1)
         self._try_complete()
 
     def _close_segment(
