@@ -175,9 +175,10 @@ def main(argv=None) -> int:
     # seed or key can be encoded with
     for name in ("seed", "key"):
         value = getattr(args, name, None)
+        if not isinstance(value, str):
+            continue
         try:
-            if isinstance(value, str):
-                value.encode("utf-8")
+            value.encode("utf-8")
         except UnicodeEncodeError:
             print(f"{name} is not valid UTF-8", file=sys.stderr)
             return EXIT_FAIL
