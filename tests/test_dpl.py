@@ -1,3 +1,4 @@
+import copy
 import random
 import string
 
@@ -277,6 +278,16 @@ class TestDecoder:
         assert state.phase is Phase.COMPLETE
         assert state.credentials == creds
 
+    def test_failed_is_terminal(self):
+        # the bank replaces a settled attempt, so only a direct feed shows this
+        creds = Credentials("n", "p", token())
+        state = decode_lengths(_bad_crc_round(creds))
+        assert state.phase is Phase.FAILED
+        before = copy.deepcopy(state)
+        for length in encode(creds, 2).flatten():
+            state.feed(length)
+        assert state == before
+
     def test_no_false_sync_on_random_streams(self):
         for trial in range(20):
             rng = random.Random(31337 + trial)
@@ -528,6 +539,80 @@ class TestDecoderBank:
         for i, (creds, _rounds) in enumerate(genuine):
             assert any(src == f"phone-{i}" and state.credentials == creds
                        for src, state in attempts.values())
+
+
+def _bank_decode(rows):
+    """``decode_capture`` frame by frame: every port-30011 broadcast goes
+    through one bank in capture order, and each attempt is listed once, in
+    the order it started."""
+    bank, attempts = DecoderBank(), {}
+    for row in rows:
+        if row[5] == "bcast" and row[3] == dpl.PROVISION_PORT:
+            state = bank.feed(row[2], row[4])
+            attempts.setdefault(id(state), (row[2], state))
+    for _src, state in attempts.values():
+        state.finalize()
+    return list(attempts.values())
+
+
+def _attempts(attempts):
+    return [(src, _public(state)) for src, state in attempts]
+
+
+class TestDecodeCapture:
+    """``decode_capture`` against the frame-by-frame bank above, also with
+    more interleaved senders than a bank keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        senders=st.integers(1, 20),
+        drop=st.sampled_from([0.0, 0.1, 0.3]),
+        dup=st.sampled_from([0.0, 0.1]),
+        noise=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_frame_by_frame_bank(self, senders, drop, dup, noise, seed):
+        rng = random.Random(seed)
+        streams = []
+        for k in range(senders):
+            # a sender's later sends follow an attempt that completed, or one
+            # that a bad crc fails at finalize
+            lengths = []
+            for _ in range(rng.randint(1, 3)):
+                creds = Credentials(token(rng, rng.randint(1, 6)), token(rng, rng.randint(0, 6)),
+                                    token(rng))
+                lengths += (_bad_crc_round(creds) if rng.random() < 0.25
+                            else encode(creds, rng.randint(1, 2)).flatten())
+            streams.append((f"phone-{k}", lengths))
+        picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
+        rng.shuffle(picks)
+        cursors = [iter(lengths) for _src, lengths in streams]
+        rows = []
+        for t, k in enumerate(picks):
+            src, length = streams[k][0], next(cursors[k])
+            if rng.random() < noise:
+                rows.append((t, "net", src, dpl.PROVISION_PORT, rng.randint(0, 1300), "bcast", None))
+            if rng.random() < drop:
+                continue
+            rows += [(t, "net", src, dpl.PROVISION_PORT, length, "bcast", None)] * (
+                2 if rng.random() < dup else 1)
+            # neither a receiver's row nor another port's broadcast is decoded
+            rows.append((t, "net", src, dpl.PROVISION_PORT, length + 1, "deliver", "dev-0"))
+            rows.append((t, "net", src, dpl.PROVISION_PORT + 1, length, "bcast", None))
+        assert _attempts(dpl.decode_capture(rows)) == _attempts(_bank_decode(rows))
+
+    @pytest.mark.parametrize("senders", [dpl.MAX_SENDERS, dpl.MAX_SENDERS + 1])
+    def test_round_robin_at_and_past_a_full_bank(self, senders):
+        sent = [encode(Credentials("net", f"pass-{k}", token(random.Random(k))), 1).flatten()
+                for k in range(senders)]
+        rows = [(t, "net", f"s{k}", dpl.PROVISION_PORT, lengths[t], "bcast", None)
+                for t in range(max(map(len, sent))) for k, lengths in enumerate(sent)
+                if t < len(lengths)]
+        attempts = dpl.decode_capture(rows)
+        assert _attempts(attempts) == _attempts(_bank_decode(rows))
+        # past a full bank each new sender evicts one that is still sending
+        complete = sum(state.phase is Phase.COMPLETE for _src, state in attempts)
+        assert complete == (senders if senders <= dpl.MAX_SENDERS else 0)
 
 
 class TestParseFuzz:
