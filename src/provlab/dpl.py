@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .protocol import TOKEN_CHARS
 
@@ -254,6 +255,8 @@ _BANDS: dict[int, tuple[str, int | None]] = {
        for v in range(BAND_WIDTH)},
 }
 _GAP = ("gap", None)
+_BAND_END = CRC_BASE + BAND_WIDTH  # every length from here up is a gap
+_BAND_OF = tuple(_BANDS.get(v, _GAP) for v in range(_BAND_END))
 
 
 def _majority(votes: dict[int, int]) -> int:
@@ -282,6 +285,12 @@ class DecoderState:
     A length equal to the immediately preceding one is treated as a
     link-level duplicate and skipped; the encoder never emits two equal
     adjacent lengths, so this is lossless on real streams.
+
+    One decoder holds one sender's attempt.  :meth:`feed` takes one frame
+    and :meth:`feed_many` a list of them; both run the same frame loop,
+    which stops at the frame that completes the attempt.
+    :func:`decode_capture` feeds each sender's frames of a capture
+    separately and lists the attempts in the order they started.
     """
 
     phase: Phase = Phase.HUNTING
@@ -302,21 +311,43 @@ class DecoderState:
     # -- feeding ---------------------------------------------------------
 
     def feed(self, length: int) -> "DecoderState":
-        if self.phase in (Phase.COMPLETE, Phase.FAILED):
-            return self
-        if length == self._prev_len:
-            return self
-        self._prev_len = length
-        band, value = _BANDS.get(length, _GAP)
-        if band == "gap":
-            return self
-        if self.phase is Phase.HUNTING:
-            self._feed_hunting(band, value)
-        elif self.phase is Phase.SYNCED:
-            self._feed_synced(band, value)
-        elif self.phase is Phase.COLLECTING:
-            self._feed_collecting(band, value)
+        self.feed_many((length,))
         return self
+
+    def feed_many(self, lengths, i: int = 0) -> int:
+        """Feed ``lengths[i:]`` until the attempt is COMPLETE or FAILED;
+        return the index after the last frame fed."""
+        phase = self.phase
+        if phase is Phase.COMPLETE or phase is Phase.FAILED:
+            return i
+        prev, buf, end = self._prev_len, self._round_buf, len(lengths)
+        while i < end:
+            length = lengths[i]
+            i += 1
+            if length == prev:
+                continue
+            prev = length
+            if not 0 <= length < _BAND_END:
+                continue
+            frame = _BAND_OF[length]
+            band = frame[0]
+            if band == "gap":
+                continue
+            if phase is Phase.COLLECTING:
+                if band == "idx" or band == "val":
+                    buf.append(frame)
+                    continue
+                self._feed_collecting(band, frame[1])
+            elif phase is Phase.HUNTING:
+                self._feed_hunting(band, frame[1])
+            else:
+                self._feed_synced(band, frame[1])
+            # a helper may settle the round (a fresh buffer) or move the phase
+            phase, buf = self.phase, self._round_buf
+            if phase is Phase.COMPLETE:
+                break
+        self._prev_len = prev
+        return i
 
     def _feed_hunting(self, band: str, value: int | None) -> None:
         if band == "guide":
@@ -470,10 +501,7 @@ class DecoderState:
 def decode_lengths(lengths) -> DecoderState:
     """Run a fresh decoder over a complete length stream and finalize."""
     state = DecoderState()
-    for length in lengths:
-        state.feed(length)
-        if state.phase is Phase.COMPLETE:
-            break
+    state.feed_many(list(lengths))
     return state.finalize()
 
 
@@ -513,19 +541,39 @@ class DecoderBank:
 
 
 def decode_capture(rows) -> list[tuple[str, DecoderState]]:
-    """Replay the port-30011 broadcasts of a capture through a
-    :class:`DecoderBank`, exactly as an eavesdropper would.  ``rows`` are
-    capture records (``parse_rows``) or frames (``CaptureLog.frames``).
+    """Decode the port-30011 broadcasts of a capture exactly as a
+    :class:`DecoderBank` fed them frame by frame would, the way an
+    eavesdropper sees them.  ``rows`` are capture records (``parse_rows``)
+    or frames (``CaptureLog.frames``).
+
+    With at most :data:`MAX_SENDERS` senders the bank never evicts, so
+    each sender's frames reach the same decoders in the same order when
+    they are decoded per sender, one :meth:`DecoderState.feed_many` call
+    per attempt.  Only a capture with more senders goes through the bank
+    frame by frame, and only there does a new sender evict an attempt.
 
     Returns one ``(src, finalized decoder)`` pair per attempt, in the
     order the attempts started.
     """
-    bank, attempts = DecoderBank(), {}  # attempts by id(decoder), each once, in start order
-    for row in rows:
-        if row[5] == "bcast" and row[3] == PROVISION_PORT:
+    frames = [row for row in rows if row[5] == "bcast" and row[3] == PROVISION_PORT]
+    by_src: dict[str, list[int]] = {}  # sender -> positions of its frames
+    for pos, row in enumerate(frames):
+        by_src.setdefault(row[2], []).append(pos)
+    if len(by_src) > MAX_SENDERS:
+        bank, attempts = DecoderBank(), {}  # by id(decoder), each once, in start order
+        for row in frames:
             state = bank.feed(row[2], row[4])
-            if id(state) not in attempts:
-                attempts[id(state)] = (row[2], state)
-    for _src, state in attempts.values():
+            attempts.setdefault(id(state), (row[2], state))
+        started = list(attempts.values())
+    else:
+        starts = []  # (position of its first frame, src, decoder) per attempt
+        for src, positions in by_src.items():
+            lengths, i = [frames[pos][4] for pos in positions], 0
+            while i < len(lengths):
+                state = DecoderState()
+                starts.append((positions[i], src, state))
+                i = state.feed_many(lengths, i)
+        started = [(src, state) for _pos, src, state in sorted(starts, key=itemgetter(0))]
+    for _src, state in started:
         state.finalize()
-    return list(attempts.values())
+    return started

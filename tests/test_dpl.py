@@ -284,8 +284,10 @@ class TestDecoder:
         state = decode_lengths(_bad_crc_round(creds))
         assert state.phase is Phase.FAILED
         before = copy.deepcopy(state)
-        for length in encode(creds, 2).flatten():
+        lengths = encode(creds, 2).flatten()
+        for length in lengths:
             state.feed(length)
+        assert state.feed_many(lengths, 3) == 3
         assert state == before
 
     def test_no_false_sync_on_random_streams(self):
@@ -632,36 +634,47 @@ def _public(state):
             state.payload, state.credentials)
 
 
+# lengths below or far above every band, which must read as gaps
+_OUT_OF_BANDS = (-1, -1255, 1256, 10**600)
+
+_STREAM = dict(
+    creds=st.builds(
+        Credentials,
+        st.text(ALPHA, min_size=1, max_size=32),
+        st.text(ALPHA, max_size=64),
+        st.text(ALPHA, min_size=32, max_size=32),
+    ),
+    rounds=st.integers(1, 16),
+    drop=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+    dup=st.sampled_from([0.0, 0.1, 0.3]),
+    noise=st.sampled_from([0.0, 0.02, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _lossy_stream(creds, rounds, drop, dup, noise, seed):
+    rng = random.Random(seed)
+    stream = []
+    for length in encode(creds, rounds).flatten():
+        if rng.random() < noise:
+            # any length up to the top of the crc band: gaps, separators
+            # and stray votes in every data band; now and then one outside
+            stream.append(rng.choice(_OUT_OF_BANDS) if rng.random() < 0.1
+                          else rng.randint(0, 1300))
+        if rng.random() < drop:
+            continue
+        stream.extend([length] * (2 if rng.random() < dup else 1))
+    return stream
+
+
 class TestDecoderDifferential:
     """The decoder against the frozen reference in ``dpl_reference``: the
     same public state after every frame and after ``finalize``."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        creds=st.builds(
-            Credentials,
-            st.text(ALPHA, min_size=1, max_size=32),
-            st.text(ALPHA, max_size=64),
-            st.text(ALPHA, min_size=32, max_size=32),
-        ),
-        rounds=st.integers(1, 16),
-        drop=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
-        dup=st.sampled_from([0.0, 0.1, 0.3]),
-        noise=st.sampled_from([0.0, 0.02, 0.1]),
-        cut=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_reference_frame_by_frame(self, creds, rounds, drop, dup, noise, cut, seed):
-        rng = random.Random(seed)
-        stream = []
-        for length in encode(creds, rounds).flatten():
-            if rng.random() < noise:
-                # any length up to the top of the crc band: gaps, separators
-                # and stray votes in every data band
-                stream.append(rng.randint(0, 1300))
-            if rng.random() < drop:
-                continue
-            stream.extend([length] * (2 if rng.random() < dup else 1))
+    @given(**_STREAM, cut=st.floats(0.0, 1.0))
+    def test_matches_reference_frame_by_frame(self, creds, rounds, drop, dup, noise, seed, cut):
+        stream = _lossy_stream(creds, rounds, drop, dup, noise, seed)
         live, ref = DecoderState(), ReferenceDecoderState()
         for length in stream[: round(len(stream) * cut)]:
             live.feed(length)
@@ -670,3 +683,35 @@ class TestDecoderDifferential:
         live.finalize()
         ref.finalize()
         assert _public(live) == _public(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**_STREAM, cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_feed_many_matches_reference(self, creds, rounds, drop, dup, noise, seed, cuts):
+        # the stream in pieces: each call resumes at the index the last returned
+        stream = _lossy_stream(creds, rounds, drop, dup, noise, seed)
+        live, ref, i = DecoderState(), ReferenceDecoderState(), 0
+        for end in sorted(round(len(stream) * cut) for cut in cuts) + [len(stream)]:
+            start = i
+            i = live.feed_many(stream[:end], i)
+            for length in stream[start:i]:
+                assert ref.phase is not Phase.COMPLETE  # it stops at the completing frame
+                ref.feed(length)
+            assert i == max(start, end) or ref.phase is Phase.COMPLETE
+            assert _public(live) == _public(ref)
+        live.finalize()
+        ref.finalize()
+        assert _public(live) == _public(ref)
+
+    @pytest.mark.parametrize("length", _OUT_OF_BANDS)
+    def test_out_of_band_lengths_are_gaps(self, length):
+        # mid-payload, so that a negative length read from the end of the
+        # band table would settle the round early
+        creds = Credentials("net", "pass", token())
+        lengths = encode(creds, 1).flatten()
+        lengths.insert(lengths.index(dpl.IDX_BASE + 1) + 1, length)
+        live, ref = DecoderState(), ReferenceDecoderState()
+        assert live.feed_many(lengths) == len(lengths)
+        for v in lengths:
+            ref.feed(v)
+        assert _public(live) == _public(ref)
+        assert live.credentials == creds
