@@ -399,6 +399,13 @@ class VendorCloud:
         if frame.kind != "bind":
             raise MalformedFrame(f"expected bind frame, got {frame.kind!r}")
         token_value = frame.token or ""
+        # a bound device stays with its owner: another user's token cannot take it
+        owner = self.registry.devices.get(frame.device_id)
+        rec = self.registry.tokens.get(token_value)
+        if owner is not None and rec is not None and (
+            (rec.token.bundle_id, rec.token.user_id) != (owner.bundle_id, owner.user_id)
+        ):
+            return frame.reply(False, protocol.RejectReason.ALREADY_BOUND.value)
         verdict = self.registry.tokens.bind(
             token_value,
             frame.device_id,

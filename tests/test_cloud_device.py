@@ -1,6 +1,7 @@
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -466,6 +467,41 @@ class TestBind:
         winners = [d for d, ok in results if ok]
         assert len(winners) == 1
         assert len(cloud.registry.devices) == 1
+
+    def _rebind(self, sim, cloud, token, endpoint_id):
+        wan = sim.register(endpoint_id, "device", wan=True)
+        stream = sim.open_stream(wan, cloud.endpoint, protocol.DEVICE_PORT)
+        stream.send(encode_frame(DeviceFrame(
+            kind="bind", device_id="bulb-01", token=token.value,
+            payload={"ssid": "evil", "passphrase": "", "bundle_id": "com.xyz.smart"},
+        )))
+        (ack,) = FrameReader().push(stream.recv())
+        return stream, ack.payload
+
+    def test_another_user_cannot_rebind_a_bound_device(self, world):
+        # remote binding: a second user of the vendor names the victim's
+        # device in a bind of their own, from anywhere on the WAN
+        sim, cloud, app, rng = world
+        provision_one(sim, cloud, app, "bulb-01")
+        record = cloud.registry.devices["bulb-01"]
+        mallory = MobileApp(sim, replace(app.config, user_id="mallory"),
+                            {"52.29.0.171": cloud}, rng, dns_available=False,
+                            dns_answers={"EU": ["52.29.0.171"]}, nonce_source=rng)
+        token = mallory.acquire_token()
+        stream, ack = self._rebind(sim, cloud, token, "mallory-wan")
+        assert ack == {"success": False, "reason": "AlreadyBound"}
+        assert cloud.registry.devices["bulb-01"] is record
+        assert cloud.registry.tokens.get(token.value).bound_device is None
+        assert app.control_device("bulb-01", {"power": "on"})["power"] == "on"
+        assert stream.recv() == b""  # the command went to the victim's device
+
+    def test_the_owner_may_rebind(self, world):
+        sim, cloud, app, _ = world
+        provision_one(sim, cloud, app, "bulb-01")
+        token = app.acquire_token()
+        _stream, ack = self._rebind(sim, cloud, token, "owner-wan")
+        assert ack == {"success": True}
+        assert cloud.registry.devices["bulb-01"].token_value == token.value
 
     def test_token_conservation(self, world):
         sim, cloud, app, _ = world
