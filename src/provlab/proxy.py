@@ -158,16 +158,6 @@ class ProxyGateway:
         self.assignments[device_id] = net
         return net
 
-    def export_isolation_plan(self) -> str:
-        return json.dumps(
-            {
-                did: {"ssid": net.ssid, "passphrase": net.passphrase}
-                for did, net in self.assignments.items()
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
     # -- app-role: token and status traffic to the real cloud ---------------------
 
     def acquire_token(self) -> str:
@@ -227,6 +217,10 @@ class ProxyGateway:
 
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
+            if frame.device_id not in self.assignments:
+                # not a device of this gateway: answer as the cloud would, open nothing
+                stream.send(encode_frame(frame.reply(False, protocol.RejectReason.UNKNOWN.value)))
+                return
             upstream = self._open_upstream(frame.device_id)
             if upstream is None:
                 stream.send(encode_frame(frame.reply(False, "UpstreamUnreachable")))

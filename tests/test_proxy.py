@@ -86,12 +86,6 @@ class TestIsolationManager:
         sim.broadcast(proxy.endpoint, 30011, b"xx", ssid=net_a.ssid)
         assert sim.poll_datagrams(rx) == []
 
-    def test_plan_export(self, rig):
-        _, _, proxy, _ = rig
-        net = proxy.allocate_virtual_network("bulb-01")
-        plan = json.loads(proxy.export_isolation_plan())
-        assert plan == {"bulb-01": {"ssid": net.ssid, "passphrase": net.passphrase}}
-
 
 class TestIsolatedProvisioning:
     def test_happy_path_footprint_is_fake_only(self, rig):
@@ -209,6 +203,24 @@ class TestBindHijack:
         assert proxy.relay_app_envelope(envelope)["success"] is True
         assert device.attributes == {"power": "on", "brightness": 40}
         assert len(received) == 1  # no command reached the intruder
+
+    def test_a_bind_for_no_decoy_network_opens_no_upstream(self, rig):
+        sim, _cloud, proxy, _rng = rig
+        decoy = proxy.allocate_virtual_network("plug-12")
+        intruder = sim.register("intruder", "device")
+        sim.join(intruder, decoy.ssid, decoy.passphrase)
+        stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
+        received = []
+        serve_frames(stream, lambda _stream, frame: received.append(frame))
+        streams = list(sim._streams)
+        for i in range(300):
+            stream.send(encode_frame(DeviceFrame(
+                kind="bind", device_id=f"ghost-{i}", token="t" * 32,
+                payload={"ssid": decoy.ssid, "passphrase": decoy.passphrase,
+                         "bundle_id": "com.xyz.smart"})))
+        assert [f.payload for f in received] == [{"success": False, "reason": "Unknown"}] * 300
+        assert proxy._upstreams == {}
+        assert sim._streams == streams
 
 
 class TestUpstreamResolution:
