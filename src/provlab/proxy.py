@@ -218,7 +218,7 @@ class ProxyGateway:
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "bind":
             if frame.device_id not in self.assignments:
-                # not a device of this gateway: answer as the cloud would, open nothing
+                # no decoy network of this gateway: refuse, and open no upstream for it
                 stream.send(encode_frame(frame.reply(False, protocol.RejectReason.UNKNOWN.value)))
                 return
             upstream = self._open_upstream(frame.device_id)
