@@ -223,6 +223,22 @@ class TestBindHijack:
         assert sim._streams == streams
 
 
+class TestConstruction:
+    def test_rng_is_a_required_keyword(self, rig, keyset):
+        # without rng the gateway used to build, then fail on its first
+        # decoy network or signed envelope
+        sim, cloud, _, rng = rig
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="gw-client", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        with pytest.raises(TypeError, match="rng"):
+            ProxyGateway(sim, config, {"52.29.0.171": cloud}, endpoint_id="proxy-norng")
+        with pytest.raises(TypeError):
+            ProxyGateway(sim, config, {"52.29.0.171": cloud}, None, rng,
+                         endpoint_id="proxy-positional")
+
+
 class TestUpstreamResolution:
     def test_region_without_endpoints_fails_the_provisioning(self, rig, keyset):
         sim, cloud, _, rng = rig
