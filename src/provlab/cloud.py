@@ -2,9 +2,9 @@
 
 One signed-envelope endpoint for app requests (token issuance, device
 status, control relay), one stream endpoint for device binds and
-command delivery, and a JSON-snapshottable registry.  An app request
-changes the registry only after its signature verifies *and* its
-postData matches its action's row of :data:`APP_ACTIONS`.
+command delivery, and a registry.  An app request changes the registry
+only after its signature verifies *and* its postData matches its
+action's row of :data:`APP_ACTIONS`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .protocol import (
     DeviceFrame,
     MalformedFrame,
     TokenStore,
-    TokenRecord,
-    ProvisionToken,
     encode_frame,
     issue_token,
 )
@@ -54,10 +52,6 @@ class DeviceOffline(CloudError):
 
 
 class UnknownDevice(CloudError):
-    pass
-
-
-class CorruptSnapshot(CloudError):
     pass
 
 
@@ -93,40 +87,8 @@ class CloudRegistry:
         }
         return json.dumps(snap, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CloudRegistry":
-        try:
-            snap = json.loads(text)
-            registry = cls()
-            for value, rec in snap["tokens"].items():
-                registry.tokens.records[value] = TokenRecord(
-                    token=ProvisionToken(**rec["token"]),
-                    bound_device=rec["bound_device"],
-                    last_reject=rec["last_reject"],
-                )
-            for did, rec in snap["devices"].items():
-                registry.devices[did] = DeviceRecord(**rec)
-            for bid, ks in snap["vendors"].items():
-                registry.vendors[bid] = SigningKeySet(**ks)
-            return registry
-        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
-            raise CorruptSnapshot(f"snapshot does not parse: {exc}") from exc
-
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-
-def persist(registry: CloudRegistry, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(registry.to_json())
-
-
-def restore(path) -> CloudRegistry:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return CloudRegistry.from_json(fh.read())
-    except OSError as exc:
-        raise CorruptSnapshot(f"cannot read snapshot: {exc}") from exc
 
 
 class DeviceChannels:

@@ -21,15 +21,12 @@ import json
 import random
 import re
 import threading
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
-# datagram handler of a port that never had one: keep for poll_datagrams
-_BUFFER = object()
 
 # A capture line as to_jsonl writes it, stripped.  Its strings hold no quote,
 # backslash or control character, and its ints stay below Python's int-string
@@ -287,7 +284,6 @@ class _EndpointRec:
         self.endpoint = endpoint
         self.wan = wan
         self.networks: set[str] = set()
-        self.inbox: deque[Datagram] = deque()
         self.datagram_handlers: dict[int, object] = {}
         self.stream_handlers: dict[int, object] = {}
 
@@ -398,10 +394,10 @@ class Simulation:
     # -- broadcast ---------------------------------------------------------
 
     def set_datagram_handler(self, endpoint: EndpointId, port: int, handler) -> None:
-        """Run ``handler(dgram)`` for each datagram delivered to ``port``.
-        ``None`` closes the port: its datagrams keep their capture records and
-        loss draws, and are then discarded.  A port that was never given a
-        handler buffers its datagrams for :meth:`poll_datagrams`."""
+        """Run ``handler(dgram)`` for each datagram delivered to ``port``;
+        ``None`` closes the port.  A port with no handler, never opened or
+        closed, discards its datagrams after their capture records and loss
+        draws."""
         with self._lock:
             self._rec(endpoint).datagram_handlers[port] = handler
             self._gen += 1
@@ -445,7 +441,7 @@ class Simulation:
                         dsts, recs = now, [self._endpoints[dst] for dst in now]
                     # positions of the receivers whose port is open, last first
                     live = [i for i in range(len(recs) - 1, -1, -1)
-                            if recs[i].datagram_handlers.get(dst_port, _BUFFER) is not None]
+                            if recs[i].datagram_handlers.get(dst_port) is not None]
                 drop, dup = loss.drop_prob, loss.dup_prob
                 # LossModel draw order: per receiver, drop, then dup if delivered
                 outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
@@ -457,23 +453,13 @@ class Simulation:
                 while todo:
                     i = todo.pop()
                     for _ in range(outcomes[i]):
-                        handler = recs[i].datagram_handlers.get(dst_port, _BUFFER)
+                        handler = recs[i].datagram_handlers.get(dst_port)
                         if handler is not None:  # None: the port is closed
                             dgram = dgram or Datagram(endpoint, dst_port, payload, net)
-                            if handler is _BUFFER:
-                                recs[i].inbox.append(dgram)
-                            else:
-                                handler(dgram)
+                            handler(dgram)
                     if gen != self._gen:  # a handler changed something: read every later port
                         todo = list(range(len(recs) - 1, i, -1))
             return len(payloads)
-
-    def poll_datagrams(self, endpoint: EndpointId) -> list[Datagram]:
-        with self._lock:
-            rec = self._rec(endpoint)
-            out = list(rec.inbox)
-            rec.inbox.clear()
-            return out
 
     # -- streams -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ from .signing import (
     sign_envelope,
     verify_envelope,
 )
-from .stego import BmpImage, parse_bmp, stego_extract
+from .stego import BmpImage, stego_extract
 
 T_PROV_SECONDS = 30
 POLL_INTERVAL = 2
@@ -96,23 +96,6 @@ class AppConfig:
     lat: float = 90.0
     lon: float = -90.0
     time_zone_id: str = "America/Chicago"
-
-
-def load_app_config(path) -> AppConfig:
-    """Read a provisioner config file; secret2 is pulled out of the BMP
-    named in the file, exercising the whole key pipeline at startup."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    keys_raw = raw["keys"]
-    with open(keys_raw["secret2_bmp"], "rb") as fh:
-        image = parse_bmp(fh.read())
-    return AppConfig(
-        bundle_id=raw["bundleId"],
-        client_id=raw["clientId"],
-        region=raw["region"],
-        user_id=raw.get("userId", "user-01"),
-        keys=keys_from_bmp(image, keys_raw["seed"], keys_raw["certHash"], keys_raw["secret1"]),
-    )
 
 
 class EnvelopeFactory:
@@ -267,8 +250,6 @@ class MobileApp:
         self.clock = sim.clock
         self.config = config
         self.endpoint = sim.register(endpoint_id or f"app-{config.user_id}", "app")
-        # the app sends on port 30011 but never reads it
-        sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, None)
         self.envelopes = EnvelopeFactory(config, rng, nonce_source=nonce_source)
         self.cloud_client = CloudClient(
             config, self.envelopes, directory, sim.clock, dns_available, dns_answers or {}

@@ -26,7 +26,6 @@ from .provisioner import (
     ProvisionerError,
     ProvisionOutcome,
     broadcast_lengths,
-    keys_from_bmp,  # noqa: F401  (re-exported)
 )
 from .signing import derive_signing_key, sign_envelope
 
@@ -68,38 +67,6 @@ class ProxyPolicy:
     redact_fields: set[str] = field(default_factory=set)
     local_control: bool = True
 
-    @classmethod
-    def from_json(cls, text: str) -> "ProxyPolicy":
-        """Inverse of :meth:`to_json`.  Policy JSON of the wrong shape
-        raises ``ValueError`` naming the bad field."""
-        try:
-            raw = json.loads(text)
-        except RecursionError as exc:
-            raise ValueError("policy JSON nests too deeply") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("policy must be a JSON object")
-        fields = {}
-        for name in ("allowed_actions", "redact_fields"):
-            value = raw.get(name, [])
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise ValueError(f"policy field {name!r} must be a list of strings")
-            fields[name] = set(value)
-        local_control = raw.get("local_control", False)
-        if not isinstance(local_control, bool):
-            raise ValueError("policy field 'local_control' must be a boolean")
-        return cls(**fields, local_control=local_control)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "allowed_actions": sorted(self.allowed_actions),
-                "redact_fields": sorted(self.redact_fields),
-                "local_control": self.local_control,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 class ProxyGateway:
     def __init__(
@@ -108,7 +75,8 @@ class ProxyGateway:
         config: AppConfig,
         directory: dict[str, VendorCloud],
         policy: ProxyPolicy | None = None,
-        rng=None,
+        *,
+        rng,
         home_ssid: str | None = None,
         endpoint_id: str = "proxy-gw",
         dns_available: bool = True,

@@ -11,13 +11,9 @@ from provlab import dpl, protocol
 from provlab.cloud import (
     API_PATH,
     APP_ACTIONS,
-    CloudRegistry,
-    CorruptSnapshot,
     DeviceOffline,
     UnknownDevice,
     VendorCloud,
-    persist,
-    restore,
 )
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
@@ -126,17 +122,6 @@ class TestRegistrationFlow:
         outcome = app.provision(dpl.Credentials(HOME, PSK, token.value), idle_hook=device.idle)
         assert outcome.success
         assert device.phase is DevicePhase.REGISTERED
-
-    def test_app_does_not_buffer_other_senders_broadcasts(self, world):
-        # an app never reads port 30011, so another phone's broadcasts must
-        # not pile up in its inbox
-        sim, cloud, app, _ = world
-        phone = sim.register("app-user-02", "app")
-        sim.join(phone, HOME, PSK)
-        creds = dpl.Credentials(HOME, PSK, "t" * 32)
-        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1).flatten())
-        assert sent > 0
-        assert sim.poll_datagrams(app.endpoint) == []
 
     def test_device_verdict_blind_to_freshness(self, world):
         # same 32-char shape, fresh vs stale: identical device behavior,
@@ -508,42 +493,6 @@ class TestBind:
         provision_one(sim, cloud, app, "bulb-01")
         provision_one(sim, cloud, app, "bulb-02")
         assert cloud.registry.tokens.bound_count() == len(cloud.registry.devices) == 2
-
-
-class TestRegistryPersistence:
-    def test_empty_round_trip(self, tmp_path):
-        registry = CloudRegistry()
-        path = tmp_path / "registry.json"
-        persist(registry, path)
-        assert restore(path) == registry
-
-    def test_populated_round_trip(self, world, tmp_path):
-        sim, cloud, app, _ = world
-        provision_one(sim, cloud, app, "bulb-01")
-        provision_one(sim, cloud, app, "bulb-02")
-        app.control_device("bulb-01", {"power": "on"})
-        path = tmp_path / "registry.json"
-        persist(cloud.registry, path)
-        again = restore(path)
-        assert again == cloud.registry
-        assert again.to_json() == cloud.registry.to_json()
-
-    def test_truncated_snapshot(self, world, tmp_path):
-        sim, cloud, app, _ = world
-        provision_one(sim, cloud, app)
-        path = tmp_path / "registry.json"
-        persist(cloud.registry, path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        with pytest.raises(CorruptSnapshot):
-            restore(path)
-
-    def test_not_json(self, tmp_path):
-        path = tmp_path / "registry.json"
-        for text in ("]]]]", "[" * 100000):
-            path.write_text(text)
-            with pytest.raises(CorruptSnapshot):
-                restore(path)
 
 
 class TestFootprint:

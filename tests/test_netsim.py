@@ -87,9 +87,10 @@ class TestBroadcast:
         rx = sim.register("rx", "device")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
         for i in range(100):
             sim.broadcast(tx, 30011, bytes([i % 251 + 1]) * (i + 1))
-        got = sim.poll_datagrams(rx)
         assert [len(d.payload) for d in got] == list(range(1, 101))
         delivered = [row for row in sim.capture.rows() if row[5] == "deliver"]
         assert len(delivered) == 100
@@ -116,9 +117,11 @@ class TestBroadcast:
         rx_b = sim.register("rx-b", "device")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx_b, "net-b", "password-b")
+        got = []
+        sim.set_datagram_handler(rx_b, 30011, got.append)
         for _ in range(50):
             sim.broadcast(tx, 30011, b"xx", ssid="net-a")
-        assert sim.poll_datagrams(rx_b) == []
+        assert got == []
         bad = [
             row for row in sim.capture.rows()
             if row[5] == "deliver" and row[6] == "rx-b"
@@ -134,9 +137,11 @@ class TestBroadcast:
         rx = sim.register("rx", "device")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
         for _ in range(frames):
             sim.broadcast(tx, 30011, b"abc")
-        delivered = len(sim.poll_datagrams(rx))
+        delivered = len(got)
 
         rng = random.Random(seed)
         expected = 0
@@ -169,6 +174,10 @@ class TestBroadcast:
             handled.append(len(d.payload))
 
         sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
+        recorded = [eps["rx-d"], eps["rx-a"], eps["rx-c"], eps["tx"], elsewhere]
+        got = {ep.id: [] for ep in recorded}
+        for ep in recorded:
+            sim.set_datagram_handler(ep, port, got[ep.id].append)
         draw = random.Random(7)
         lengths = [draw.randint(1, 2048) for _ in range(400)]
         for length in lengths:
@@ -194,12 +203,10 @@ class TestBroadcast:
         assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
         assert handled == delivered["rx-b"]
         for name in ("rx-d", "rx-a", "rx-c"):
-            got = sim.poll_datagrams(eps[name])
-            assert [len(d.payload) for d in got] == delivered[name]
-            assert {(d.src.id, d.dst_port, d.ssid) for d in got} == {("tx", port, "net-a")}
-        for name in ("rx-b", "tx"):
-            assert sim.poll_datagrams(eps[name]) == []
-        assert sim.poll_datagrams(elsewhere) == []
+            assert [len(d.payload) for d in got[name]] == delivered[name]
+            assert ({(d.src.id, d.dst_port, d.ssid) for d in got[name]}
+                    == {("tx", port, "net-a")})
+        assert got["tx"] == got["rx-e"] == []
 
     def test_handler_stream_send_follows_the_fan_out_records(self):
         sim = fresh_sim(drop=0.3, dup=0.3, seed=4)
@@ -235,8 +242,10 @@ class TestBroadcast:
         rx = sim.register("rx", "device")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
         sim.broadcast(tx, 30011, b"abc")
-        assert len(sim.poll_datagrams(rx)) == 2
+        assert len(got) == 2
 
     def test_drops_recorded_as_sent_not_delivered(self):
         sim = fresh_sim(drop=1.0)
@@ -250,37 +259,36 @@ class TestBroadcast:
         assert kinds == ["bcast", "drop"]
 
     def test_closed_port_keeps_its_records_but_runs_and_buffers_nothing(self):
-        def run(close):
+        def run(port):
             sim = fresh_sim(drop=0.2, dup=0.15, seed=3)
             sim.create_network("net-a", "password-a")
             eps = {name: sim.register(name, "device") for name in ("tx", "rx-a", "rx-b", "rx-c")}
             for ep in eps.values():
                 sim.join(ep, "net-a", "password-a")
-            calls = []
-            sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
-            if close:
+            got = {name: [] for name in ("rx-a", "rx-b", "rx-c")}
+            for name in got:
+                if name != "rx-b" or port != "never opened":
+                    sim.set_datagram_handler(eps[name], 30011, got[name].append)
+            if port == "closed":
                 sim.set_datagram_handler(eps["rx-b"], 30011, None)
             for length in range(1, 300):
                 sim.broadcast(eps["tx"], 30011, b"x" * length)
-            return sim, eps, calls
+            return sim, eps, got
 
-        open_sim, open_eps, open_calls = run(close=False)
-        sim, eps, calls = run(close=True)
-        # every draw shows in the records, so equal records mean equal draws
-        assert sim.capture.rows() == open_sim.capture.rows()
-        assert calls == [] and open_calls
-        assert sim.poll_datagrams(eps["rx-b"]) == []
-        for name in ("rx-a", "rx-c"):
-            assert ([len(d.payload) for d in sim.poll_datagrams(eps[name])]
-                    == [len(d.payload) for d in open_sim.poll_datagrams(open_eps[name])])
-        # a handler set again reopens the port
-        sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
-        reopened = len(open_calls)
-        for s, ep in ((sim, eps), (open_sim, open_eps)):
-            for _ in range(20):
-                s.broadcast(ep["tx"], 30011, b"reopened")
-        assert calls and calls == open_calls[reopened:]
-        assert sim.capture.rows() == open_sim.capture.rows()
+        for port in ("closed", "never opened"):
+            open_sim, open_eps, open_got = run("open")
+            sim, eps, got = run(port)
+            # every draw shows in the records, so equal records mean equal draws
+            assert sim.capture.rows() == open_sim.capture.rows()
+            assert open_got["rx-b"] and got == {**open_got, "rx-b": []}
+            # a handler set later opens the port
+            sim.set_datagram_handler(eps["rx-b"], 30011, got["rx-b"].append)
+            opened = len(open_got["rx-b"])
+            for s, ep in ((sim, eps), (open_sim, open_eps)):
+                for _ in range(20):
+                    s.broadcast(ep["tx"], 30011, b"reopened")
+            assert got["rx-b"] and got["rx-b"] == open_got["rx-b"][opened:]
+            assert sim.capture.rows() == open_sim.capture.rows()
 
     def test_handler_gets_frames_synchronously(self, sim):
         sim.create_network("net-a", "password-a")
@@ -299,12 +307,14 @@ class TestBroadcast:
         tx, rx = sim.register("tx", "app"), sim.register("rx", "device")
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
         sim.set_online(tx, False)
         with pytest.raises(PeerUnreachable):
             sim.broadcast(tx, 30011, b"abc")
         with pytest.raises(PeerUnreachable):
             broadcast_lengths(sim, tx, [3, 4])
-        assert sim.capture.rows() == [] and sim.poll_datagrams(rx) == []
+        assert sim.capture.rows() == [] and got == []
         assert sim._rng.getstate() == random.Random(2).getstate()
         sim.set_online(tx, True)
         sim.broadcast(tx, 30011, b"abc")
@@ -358,8 +368,8 @@ BURST_ACTIONS = (
 @st.composite
 def _burst_case(draw):
     """``tx`` sends a burst of filler lengths, perhaps with one invalid
-    length among them, to receivers that buffer, close or handle the
-    port; a handler's n-th call may act as ``BURST_ACTIONS`` says."""
+    length among them, to receivers that handle the port or leave it
+    closed; a handler's n-th call may act as ``BURST_ACTIONS`` says."""
     order = draw(st.permutations(("tx",) + BURST_RX))
     lengths = draw(st.lists(st.integers(1, 2048), min_size=4, max_size=40))
     if draw(st.integers(0, 2)) == 0:
@@ -370,7 +380,7 @@ def _burst_case(draw):
         "dup": draw(BURST_RATES),
         "net-a": [name for name in order if name == "tx" or draw(st.booleans())],
         "net-b": [name for name in BURST_RX if draw(st.booleans())],
-        "ports": {name: draw(st.sampled_from(["handler", "handler", "buffer", "closed"]))
+        "ports": {name: draw(st.sampled_from(["handler", "handler", "closed"]))
                   for name in BURST_RX},
         "scripts": {name: draw(st.dictionaries(st.integers(0, 4), BURST_ACTIONS, max_size=3))
                     for name in BURST_RX},
@@ -385,12 +395,12 @@ def _burst_oracle(case):
     order one drop draw and, if delivered, one dup draw; then handlers run
     in delivery order, and a frame a handler sends is replayed the same way
     inside it.  An offline sender raises ``PeerUnreachable``.  Returns
-    (rows, handler calls, inboxes, rng state, error type)."""
+    (rows, handler calls, rng state, error type)."""
     rng = random.Random(case["seed"])
     drop, dup, t = case["drop"], case["dup"], T0
     members = {ssid: list(case[ssid]) for ssid in ("net-a", "net-b")}
-    ports, seen, offline = dict(case["ports"], tx="buffer"), dict.fromkeys(BURST_RX, 0), set()
-    rows, calls, inboxes = [], [], {name: [] for name in ("tx",) + BURST_RX}
+    ports, seen, offline = dict(case["ports"], tx="closed"), dict.fromkeys(BURST_RX, 0), set()
+    rows, calls = [], []
 
     def send(src, ssid, length):
         nonlocal drop, dup, t
@@ -417,10 +427,7 @@ def _burst_oracle(case):
             copies = 2 if rng.random() < dup else 1
             rows.extend([record + ("deliver", name)] * copies)
             deliveries.extend([name] * copies)
-        payload = bytes([dpl.FILLER_BYTE]) * length
         for name in deliveries:
-            if ports[name] == "buffer":
-                inboxes[name].append((src, PORT, payload, ssid))
             if ports[name] != "handler":
                 continue
             calls.append((name, src, length, ssid))
@@ -451,8 +458,8 @@ def _burst_oracle(case):
         for length in case["lengths"]:
             send("tx", case["ssid"], length)
     except (InvalidLength, NotJoined, PeerUnreachable) as exc:
-        return rows, calls, inboxes, rng.getstate(), type(exc)
-    return rows, calls, inboxes, rng.getstate(), None
+        return rows, calls, rng.getstate(), type(exc)
+    return rows, calls, rng.getstate(), None
 
 
 def _burst_sim(case):
@@ -494,9 +501,8 @@ def _burst_sim(case):
         return on_datagram
 
     for name, mode in case["ports"].items():
-        if mode != "buffer":
-            sim.set_datagram_handler(eps[name], PORT,
-                                     handler_of(name) if mode == "handler" else None)
+        if mode == "handler":  # a closed port is one never opened; "close" sets None
+            sim.set_datagram_handler(eps[name], PORT, handler_of(name))
     return sim, eps, calls
 
 
@@ -510,10 +516,7 @@ def _run_burst(case):
         assert sent == len(case["lengths"])
     except (InvalidLength, NotJoined, PeerUnreachable) as exc:
         error = type(exc)
-    inboxes = {name: [(d.src.id, d.dst_port, d.payload, d.ssid)
-                      for d in sim.poll_datagrams(eps[name])]
-               for name in ("tx",) + BURST_RX}
-    return sim.capture.rows(), calls, inboxes, sim._rng.getstate(), error
+    return sim.capture.rows(), calls, sim._rng.getstate(), error
 
 
 class TestBurst:
@@ -521,7 +524,7 @@ class TestBurst:
     @given(case=_burst_case())
     @example(case={
         "seed": 1, "drop": 0.0, "dup": 0.0, "net-a": ["tx", "rx-a", "rx-b"], "net-b": [],
-        "ports": {"rx-a": "handler", "rx-b": "buffer", "rx-c": "closed", "rx-d": "handler"},
+        "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed", "rx-d": "handler"},
         # frame 1 adds rx-d; frame 2 closes rx-d's port and makes ssid None ambiguous
         "scripts": {"rx-a": {0: ("join", "rx-d"), 1: ("sender-joins-b",)}, "rx-b": {},
                     "rx-c": {}, "rx-d": {0: ("close",)}},
@@ -529,7 +532,7 @@ class TestBurst:
     })
     @example(case={
         "seed": 2, "drop": 0.0, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
-        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "buffer", "rx-c": "closed",
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed",
                                "rx-d": "closed"},
         # in frame 1, rx-a's first copy opens rx-c's port, so rx-c gets both
         # copies; rx-a's second copy sends a frame, whose draws and deliveries
@@ -539,12 +542,11 @@ class TestBurst:
         "ssid": "net-a", "lengths": [5, 6],
     })
     def test_broadcast_lengths_matches_per_frame_oracle(self, case):
-        rows, calls, inboxes, rng_state, error = _run_burst(case)
-        want_rows, want_calls, want_inboxes, want_state, want_error = _burst_oracle(case)
+        rows, calls, rng_state, error = _run_burst(case)
+        want_rows, want_calls, want_state, want_error = _burst_oracle(case)
         assert rows == want_rows
         assert rng_state == want_state
         assert calls == want_calls
-        assert inboxes == want_inboxes
         assert error is want_error
         if error is InvalidLength:
             # the frames before the bad length went out, none after it
@@ -731,13 +733,14 @@ class TestConcurrency:
             tx = sim.register(f"tx-{i}", "app")
             sim.join(tx, "net-a", "password-a")
             senders.append(tx)
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
         threads = [threading.Thread(target=pump, args=(sim, tx)) for tx in senders]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        got = sim.poll_datagrams(rx)
         assert len(got) == 400
         per_sender = {}
         for d in got:

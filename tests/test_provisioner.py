@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -12,11 +11,9 @@ from provlab.provisioner import (
     MobileApp,
     UnknownRegion,
     hardcoded_endpoints,
-    load_app_config,
     resolve_cloud_endpoint,
 )
 from provlab.signing import SigningKeySet
-from provlab.stego import StegoRecord, make_bmp, stego_embed
 
 
 class TestEndpointFallback:
@@ -67,34 +64,6 @@ class TestEndpointFallback:
             resolve_cloud_endpoint("EU", False, {}, {"52.29.0.171": cloud})
         cloud.set_online(True)
         assert sim.is_online(cloud.endpoint)
-
-
-class TestConfigLoading:
-    def test_config_pulls_secret2_through_stego(self, tmp_path, keyset):
-        bmp_path = tmp_path / "asset.bmp"
-        image = make_bmp(64, 64)
-        carrier = stego_embed(
-            image, "8c4wxjarqdtnuju4wut5",
-            StegoRecord(keys=[keyset.secret2.encode()]),
-        )
-        bmp_path.write_bytes(carrier.to_bytes())
-        config_path = tmp_path / "app.json"
-        config_path.write_text(json.dumps({
-            "bundleId": "com.xyz.smart",
-            "clientId": "client-01",
-            "region": "EU",
-            "userId": "user-09",
-            "keys": {
-                "certHash": keyset.cert_hash,
-                "secret1": keyset.secret1,
-                "secret2_bmp": str(bmp_path),
-                "seed": "8c4wxjarqdtnuju4wut5",
-            },
-        }))
-        config = load_app_config(config_path)
-        assert config.keys == keyset
-        assert config.user_id == "user-09"
-        assert config.region == "EU"
 
 
 @pytest.fixture
