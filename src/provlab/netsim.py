@@ -454,7 +454,7 @@ class Simulation:
                     i = todo.pop()
                     for _ in range(outcomes[i]):
                         handler = recs[i].datagram_handlers.get(dst_port)
-                        if handler is not None:  # None: the port is closed
+                        if handler is not None:  # no handler: the port is closed
                             dgram = dgram or Datagram(endpoint, dst_port, payload, net)
                             handler(dgram)
                     if gen != self._gen:  # a handler changed something: read every later port
