@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import threading
@@ -11,13 +12,15 @@ from provlab import dpl, protocol
 from provlab.cloud import (
     API_PATH,
     APP_ACTIONS,
+    CloudRegistry,
     DeviceOffline,
+    DeviceRecord,
     UnknownDevice,
     VendorCloud,
 )
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
-from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame
+from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame, issue_token
 from provlab.provisioner import AppConfig, CloudRejected, MobileApp, broadcast_lengths
 from provlab.scenarios import HOME_SSID, _app, _device, _provision, build_world
 from provlab.signing import SigningKeySet, derive_signing_key, seal_postdata, sign_envelope
@@ -122,6 +125,21 @@ class TestRegistrationFlow:
         outcome = app.provision(dpl.Credentials(HOME, PSK, token.value), idle_hook=device.idle)
         assert outcome.success
         assert device.phase is DevicePhase.REGISTERED
+
+    def test_app_opens_no_port_for_other_senders_broadcasts(self, world):
+        # an app never reads port 30011: another phone's broadcasts reach a
+        # listening device on the same network and run nothing at the app
+        sim, cloud, app, _ = world
+        device = IoTDevice(sim, "bulb-01", cloud.endpoint)
+        sim.join(device.endpoint, HOME, PSK)
+        phone = sim.register("app-user-02", "app")
+        sim.join(phone, HOME, PSK)
+        creds = dpl.Credentials(HOME, PSK, "t" * 32)
+        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1).flatten())
+        device.idle()
+        assert sent > 0
+        assert device.creds == creds
+        assert sim._rec(app.endpoint).datagram_handlers == {}
 
     def test_device_verdict_blind_to_freshness(self, world):
         # same 32-char shape, fresh vs stale: identical device behavior,
@@ -493,6 +511,71 @@ class TestBind:
         provision_one(sim, cloud, app, "bulb-01")
         provision_one(sim, cloud, app, "bulb-02")
         assert cloud.registry.tokens.bound_count() == len(cloud.registry.devices) == 2
+
+
+class TestRegistrySnapshot:
+    # to_json and fingerprint are what the golden registry digest and the
+    # attack-chain's no-mutation check read
+
+    def test_empty_registry(self):
+        registry = CloudRegistry()
+        assert json.loads(registry.to_json()) == {"tokens": {}, "devices": {}, "vendors": {}}
+        assert registry.fingerprint() == hashlib.sha256(
+            registry.to_json().encode("utf-8")).hexdigest()
+
+    def test_snapshot_holds_what_the_cloud_recorded(self, world, keyset):
+        sim, cloud, app, _ = world
+        _, first = provision_one(sim, cloud, app, "bulb-01")
+        _, second = provision_one(sim, cloud, app, "bulb-02")
+        app.control_device("bulb-01", {"power": "on"})
+        snap = json.loads(cloud.registry.to_json())
+        assert set(snap["devices"]) == {"bulb-01", "bulb-02"}
+        assert snap["devices"]["bulb-01"]["status"]["power"] == "on"
+        assert snap["devices"]["bulb-02"]["token_value"] == second.value
+        assert {value: rec["bound_device"] for value, rec in snap["tokens"].items()} == {
+            first.value: "bulb-01", second.value: "bulb-02"}
+        assert snap["vendors"] == {"com.xyz.smart": {
+            "cert_hash": keyset.cert_hash, "secret1": keyset.secret1,
+            "secret2": keyset.secret2}}
+
+    def test_insertion_order_does_not_matter(self, keyset):
+        rng = random.Random(3)
+        tokens = [issue_token(rng, 1_613_000_000, "EU", "com.xyz.smart", "user-01")
+                  for _ in range(3)]
+        devices = [DeviceRecord(f"bulb-{i}", "user-01", "com.xyz.smart", HOME, PSK,
+                                tokens[i].value, {"power": "off"}) for i in range(3)]
+        vendors = [("com.xyz.smart", keyset), ("com.abc.home", replace(keyset, secret1="x"))]
+        registries = []
+        for order in ((0, 1, 2), (2, 0, 1)):
+            registry = CloudRegistry()
+            for i in order:
+                registry.tokens.add(tokens[i])
+                registry.devices[devices[i].device_id] = devices[i]
+            for bundle_id, keys in (vendors if order[0] == 0 else vendors[::-1]):
+                registry.vendors[bundle_id] = keys
+            registries.append(registry)
+        assert registries[0].to_json() == registries[1].to_json()
+        assert registries[0].fingerprint() == registries[1].fingerprint()
+
+    @pytest.mark.parametrize("change", [
+        "device-status", "new-device", "new-vendor", "new-token", "bind-reject",
+    ])
+    def test_fingerprint_moves_with_each_change(self, world, keyset, change):
+        sim, cloud, app, _ = world
+        _, token = provision_one(sim, cloud, app, "bulb-01")
+        before = cloud.registry.fingerprint()
+        if change == "device-status":
+            app.control_device("bulb-01", {"power": "on"})
+        elif change == "new-device":
+            provision_one(sim, cloud, app, "bulb-02")
+        elif change == "new-vendor":
+            cloud.register_vendor("com.abc.home", replace(keyset, secret1="x"))
+        elif change == "new-token":
+            app.acquire_token()
+        else:
+            verdict = cloud.registry.tokens.bind(token.value, "bulb-09", sim.clock.now)
+            assert not verdict.accepted
+        assert cloud.registry.fingerprint() != before
 
 
 class TestFootprint:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from provlab.proxy import (
     ProxyGateway,
     ProxyPolicy,
 )
-from provlab.stego import StegoRecord, make_bmp, stego_embed
+from provlab.stego import MagicMismatch, StegoRecord, make_bmp, parse_bmp, stego_embed
 
 
 @pytest.fixture
@@ -160,6 +161,58 @@ class TestRelay:
         assert cloud.requests_total == before
 
 
+class TestDefaultPolicy:
+    # every gateway is built from a ProxyPolicy object; one built with none
+    # takes the defaults
+
+    def test_defaults(self):
+        assert ProxyPolicy() == ProxyPolicy(
+            allowed_actions=set(protocol.REGISTERED_ACTIONS), redact_fields=set(),
+            local_control=True)
+
+    def test_default_sets_are_not_shared(self):
+        first, second = ProxyPolicy(), ProxyPolicy()
+        first.allowed_actions.discard(protocol.ACTION_DEVICE_BIND)
+        first.redact_fields.add("lat")
+        assert second == ProxyPolicy()
+        assert protocol.ACTION_DEVICE_BIND in protocol.REGISTERED_ACTIONS
+
+    @pytest.fixture
+    def plain(self, rig, keyset):
+        sim, cloud, _, rng = rig
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="gw-client", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        proxy = ProxyGateway(sim, config, {"52.29.0.171": cloud}, rng=rng,
+                             endpoint_id="proxy-plain", dns_available=False,
+                             nonce_source=rng)
+        app = MobileApp(
+            sim, replace(config, client_id="app-client"), {"52.29.0.171": cloud}, rng=rng,
+            dns_available=False, endpoint_id="phone", nonce_source=rng,
+        )
+        return sim, cloud, proxy, app
+
+    @pytest.mark.parametrize("action, post_obj", [
+        (protocol.ACTION_TOKEN_GET, {"region": "EU", "userId": "user-01"}),
+        (protocol.ACTION_DEVICE_STATUS, {"device_id": "bulb-01"}),
+        (protocol.ACTION_DEVICE_CONTROL, {"device_id": "bulb-01", "command": {"power": "on"}}),
+        (protocol.ACTION_DEVICE_BIND, {"device_id": "bulb-01", "token": "t" * 32,
+                                       "ssid": "home-net", "passphrase": "hunter2-long"}),
+    ], ids=["token-get", "status", "control", "bind"])
+    def test_every_registered_action_is_forwarded_unredacted(self, plain, action, post_obj):
+        sim, cloud, proxy, app = plain
+        envelope = app.envelopes.build(action, post_obj, sim.clock.now)
+        before = cloud.requests_total
+        proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before + 1
+        assert cloud.verify_failures == 0
+        forwarded = cloud.last_envelope
+        assert forwarded["a"] == action
+        assert {k: v for k, v in forwarded.items() if k != "sign"} == {
+            k: v for k, v in envelope.items() if k != "sign"}
+
+
 class TestBindHijack:
     def test_a_bind_the_cloud_rejects_takes_no_channel(self, rig, keyset):
         sim, cloud, proxy, rng = rig
@@ -290,3 +343,25 @@ class TestKeyPipeline:
             secret1=keyset.secret1,
         )
         assert keys == keyset
+
+    def test_keys_from_a_bmp_file(self, keyset, tmp_path):
+        # the asset as the app ships it: a file on disk, parsed back
+        carrier = stego_embed(
+            make_bmp(64, 64), "8c4wxjarqdtnuju4wut5",
+            StegoRecord(keys=[keyset.secret2.encode()]),
+        )
+        path = tmp_path / "asset.bmp"
+        path.write_bytes(carrier.to_bytes())
+        keys = keys_from_bmp(
+            parse_bmp(path.read_bytes()), "8c4wxjarqdtnuju4wut5",
+            cert_hash=keyset.cert_hash, secret1=keyset.secret1,
+        )
+        assert keys == keyset
+
+    def test_wrong_seed_finds_no_key(self, keyset):
+        carrier = stego_embed(
+            make_bmp(64, 64), "seed-string", StegoRecord(keys=[keyset.secret2.encode()])
+        )
+        with pytest.raises(MagicMismatch):
+            keys_from_bmp(carrier, "other-seed", cert_hash=keyset.cert_hash,
+                          secret1=keyset.secret1)
