@@ -6,6 +6,7 @@ import re
 import pytest
 
 from provlab import cli, dpl
+from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.stego import StegoRecord, make_bmp, parse_bmp, stego_embed
 
@@ -90,6 +91,37 @@ class TestDecodeCommand:
         out = capsys.readouterr().out
         assert f"ssid={creds.ssid}" in out
         assert f"passphrase={creds.passphrase}" in out
+
+    def test_decodes_every_phone_of_a_crowd_the_device_cannot_hold(self, tmp_path, capsys):
+        phones = dpl.MAX_SENDERS + 1
+        sim = Simulation(clock=SimClock())
+        sim.create_network("home-net", "hunter2-long")
+        device = IoTDevice(sim, "bulb", sim.register("cloud", "cloud", wan=True))
+        sim.join(device.endpoint, "home-net", "hunter2-long")
+        senders, sent, lengths = [], [], []
+        for k in range(phones):
+            senders.append(sim.register(f"phone-{k}", "app"))
+            sim.join(senders[k], "home-net", "hunter2-long")
+            sent.append(dpl.Credentials("home-net", f"pass-{k}", f"{k:02d}" * 16))
+            lengths.append(dpl.encode(sent[k], 1).flatten())
+        # round robin: every phone sends its next frame before any sends again
+        for t in range(max(map(len, lengths))):
+            for k in range(phones):
+                if t < len(lengths[k]):
+                    sim.broadcast(senders[k], dpl.PROVISION_PORT, b"\x55" * lengths[k][t])
+        path = tmp_path / "crowd.jsonl"
+        path.write_text(sim.capture.to_jsonl())
+        assert cli.main(["decode", str(path), "--unmask"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"attempt {k}: src=phone-{k} ssid={creds.ssid} "
+            f"passphrase={creds.passphrase} token={creds.token}"
+            for k, creds in enumerate(sent)
+        ]
+        # the device keeps at most MAX_SENDERS attempts: each new sender
+        # evicts one that is still sending, so it decodes nothing
+        device.idle()
+        assert device.phase is DevicePhase.UNPROVISIONED
+        assert device.creds is None
 
     def test_no_provisioning_traffic(self, tmp_path, capsys):
         sim = Simulation()

@@ -544,17 +544,17 @@ class TestDecoderBank:
 
 
 def _bank_decode(rows):
-    """``decode_capture`` frame by frame: every port-30011 broadcast goes
-    through one bank in capture order, and each attempt is listed once, in
-    the order it started."""
-    bank, attempts = DecoderBank(), {}
-    for row in rows:
+    """``decode_capture`` frame by frame with no eviction: each sender's
+    port-30011 broadcasts go through a bank of its own, in capture order,
+    and the attempts are listed once each, ordered by their first row."""
+    banks, attempts = {}, {}  # attempts by id(decoder): (first row, src, decoder)
+    for pos, row in enumerate(rows):
         if row[5] == "bcast" and row[3] == dpl.PROVISION_PORT:
-            state = bank.feed(row[2], row[4])
-            attempts.setdefault(id(state), (row[2], state))
-    for _src, state in attempts.values():
+            state = banks.setdefault(row[2], DecoderBank()).feed(row[2], row[4])
+            attempts.setdefault(id(state), (pos, row[2], state))
+    for _pos, _src, state in attempts.values():
         state.finalize()
-    return list(attempts.values())
+    return [(src, state) for _pos, src, state in sorted(attempts.values(), key=lambda a: a[0])]
 
 
 def _attempts(attempts):
@@ -562,8 +562,8 @@ def _attempts(attempts):
 
 
 class TestDecodeCapture:
-    """``decode_capture`` against the frame-by-frame bank above, also with
-    more interleaved senders than a bank keeps."""
+    """``decode_capture`` against the per-sender banks above, also with
+    more interleaved senders than one bank keeps."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -612,9 +612,9 @@ class TestDecodeCapture:
                 if t < len(lengths)]
         attempts = dpl.decode_capture(rows)
         assert _attempts(attempts) == _attempts(_bank_decode(rows))
-        # past a full bank each new sender evicts one that is still sending
-        complete = sum(state.phase is Phase.COMPLETE for _src, state in attempts)
-        assert complete == (senders if senders <= dpl.MAX_SENDERS else 0)
+        # an offline decoder keeps every sender's attempt, past a full bank too
+        assert [(src, state.phase) for src, state in attempts] == [
+            (f"s{k}", Phase.COMPLETE) for k in range(senders)]
 
 
 class TestParseFuzz:
