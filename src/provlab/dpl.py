@@ -290,7 +290,9 @@ class DecoderState:
     and :meth:`feed_many` a list of them; both run the same frame loop,
     which stops at the frame that completes the attempt.
     :func:`decode_capture` feeds each sender's frames of a capture
-    separately and lists the attempts in the order they started.
+    separately, with no bound on the senders, and lists the attempts in
+    the order they started; a device keeps at most :data:`MAX_SENDERS`
+    attempts in a :class:`DecoderBank`.
     """
 
     phase: Phase = Phase.HUNTING
@@ -505,13 +507,13 @@ def decode_lengths(lengths) -> DecoderState:
     return state.finalize()
 
 
-MAX_SENDERS = 16  # decoders one listener keeps at once
+MAX_SENDERS = 16  # attempts a device's DecoderBank keeps at once
 _SETTLED = (Phase.COMPLETE, Phase.FAILED)
 
 
 class DecoderBank:
-    """Port-30011 decoding for every listener: the device and the
-    eavesdropper alike.
+    """Port-30011 decoding for a device, which has memory for a bounded
+    number of attempts.
 
     Each sender (``src``) gets its own :class:`DecoderState`, so frames of
     interleaved senders never mix.  A sender's next frame after its
@@ -541,16 +543,15 @@ class DecoderBank:
 
 
 def decode_capture(rows) -> list[tuple[str, DecoderState]]:
-    """Decode the port-30011 broadcasts of a capture exactly as a
-    :class:`DecoderBank` fed them frame by frame would, the way an
-    eavesdropper sees them.  ``rows`` are capture records (``parse_rows``)
-    or frames (``CaptureLog.frames``).
+    """Decode the port-30011 broadcasts of a capture, the way an
+    eavesdropper holding the whole capture sees them.  ``rows`` are
+    capture records (``parse_rows``) or frames (``CaptureLog.frames``).
 
-    With at most :data:`MAX_SENDERS` senders the bank never evicts, so
-    each sender's frames reach the same decoders in the same order when
-    they are decoded per sender, one :meth:`DecoderState.feed_many` call
-    per attempt.  Only a capture with more senders goes through the bank
-    frame by frame, and only there does a new sender evict an attempt.
+    Each sender's frames are decoded on their own, one
+    :meth:`DecoderState.feed_many` call per attempt; a sender's next frame
+    after a COMPLETE or FAILED attempt starts a new one, as in a
+    :class:`DecoderBank`.  Unlike a device's bank, every sender's attempts
+    are kept, however many senders the capture holds.
 
     Returns one ``(src, finalized decoder)`` pair per attempt, in the
     order the attempts started.
@@ -559,21 +560,14 @@ def decode_capture(rows) -> list[tuple[str, DecoderState]]:
     by_src: dict[str, list[int]] = {}  # sender -> positions of its frames
     for pos, row in enumerate(frames):
         by_src.setdefault(row[2], []).append(pos)
-    if len(by_src) > MAX_SENDERS:
-        bank, attempts = DecoderBank(), {}  # by id(decoder), each once, in start order
-        for row in frames:
-            state = bank.feed(row[2], row[4])
-            attempts.setdefault(id(state), (row[2], state))
-        started = list(attempts.values())
-    else:
-        starts = []  # (position of its first frame, src, decoder) per attempt
-        for src, positions in by_src.items():
-            lengths, i = [frames[pos][4] for pos in positions], 0
-            while i < len(lengths):
-                state = DecoderState()
-                starts.append((positions[i], src, state))
-                i = state.feed_many(lengths, i)
-        started = [(src, state) for _pos, src, state in sorted(starts, key=itemgetter(0))]
+    starts = []  # (position of its first frame, src, decoder) per attempt
+    for src, positions in by_src.items():
+        lengths, i = [frames[pos][4] for pos in positions], 0
+        while i < len(lengths):
+            state = DecoderState()
+            starts.append((positions[i], src, state))
+            i = state.feed_many(lengths, i)
+    started = [(src, state) for _pos, src, state in sorted(starts, key=itemgetter(0))]
     for _src, state in started:
         state.finalize()
     return started
