@@ -117,19 +117,6 @@ class Credentials:
             )
 
 
-@dataclass
-class DplSequence:
-    """Datagram lengths for a credentials broadcast, one list per round."""
-
-    rounds: list[list[int]]
-
-    def flatten(self) -> list[int]:
-        out: list[int] = []
-        for r in self.rounds:
-            out.extend(r)
-        return out
-
-
 def _field_bytes(ssid: str, passphrase: str) -> tuple[bytes, bytes]:
     """UTF-8 ssid and passphrase, checked against the framing limits."""
     ssid_b = ssid.encode("utf-8")
@@ -212,12 +199,12 @@ def _parse_frame(data: bytes) -> tuple[Credentials, int]:
     return creds, len(token_b)
 
 
-def encode(creds: Credentials, rounds: int = DEFAULT_ROUNDS) -> DplSequence:
-    """Encode validated credentials into a datagram-length sequence."""
+def encode(creds: Credentials, rounds: int = DEFAULT_ROUNDS) -> list[int]:
+    """Encode validated credentials into datagram lengths, round after round."""
     return encode_payload(build_payload(creds), rounds)
 
 
-def encode_payload(payload: bytes, rounds: int = DEFAULT_ROUNDS) -> DplSequence:
+def encode_payload(payload: bytes, rounds: int = DEFAULT_ROUNDS) -> list[int]:
     """Encode an already-framed payload; used directly to craft
     nonconforming broadcasts (e.g. wrong-length tokens)."""
     if not 1 <= rounds <= MAX_ROUNDS:
@@ -233,7 +220,7 @@ def encode_payload(payload: bytes, rounds: int = DEFAULT_ROUNDS) -> DplSequence:
         one_round.append(IDX_BASE + i)
         one_round.append(VAL_BASE + b)
     one_round.append(CRC_BASE + crc)
-    return DplSequence(rounds=[list(one_round) for _ in range(rounds)])
+    return one_round * rounds
 
 
 class Phase(Enum):

@@ -268,7 +268,7 @@ class MobileApp:
 
     def broadcast_credentials(self, creds: dpl.Credentials, rounds: int = dpl.DEFAULT_ROUNDS) -> int:
         """Emit the packet-length sequence on port 30011; returns frame count."""
-        return broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds, rounds).flatten())
+        return broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds, rounds))
 
     def provision(
         self,

@@ -151,7 +151,7 @@ class ProxyGateway:
             except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
-        lengths = dpl.encode(creds, rounds).flatten()
+        lengths = dpl.encode(creds, rounds)
         broadcast_lengths(self.sim, self.endpoint, lengths, ssid=net.ssid)
         if idle_hook is not None:
             idle_hook()

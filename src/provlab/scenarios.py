@@ -242,7 +242,7 @@ def scenario_token_case_1(seed: int) -> ScenarioReport:
     rig = _app(world, user="rig")
     token16 = "".join(world.rng.choice(ALPHA) for _ in range(16))
     payload = dpl.frame_fields(HOME_SSID, world.home_passphrase, token16)
-    broadcast_lengths(world.sim, rig.endpoint, dpl.encode_payload(payload, rounds=1).flatten())
+    broadcast_lengths(world.sim, rig.endpoint, dpl.encode_payload(payload, rounds=1))
     device.idle()
     report.check_eq(
         "device indicates credentials received, then rejects the short token",
@@ -672,7 +672,7 @@ def scenario_concurrent_provisioning(seed: int) -> ScenarioReport:
     devices = [_device(world, device_id) for device_id in ("bulb-01", "plug-02")]
     sent = [dpl.Credentials(HOME_SSID, world.home_passphrase, app.acquire_token().value)
             for app in apps]
-    lengths = [dpl.encode(creds).flatten() for creds in sent]
+    lengths = [dpl.encode(creds) for creds in sent]
     picks = [i for i, seq in enumerate(lengths) for _ in seq]
     world.rng.shuffle(picks)  # an order-keeping interleaving of the two bursts
     streams = [iter(seq) for seq in lengths]

@@ -55,8 +55,12 @@ def test_criterion_1_sync_and_som_fidelity():
             "".join(rng.choice(ALPHA) for _ in range(rng.randint(0, 64))),
             "".join(rng.choice(ALPHA) for _ in range(32)),
         )
-        seq = dpl.encode(creds, rounds=rng.randint(1, 16))
-        for rnd in seq.rounds:
+        rounds = rng.randint(1, 16)
+        seq = dpl.encode(creds, rounds)
+        size = 4 * dpl.GUIDE_REPS + 4 + 1 + 2 * len(dpl.build_payload(creds)) + 1
+        assert len(seq) == rounds * size
+        for start in range(0, len(seq), size):
+            rnd = seq[start : start + size]
             assert rnd[: 4 * dpl.GUIDE_REPS] == [1, 3, 6, 10] * dpl.GUIDE_REPS
             assert rnd[4 * dpl.GUIDE_REPS : 4 * dpl.GUIDE_REPS + 4] == [18, 35, 60, 65]
     elapsed = time.monotonic() - t0
@@ -76,7 +80,7 @@ def test_criterion_2_codec_round_trip():
             "".join(rng.choice(ALPHA) for _ in range(32)),
         )
         for rounds in (1, 5):
-            state = dpl.decode_lengths(dpl.encode(creds, rounds).flatten())
+            state = dpl.decode_lengths(dpl.encode(creds, rounds))
             assert state.phase is dpl.Phase.COMPLETE
             assert state.credentials == creds
 
@@ -90,7 +94,7 @@ def test_criterion_2_codec_round_trip():
             "".join(trng.choice(ALPHA) for _ in range(32)),
         )
         lengths = []
-        for L in dpl.encode(creds, 5).flatten():
+        for L in dpl.encode(creds, 5):
             if trng.random() < 0.2:
                 continue
             lengths.append(L)

@@ -22,7 +22,7 @@ def make_capture(tmp_path, drop=0.0, rounds=1, extra_stream=False):
     sim.join(tx, "home-net", "hunter2-long")
     sim.join(rx, "home-net", "hunter2-long")
     creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
-    for length in dpl.encode(creds, rounds).flatten():
+    for length in dpl.encode(creds, rounds):
         sim.broadcast(tx, dpl.PROVISION_PORT, b"\x55" * length)
     path = tmp_path / "capture.jsonl"
     path.write_text(sim.capture.to_jsonl())
@@ -103,7 +103,7 @@ class TestDecodeCommand:
             senders.append(sim.register(f"phone-{k}", "app"))
             sim.join(senders[k], "home-net", "hunter2-long")
             sent.append(dpl.Credentials("home-net", f"pass-{k}", f"{k:02d}" * 16))
-            lengths.append(dpl.encode(sent[k], 1).flatten())
+            lengths.append(dpl.encode(sent[k], 1))
         # round robin: every phone sends its next frame before any sends again
         for t in range(max(map(len, lengths))):
             for k in range(phones):

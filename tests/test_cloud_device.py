@@ -100,7 +100,7 @@ class TestRegistrationFlow:
                 phones.append(sim.register(f"phone-{k}", "app"))
                 sim.join(phones[k], HOME, PSK)
                 sent.append(dpl.Credentials(HOME, PSK, protocol.generate_token_value(rng)))
-                lengths.append(dpl.encode(sent[k], 5).flatten())
+                lengths.append(dpl.encode(sent[k], 5))
             # a uniform order-keeping interleaving: shuffle the sender of each slot
             picks = [k for k in range(2) for _ in lengths[k]]
             rng.shuffle(picks)
@@ -116,7 +116,7 @@ class TestRegistrationFlow:
         sim.join(device.endpoint, HOME, PSK)
         rig = sim.register("rig", "app")
         sim.join(rig, HOME, PSK)
-        lengths = dpl.encode(dpl.Credentials(HOME, PSK, "x" * 32), 1).flatten()
+        lengths = dpl.encode(dpl.Credentials(HOME, PSK, "x" * 32), 1)
         lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
         broadcast_lengths(sim, rig, lengths)
         device.idle()
@@ -135,7 +135,7 @@ class TestRegistrationFlow:
         phone = sim.register("app-user-02", "app")
         sim.join(phone, HOME, PSK)
         creds = dpl.Credentials(HOME, PSK, "t" * 32)
-        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1).flatten())
+        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1))
         device.idle()
         assert sent > 0
         assert device.creds == creds

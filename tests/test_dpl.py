@@ -140,7 +140,8 @@ class TestPayloadFraming:
 class TestEncode:
     def test_golden_round_prefix(self):
         seq = encode(Credentials("ab", "cd", "x" * 32), rounds=3)
-        for rnd in seq.rounds:
+        assert len(seq) == 3 * 116
+        for rnd in (seq[:116], seq[116:232], seq[232:]):
             assert rnd[:32] == [1, 3, 6, 10] * 8
             assert rnd[32:36] == [18, 35, 60, 65]
 
@@ -149,13 +150,13 @@ class TestEncode:
         creds = Credentials("ab", "cd", "x" * 32)
         n = len(build_payload(creds))
         expected = 4 * 8 + 4 + 1 + 2 * n + 1
-        seq = encode(creds, rounds=1)
-        assert len(seq.rounds[0]) == expected == 116
+        assert len(encode(creds, rounds=1)) == expected == 116
+        assert encode(creds, rounds=3) == encode(creds, rounds=1) * 3
 
     def test_round_structure(self):
         payload = build_payload(Credentials("a", "b", token()))
-        seq = encode_payload(payload, rounds=1)
-        rnd = seq.rounds[0]
+        rnd = encode_payload(payload, rounds=1)
+        assert len(rnd) == 4 * 8 + 4 + 1 + 2 * len(payload) + 1
         assert rnd[36] == dpl.LEN_BASE + len(payload)
         assert rnd[-1] == dpl.CRC_BASE + crc8(payload)
         pairs = rnd[37:-1]
@@ -193,7 +194,7 @@ class TestEncode:
 class TestDecoder:
     def test_lossless_round_trip(self):
         creds = Credentials("home-net", "hunter2-long", token())
-        state = decode_lengths(encode(creds, 1).flatten())
+        state = decode_lengths(encode(creds, 1))
         assert state.phase is Phase.COMPLETE
         assert state.credentials == creds
 
@@ -207,7 +208,7 @@ class TestDecoder:
     def test_round_trip_property(self, ssid, psk, rounds, data):
         tok = "".join(data.choice(ALPHA) for _ in range(32))
         creds = Credentials(ssid, psk, tok)
-        state = decode_lengths(encode(creds, rounds).flatten())
+        state = decode_lengths(encode(creds, rounds))
         assert state.phase is Phase.COMPLETE
         assert state.credentials == creds
 
@@ -234,7 +235,7 @@ class TestDecoder:
 
     def test_duplicate_rounds_never_corrupt_accepted_credentials(self):
         creds = Credentials("net", "password", token())
-        lengths = encode(creds, 1).flatten()
+        lengths = encode(creds, 1)
         state = DecoderState()
         for length in lengths * 3:
             state.feed(length)
@@ -247,7 +248,7 @@ class TestDecoder:
         # replayed offline, every index frame that survives in >= 1 round
         # explains why the decode completes
         creds = Credentials("home-net", "hunter2-long", token())
-        lengths = encode(creds, 5).flatten()
+        lengths = encode(creds, 5)
         rng = random.Random(42)
         kept = [L for L in lengths if rng.random() >= 0.2]
 
@@ -268,7 +269,7 @@ class TestDecoder:
 
     def test_complete_is_terminal(self):
         creds = Credentials("n", "p", token())
-        lengths = encode(creds, 1).flatten()
+        lengths = encode(creds, 1)
         state = DecoderState()
         for length in lengths:
             state.feed(length)
@@ -284,7 +285,7 @@ class TestDecoder:
         state = decode_lengths(_bad_crc_round(creds))
         assert state.phase is Phase.FAILED
         before = copy.deepcopy(state)
-        lengths = encode(creds, 2).flatten()
+        lengths = encode(creds, 2)
         for length in lengths:
             state.feed(length)
         assert state.feed_many(lengths, 3) == 3
@@ -299,7 +300,7 @@ class TestDecoder:
     def test_single_missing_byte_recovered_from_crc(self):
         creds = Credentials("ssid", "passphrase", token())
         payload = build_payload(creds)
-        lengths = encode(creds, 1).flatten()
+        lengths = encode(creds, 1)
         # drop exactly the value frame for slot 5; its index anchor stays,
         # so every other slot is still certain and one hole remains
         pruned = []
@@ -376,7 +377,7 @@ class TestLossToleranceInvariant:
                 "".join(rng.choice(ALPHA) for _ in range(rng.randint(8, 16))),
                 token(rng),
             )
-            lengths = self._lossy(encode(creds, 5).flatten(), drop, dup, rng)
+            lengths = self._lossy(encode(creds, 5), drop, dup, rng)
             state = decode_lengths(lengths)
             if state.phase is Phase.COMPLETE:
                 if state.credentials == creds:
@@ -405,7 +406,7 @@ class DecoderMachine(RuleBasedStateMachine):
     @initialize(creds=CREDS, rounds=st.integers(1, 4))
     def start(self, creds, rounds):
         self.creds = creds
-        self.stream = encode(creds, rounds).flatten()
+        self.stream = encode(creds, rounds)
         self.pos = 0
         self.state = DecoderState()
         self.settled = None
@@ -449,7 +450,7 @@ TestDecoderMachine = DecoderMachine.TestCase
 
 
 def _bad_crc_round(creds):
-    lengths = encode(creds, 1).flatten()
+    lengths = encode(creds, 1)
     lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
     return lengths
 
@@ -460,7 +461,7 @@ class TestDecoderBank:
         b = Credentials("net", "bravo-pass", token(random.Random(2)))
         bank = DecoderBank()
         states = {}
-        for la, lb in zip(encode(a, 1).flatten(), encode(b, 1).flatten()):
+        for la, lb in zip(encode(a, 1), encode(b, 1)):
             states["a"] = bank.feed("a", la)
             states["b"] = bank.feed("b", lb)
         assert states["a"].credentials == a
@@ -473,7 +474,7 @@ class TestDecoderBank:
             failed = bank.feed("a", length)
         assert bank.finalize() is None
         assert failed.phase is Phase.FAILED
-        for length in encode(creds, 1).flatten():
+        for length in encode(creds, 1):
             state = bank.feed("a", length)
         assert state is not failed
         assert state.credentials == creds
@@ -485,7 +486,7 @@ class TestDecoderBank:
         second = Credentials("net", "second", token(random.Random(4)))
         bank = DecoderBank()
         for src, creds in (("z", first), ("a", second)):
-            lengths = encode(creds, 1).flatten()
+            lengths = encode(creds, 1)
             del lengths[lengths.index(dpl.IDX_BASE + 2) + 1]
             for length in lengths:
                 bank.feed(src, length)
@@ -517,12 +518,12 @@ class TestDecoderBank:
     ):
         streams, sent = [], {}
         for i, (creds, rounds) in enumerate(genuine):
-            streams.append((f"phone-{i}", encode(creds, rounds).flatten()))
+            streams.append((f"phone-{i}", encode(creds, rounds)))
             sent[f"phone-{i}"] = creds
         for i, item in enumerate(injected):
             if isinstance(item, tuple):
                 sent[f"inj-{i}"] = item[0]
-                item = encode(*item).flatten()
+                item = encode(*item)
             streams.append((f"inj-{i}", item))
         # a uniform order-keeping interleaving: shuffle the sender of each slot
         picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
@@ -584,7 +585,7 @@ class TestDecodeCapture:
                 creds = Credentials(token(rng, rng.randint(1, 6)), token(rng, rng.randint(0, 6)),
                                     token(rng))
                 lengths += (_bad_crc_round(creds) if rng.random() < 0.25
-                            else encode(creds, rng.randint(1, 2)).flatten())
+                            else encode(creds, rng.randint(1, 2)))
             streams.append((f"phone-{k}", lengths))
         picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
         rng.shuffle(picks)
@@ -605,7 +606,7 @@ class TestDecodeCapture:
 
     @pytest.mark.parametrize("senders", [dpl.MAX_SENDERS, dpl.MAX_SENDERS + 1])
     def test_round_robin_at_and_past_a_full_bank(self, senders):
-        sent = [encode(Credentials("net", f"pass-{k}", token(random.Random(k))), 1).flatten()
+        sent = [encode(Credentials("net", f"pass-{k}", token(random.Random(k))), 1)
                 for k in range(senders)]
         rows = [(t, "net", f"s{k}", dpl.PROVISION_PORT, lengths[t], "bcast", None)
                 for t in range(max(map(len, sent))) for k, lengths in enumerate(sent)
@@ -655,7 +656,7 @@ _STREAM = dict(
 def _lossy_stream(creds, rounds, drop, dup, noise, seed):
     rng = random.Random(seed)
     stream = []
-    for length in encode(creds, rounds).flatten():
+    for length in encode(creds, rounds):
         if rng.random() < noise:
             # any length up to the top of the crc band: gaps, separators
             # and stray votes in every data band; now and then one outside
@@ -707,7 +708,7 @@ class TestDecoderDifferential:
         # mid-payload, so that a negative length read from the end of the
         # band table would settle the round early
         creds = Credentials("net", "pass", token())
-        lengths = encode(creds, 1).flatten()
+        lengths = encode(creds, 1)
         lengths.insert(lengths.index(dpl.IDX_BASE + 1) + 1, length)
         live, ref = DecoderState(), ReferenceDecoderState()
         assert live.feed_many(lengths) == len(lengths)

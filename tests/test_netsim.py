@@ -555,7 +555,7 @@ class TestBurst:
             assert sent == case["lengths"][:bad]
 
 
-GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2).flatten()
+GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2)
 
 
 class TestFrames:
@@ -917,7 +917,7 @@ class TestCaptureFormat:
         sim.join(rx, "home-net", "hunter2-long")
         creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
         sim.broadcast_many(tx, dpl.PROVISION_PORT,
-                           [b"\x55" * n for n in dpl.encode(creds, 5).flatten()])
+                           [b"\x55" * n for n in dpl.encode(creds, 5)])
         text = sim.capture.to_jsonl()
         rows = CaptureLog.parse_rows(text)
         assert len({id(r) for r in rows}) == len(set(text.split("\n")) - {""})
