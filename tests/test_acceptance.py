@@ -4,18 +4,12 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
-import json
 import random
 import re
 import string
 import time
 
-import pytest
-
 from provlab import cli, dpl, protocol
-from provlab.cloud import VendorCloud
-from provlab.device import DevicePhase
-from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import RejectReason, TokenStore, issue_token
 from provlab.provisioner import hardcoded_endpoints
 from provlab.scenarios import (
@@ -32,7 +26,6 @@ from provlab.scenarios import (
     scenario_token_case_2_stale,
     scenario_token_case_3,
 )
-from provlab.signing import derive_signing_key, sign_envelope
 from provlab.stego import StegoRecord, make_bmp, seed_hash, stego_embed, stego_extract
 
 ALPHA = string.ascii_lowercase + string.digits

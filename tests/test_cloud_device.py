@@ -23,7 +23,7 @@ from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame, issue_token
 from provlab.provisioner import AppConfig, CloudRejected, MobileApp, broadcast_lengths
 from provlab.scenarios import HOME_SSID, _app, _device, _provision, build_world
-from provlab.signing import SigningKeySet, derive_signing_key, seal_postdata, sign_envelope
+from provlab.signing import derive_signing_key, seal_postdata, sign_envelope
 
 HOME = "home-net"
 PSK = "hunter2-long"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from provlab import dpl, protocol
+from provlab import protocol
 from provlab.cloud import DeviceOffline, VendorCloud
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
