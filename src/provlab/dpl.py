@@ -536,9 +536,9 @@ def decode_capture(rows) -> list[tuple[str, DecoderState]]:
 
     Each sender's frames are decoded on their own, one
     :meth:`DecoderState.feed_many` call per attempt; a sender's next frame
-    after a COMPLETE or FAILED attempt starts a new one, as in a
-    :class:`DecoderBank`.  Unlike a device's bank, every sender's attempts
-    are kept, however many senders the capture holds.
+    after a COMPLETE or FAILED attempt starts a new one, as on a device.
+    Unlike a device, which keeps a bounded number of attempts, it keeps
+    every sender's attempts, however many senders the capture holds.
 
     Returns one ``(src, finalized decoder)`` pair per attempt, in the
     order the attempts started.
