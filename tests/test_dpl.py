@@ -547,15 +547,15 @@ class TestDecoderBank:
 def _bank_decode(rows):
     """``decode_capture`` frame by frame with no eviction: each sender's
     port-30011 broadcasts go through a bank of its own, in capture order,
-    and the attempts are listed once each, ordered by their first row."""
-    banks, attempts = {}, {}  # attempts by id(decoder): (first row, src, decoder)
-    for pos, row in enumerate(rows):
+    and each attempt is listed once, at its first row."""
+    banks, attempts = {}, {}
+    for row in rows:
         if row[5] == "bcast" and row[3] == dpl.PROVISION_PORT:
             state = banks.setdefault(row[2], DecoderBank()).feed(row[2], row[4])
-            attempts.setdefault(id(state), (pos, row[2], state))
-    for _pos, _src, state in attempts.values():
+            attempts.setdefault(id(state), (row[2], state))
+    for _src, state in attempts.values():
         state.finalize()
-    return [(src, state) for _pos, src, state in sorted(attempts.values(), key=lambda a: a[0])]
+    return list(attempts.values())
 
 
 def _attempts(attempts):
