@@ -1,6 +1,10 @@
+import argparse
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,46 @@ class TestMalformedInputs:
         assert cli.main(argv) == cli.EXIT_FAIL
         assert "not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRepeatedCallsInOneProcess:
+    """``cli.main`` called again and again in one process, as the bench and
+    any embedding caller do, answers each call as a fresh process would."""
+
+    def test_each_call_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PROVLAB_SEED", raising=False)
+        capture, _creds = make_capture(tmp_path, drop=0.2, rounds=5)
+        bad = b"\xff"  # not UTF-8; the interpreter turns it into a lone surrogate
+        calls = [
+            ([b"scenario", b"--seed", b"x"], cli.EXIT_USAGE, None),
+            ([b"scenario", b"--list"], cli.EXIT_OK, {"command", "name", "seed", "report", "list"}),
+            ([b"decode", os.fsencode(capture), b"--unmask"], cli.EXIT_OK,
+             {"command", "capture", "unmask"}),
+            ([b"r-keys", bad, os.fsencode(tmp_path / "none.bmp")], cli.EXIT_FAIL,
+             {"command", "seed", "bmp"}),
+        ]
+        parsed = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            namespace = parse_args(parser, *args, **kwargs)
+            parsed.append(namespace)
+            return namespace
+
+        # parse_args is argparse's top-level entry; subparsers parse without it
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv, code, dests in calls:
+            fresh = subprocess.run([sys.executable, "-m", "provlab.cli", *argv],
+                                   capture_output=True, env=env, check=False)
+            del parsed[:]
+            try:
+                got = cli.main([os.fsdecode(a) for a in argv])
+            except SystemExit as exc:  # argparse ends a usage error this way
+                got = exc.code
+            out, err = capsys.readouterr()
+            assert (got, fresh.returncode) == (code, code), argv
+            assert (out, err) == (os.fsdecode(fresh.stdout), os.fsdecode(fresh.stderr)), argv
+            # a fresh namespace per call, holding only its own command's options
+            assert [set(vars(ns)) for ns in parsed] == ([] if dests is None else [dests]), argv

@@ -455,6 +455,51 @@ def _bad_crc_round(creds):
     return lengths
 
 
+class TestRoundTrailingSegment:
+    """The value run after a round's last index frame ends at slot n - 1,
+    where n is the round's own len frame or else the majority of earlier ones."""
+
+    creds = Credentials("net", "pass", token())
+    payload = build_payload(creds)
+    n = len(payload)
+
+    def _rounds(self, count):
+        # a crc frame that never matches, so no round completes the attempt
+        return [_bad_crc_round(self.creds) for _ in range(count)]
+
+    def _feed(self, rounds):
+        state = DecoderState()
+        state.feed_many([length for lengths in rounds for length in lengths])
+        assert state.phase is Phase.COLLECTING
+        return state
+
+    def test_a_round_without_its_len_frame_ends_at_the_earlier_rounds_n(self):
+        first, second = self._rounds(2)
+        second.remove(dpl.LEN_BASE + self.n)
+        state = self._feed([first, second])
+        assert state.expected_len == self.n
+        assert state.slots == {i: {b: 2} for i, b in enumerate(self.payload)}
+
+    def test_a_round_whose_own_len_frame_disagrees_uses_its_own(self):
+        *agree, own = self._rounds(3)
+        # this round claims one byte more and carries one more value frame,
+        # which fits only its own n
+        extra = (self.payload[-1] + 1) % 256
+        own[own.index(dpl.LEN_BASE + self.n)] = dpl.LEN_BASE + self.n + 1
+        own.insert(len(own) - 1, dpl.VAL_BASE + extra)
+        state = self._feed([*agree, own])
+        assert state.expected_len == self.n  # the majority is still n
+        assert state.slots == {**{i: {b: 3} for i, b in enumerate(self.payload)},
+                               self.n: {extra: 1}}
+
+    def test_with_no_known_n_the_trailing_run_does_not_vote(self):
+        (only,) = self._rounds(1)
+        only.remove(dpl.LEN_BASE + self.n)
+        state = self._feed([only])
+        assert state.expected_len is None
+        assert state.slots == {i: {b: 1} for i, b in enumerate(self.payload[:-1])}
+
+
 class TestDecoderBank:
     def test_interleaved_senders_each_decode_their_own(self):
         a = Credentials("net", "alpha-pass", token(random.Random(1)))
@@ -558,8 +603,58 @@ def _bank_decode(rows):
     return list(attempts.values())
 
 
+def _reference_decode(rows):
+    """``decode_capture`` by the frozen reference decoder: each sender's
+    port-30011 broadcasts in capture order, a new attempt on the frame
+    after one completes, every attempt finalized and listed at its first row."""
+    current, attempts = {}, []
+    for row in rows:
+        if row[5] == "bcast" and row[3] == dpl.PROVISION_PORT:
+            state = current.get(row[2])
+            if state is None or state.phase is Phase.COMPLETE:
+                state = current[row[2]] = ReferenceDecoderState()
+                attempts.append((row[2], state))
+            state.feed(row[4])
+    for _src, state in attempts:
+        state.finalize()
+    return attempts
+
+
 def _attempts(attempts):
     return [(src, _public(state)) for src, state in attempts]
+
+
+def _capture_rows(senders, drop, dup, noise, seed):
+    """Port-30011 rows of ``senders`` interleaved phones under loss,
+    duplication and noise, with rows that must not be decoded between them."""
+    rng = random.Random(seed)
+    streams = []
+    for k in range(senders):
+        # a sender's later sends follow an attempt that completed, or one
+        # that a bad crc fails at finalize
+        lengths = []
+        for _ in range(rng.randint(1, 3)):
+            creds = Credentials(token(rng, rng.randint(1, 6)), token(rng, rng.randint(0, 6)),
+                                token(rng))
+            lengths += (_bad_crc_round(creds) if rng.random() < 0.25
+                        else encode(creds, rng.randint(1, 2)))
+        streams.append((f"phone-{k}", lengths))
+    picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
+    rng.shuffle(picks)
+    cursors = [iter(lengths) for _src, lengths in streams]
+    rows = []
+    for t, k in enumerate(picks):
+        src, length = streams[k][0], next(cursors[k])
+        if rng.random() < noise:
+            rows.append((t, "net", src, dpl.PROVISION_PORT, rng.randint(0, 1300), "bcast", None))
+        if rng.random() < drop:
+            continue
+        rows += [(t, "net", src, dpl.PROVISION_PORT, length, "bcast", None)] * (
+            2 if rng.random() < dup else 1)
+        # neither a receiver's row nor another port's broadcast is decoded
+        rows.append((t, "net", src, dpl.PROVISION_PORT, length + 1, "deliver", "dev-0"))
+        rows.append((t, "net", src, dpl.PROVISION_PORT + 1, length, "bcast", None))
+    return rows
 
 
 class TestDecodeCapture:
@@ -575,34 +670,21 @@ class TestDecodeCapture:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_frame_by_frame_bank(self, senders, drop, dup, noise, seed):
-        rng = random.Random(seed)
-        streams = []
-        for k in range(senders):
-            # a sender's later sends follow an attempt that completed, or one
-            # that a bad crc fails at finalize
-            lengths = []
-            for _ in range(rng.randint(1, 3)):
-                creds = Credentials(token(rng, rng.randint(1, 6)), token(rng, rng.randint(0, 6)),
-                                    token(rng))
-                lengths += (_bad_crc_round(creds) if rng.random() < 0.25
-                            else encode(creds, rng.randint(1, 2)))
-            streams.append((f"phone-{k}", lengths))
-        picks = [k for k, (_src, lengths) in enumerate(streams) for _ in lengths]
-        rng.shuffle(picks)
-        cursors = [iter(lengths) for _src, lengths in streams]
-        rows = []
-        for t, k in enumerate(picks):
-            src, length = streams[k][0], next(cursors[k])
-            if rng.random() < noise:
-                rows.append((t, "net", src, dpl.PROVISION_PORT, rng.randint(0, 1300), "bcast", None))
-            if rng.random() < drop:
-                continue
-            rows += [(t, "net", src, dpl.PROVISION_PORT, length, "bcast", None)] * (
-                2 if rng.random() < dup else 1)
-            # neither a receiver's row nor another port's broadcast is decoded
-            rows.append((t, "net", src, dpl.PROVISION_PORT, length + 1, "deliver", "dev-0"))
-            rows.append((t, "net", src, dpl.PROVISION_PORT + 1, length, "bcast", None))
+        rows = _capture_rows(senders, drop, dup, noise, seed)
         assert _attempts(dpl.decode_capture(rows)) == _attempts(_bank_decode(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        senders=st.integers(1, 20),
+        drop=st.sampled_from([0.0, 0.1, 0.3]),
+        dup=st.sampled_from([0.0, 0.1]),
+        noise=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_frozen_decoder(self, senders, drop, dup, noise, seed):
+        # the bank above runs the live decoder; this oracle shares none of it
+        rows = _capture_rows(senders, drop, dup, noise, seed)
+        assert _attempts(dpl.decode_capture(rows)) == _attempts(_reference_decode(rows))
 
     @pytest.mark.parametrize("senders", [dpl.MAX_SENDERS, dpl.MAX_SENDERS + 1])
     def test_round_robin_at_and_past_a_full_bank(self, senders):
