@@ -394,46 +394,38 @@ class DecoderState:
         if not buf:
             return
         n = next((value for band, value in buf if band == "len"), self.expected_len)
-
-        seg_vals: list[int] = []
-        seg_start: int | None = 0 if self._head_known else None
+        if n is not None:
+            # the round's end anchors slot n, as an index frame would
+            buf.append(("idx", n))
+        slots = self.slots
+        start = 0 if self._head_known else None
+        vals: list[int] = []
         for band, value in buf:
             if band == "val":
-                seg_vals.append(value)
+                vals.append(value)
             elif band == "idx":
-                self._close_segment(seg_start, seg_vals, value - 1)
-                seg_vals = []
-                seg_start = value
+                if start is not None and value - start == len(vals):
+                    for slot, byte in enumerate(vals, start):
+                        votes = slots.get(slot)
+                        if votes is None:
+                            slots[slot] = {byte: 1}
+                        else:
+                            votes[byte] = votes.get(byte, 0) + 1
+                start, vals = value, []
             # len frames carry no position information beyond the head,
-            # and a crc frame only ever ends the buffer
-        # the last segment ends at the round's last slot, if n is known
-        self._close_segment(seg_start, seg_vals, None if n is None else n - 1)
+            # and a crc frame only ever ends the round
         self._try_complete()
-
-    def _close_segment(
-        self, start: int | None, vals: list[int], end: int | None
-    ) -> None:
-        if start is None or end is None or end - start + 1 != len(vals):
-            return
-        for slot, value in enumerate(vals, start):
-            self._vote(slot, value)
-
-    def _vote(self, slot: int, value: int) -> None:
-        votes = self.slots.setdefault(slot, {})
-        votes[value] = votes.get(value, 0) + 1
 
     # -- completion -------------------------------------------------------
 
     def _assemble(self) -> bytes | None:
-        n = self.expected_len
-        if not n:
+        n, slots = self.expected_len, self.slots
+        if not n or len(slots) < n or not all(map(slots.__contains__, range(n))):
             return None
         out = bytearray(n)
         for i in range(n):
-            votes = self.slots.get(i)
-            if not votes:
-                return None
-            out[i] = _majority(votes)
+            votes = slots[i]
+            out[i] = next(iter(votes)) if len(votes) == 1 else _majority(votes)
         return bytes(out)
 
     def _try_complete(self) -> None:
@@ -543,13 +535,17 @@ def decode_capture(rows) -> list[tuple[str, DecoderState]]:
     Returns one ``(src, finalized decoder)`` pair per attempt, in the
     order the attempts started.
     """
-    frames = [row for row in rows if row[5] == "bcast" and row[3] == PROVISION_PORT]
-    by_src: dict[str, list[int]] = {}  # sender -> positions of its frames
-    for pos, row in enumerate(frames):
-        by_src.setdefault(row[2], []).append(pos)
-    starts = []  # (position of its first frame, src, decoder) per attempt
-    for src, positions in by_src.items():
-        lengths, i = [frames[pos][4] for pos in positions], 0
+    by_src: dict[str, tuple[list[int], list[int]]] = {}  # sender -> (row positions, lengths)
+    for pos, row in enumerate(rows):
+        if row[5] == "bcast" and row[3] == PROVISION_PORT:
+            sent = by_src.get(row[2])
+            if sent is None:
+                sent = by_src[row[2]] = ([], [])
+            sent[0].append(pos)
+            sent[1].append(row[4])
+    starts = []  # (row of its first frame, src, decoder) per attempt
+    for src, (positions, lengths) in by_src.items():
+        i = 0
         while i < len(lengths):
             state = DecoderState()
             starts.append((positions[i], src, state))
