@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import dpl
 from .netsim import CaptureLog
@@ -34,6 +35,7 @@ EXIT_MAGIC_MISMATCH = 2
 EXIT_NO_TRAFFIC = 3
 
 
+@cache  # each parse makes a fresh namespace, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="provlab",
