@@ -420,7 +420,7 @@ class DecoderState:
 
     def _assemble(self) -> bytes | None:
         n, slots = self.expected_len, self.slots
-        if not n or len(slots) < n or not all(map(slots.__contains__, range(n))):
+        if not n or not all(map(slots.__contains__, range(n))):
             return None
         out = bytearray(n)
         for i in range(n):
