@@ -258,7 +258,7 @@ class TestRepeatedCallsInOneProcess:
         env = {**os.environ, "PYTHONPATH": str(src)}
         for argv, code, dests in calls:
             fresh = subprocess.run([sys.executable, "-m", "provlab.cli", *argv],
-                                   capture_output=True, env=env, check=False)
+                                   capture_output=True, env=env, check=False, timeout=60)
             del parsed[:]
             try:
                 got = cli.main([os.fsdecode(a) for a in argv])
