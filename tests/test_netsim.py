@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import threading
@@ -541,6 +542,38 @@ class TestBurst:
                     "rx-c": {1: ("send", 3)}, "rx-d": {}},
         "ssid": "net-a", "lengths": [5, 6],
     })
+    @example(case={
+        # no port open from the first frame; the fourth length is bad
+        "seed": 3, "drop": 0.15, "dup": 0.5, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": dict.fromkeys(BURST_RX, "closed"),
+        "scripts": {name: {} for name in BURST_RX},
+        "ssid": "net-a", "lengths": [5, 6, 7, 0, 9, 10, 11, 12, 13, 14],
+    })
+    @example(case={
+        # rx-a's third call, frame 1's first copy, closes the last open port
+        "seed": 4, "drop": 0.0, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed",
+                               "rx-d": "closed"},
+        "scripts": {"rx-a": {2: ("close",)}, "rx-b": {}, "rx-c": {}, "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(100, 140)),
+    })
+    @example(case={
+        # rx-a's first copy opens rx-b's port, its second closes rx-a's own:
+        # rx-b hears every later frame
+        "seed": 5, "drop": 0.0, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed",
+                               "rx-d": "closed"},
+        "scripts": {"rx-a": {0: ("open", "rx-b"), 1: ("close",)}, "rx-b": {}, "rx-c": {},
+                    "rx-d": {}},
+        "ssid": "net-a", "lengths": [5, 6, 7, 8, 9],
+    })
+    @example(case={
+        # a frame with no receiver, then a bad length
+        "seed": 6, "drop": 0.5, "dup": 0.5, "net-a": ["tx"], "net-b": ["rx-a"],
+        "ports": dict.fromkeys(BURST_RX, "handler"),
+        "scripts": {name: {} for name in BURST_RX},
+        "ssid": None, "lengths": [5, 2049],
+    })
     def test_broadcast_lengths_matches_per_frame_oracle(self, case):
         rows, calls, rng_state, error = _run_burst(case)
         want_rows, want_calls, want_state, want_error = _burst_oracle(case)
@@ -553,6 +586,43 @@ class TestBurst:
             bad = next(i for i, n in enumerate(case["lengths"]) if not 1 <= n <= 2048)
             sent = [row[4] for row in rows if row[5] == "bcast" and row[2] == "tx"]
             assert sent == case["lengths"][:bad]
+
+    @pytest.mark.parametrize("drop", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("dup", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    def test_burst_takes_every_draw_at_any_rate(self, drop, dup):
+        """Three receivers with closed ports, and rx-c, whose handler closes
+        its port on its first call: rows, calls and the generator match a
+        replay of one ``random() < rate`` draw per decision."""
+        sim = fresh_sim(drop=drop, dup=dup, seed=11)
+        sim.create_network("net-a", "password-a")
+        eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
+        for ep in eps.values():
+            sim.join(ep, "net-a", "password-a")
+        calls = []
+
+        def close_on_first_call(d):
+            calls.append(len(d.payload))
+            sim.set_datagram_handler(eps["rx-c"], PORT, None)
+
+        sim.set_datagram_handler(eps["rx-c"], PORT, close_on_first_call)
+        lengths = list(range(3, 53))
+        assert broadcast_lengths(sim, eps["tx"], lengths) == 50
+
+        rng, want_frames, want_calls = random.Random(11), [], []
+        for length in lengths:
+            outcomes = []
+            for _ in BURST_RX:
+                if rng.random() < drop:
+                    outcomes.append(0)
+                else:
+                    outcomes.append(2 if rng.random() < dup else 1)
+            want_frames.append((T0, "net-a", "tx", PORT, length, "bcast", BURST_RX,
+                                bytes(outcomes)))
+            if outcomes[2] and not want_calls:
+                want_calls.append(length)
+        assert sim.capture.frames() == want_frames
+        assert calls == want_calls
+        assert sim._rng.getstate() == rng.getstate()
 
 
 GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2)
