@@ -348,6 +348,34 @@ class TestDecoder:
             assert (state.phase, state.payload, state.credentials) == (
                 Phase.COMPLETE, fits[0], creds)
 
+    def test_a_separator_after_a_settled_round_settles_nothing(self, monkeypatch):
+        creds = Credentials("home-net", "hunter2-long", token())
+        first, second = encode(creds, 1), encode(creds, 1)
+        del first[first.index(dpl.IDX_BASE + 3) + 1]  # slot 3's value frame
+        head = len(dpl.GUIDE) * dpl.GUIDE_REPS + len(dpl.SOM)
+        found, flush = [], DecoderState._flush_round
+
+        def recording(state):
+            found.append(len(state._round_buf))
+            flush(state)
+
+        monkeypatch.setattr(DecoderState, "_flush_round", recording)
+        state = DecoderState()
+        state.feed_many(first + second)
+        # each round settles once, at its crc frame; the first lacks slot 3
+        assert state.phase is Phase.COMPLETE and state.credentials == creds
+        assert len(found) == 2 and 0 not in found
+
+        found.clear()
+        state = DecoderState()
+        state.feed_many(first + second[:head])
+        assert state.phase is Phase.COLLECTING
+        assert len(found) == 1 and 0 not in found
+        # finalize settles the open round, here empty, then fills slot 3 from the crc
+        state.finalize()
+        assert found == [found[0], 0]
+        assert state.phase is Phase.COMPLETE and state.credentials == creds
+
 
 class TestLossToleranceInvariant:
     """Spec invariant: across the allowed loss envelope (drop <= 0.3,
