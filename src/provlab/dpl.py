@@ -326,6 +326,9 @@ class DecoderState:
                 if band == "idx" or band == "val":
                     buf.append(frame)
                     continue
+                if not buf and band != "len" and band != "crc":
+                    self._head_known = True  # a separator with no round to settle
+                    continue
                 self._feed_collecting(band, frame[1])
             elif phase is Phase.HUNTING:
                 self._feed_hunting(band, frame[1])
