@@ -23,7 +23,7 @@ import re
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
@@ -104,7 +104,8 @@ class LossModel:
     Draw order is part of the contract so tests can replay it: for each
     broadcast frame, for each receiving *online* member in join order,
     one uniform draw decides drop; if delivered, a second draw decides
-    duplication.  No draw is consumed for a dropped frame's duplicate.
+    duplication.  No draw is consumed for a dropped frame's duplicate.  A
+    rate <= 0 or >= 1 still takes its draws, heard by a receiver or not.
     """
 
     drop_prob: float = 0.0
@@ -412,7 +413,8 @@ class Simulation:
         handler calls are those of one :meth:`broadcast` per payload, and a frame
         that fails a check raises after the frames before it are sent.  A handler's
         change to membership or presence applies from the next frame, to a port
-        from the next delivery.  The lock is held for the burst."""
+        from the next delivery.  Once no receiver's port is open no handler can
+        run, so the rest is written in one step.  The lock is held for the burst."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         with self._lock:
@@ -421,7 +423,8 @@ class Simulation:
             rows, draw = self.capture._rows, self._rng.random
             # the last frame's receivers, and the _gen they and their ports were read at
             dsts, recs, gen = (), [], None
-            for payload in payloads:
+            rest = iter(payloads)
+            for payload in rest:
                 length = len(payload)
                 if not 1 <= length <= MAX_DATAGRAM:
                     raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
@@ -442,6 +445,10 @@ class Simulation:
                     # positions of the receivers whose port is open, last first
                     live = [i for i in range(len(recs) - 1, -1, -1)
                             if recs[i].datagram_handlers.get(dst_port) is not None]
+                    if not live:  # no handler can run and change anything read here
+                        self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
+                                           chain((payload,), rest), loss)
+                        return len(payloads)
                 drop, dup = loss.drop_prob, loss.dup_prob
                 # LossModel draw order: per receiver, drop, then dup if delivered
                 outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
@@ -460,6 +467,29 @@ class Simulation:
                     if gen != self._gen:  # a handler changed something: read every later port
                         todo = list(range(len(recs) - 1, i, -1))
             return len(payloads)
+
+    def _send_unheard(self, rows, head, dsts, payloads, loss) -> None:
+        """Write a burst's frames that no receiver hears, each row led by ``head``,
+        ``(t, ssid, src, port)``, with the per-frame loop's records, draws and error."""
+        lengths = list(map(len, payloads))
+        sent = next((k for k, n in enumerate(lengths) if not 1 <= n <= MAX_DATAGRAM),
+                    len(lengths))
+        n, drop, dup = len(dsts), loss.drop_prob, loss.dup_prob
+        if drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1):
+            # every outcome is certain; a random() takes two 32-bit words, as
+            # 64 bits of getrandbits do, and a drop takes one draw, a delivery two
+            outcome = 0 if drop >= 1 else 2 if dup >= 1 else 1
+            self._rng.getrandbits(64 * n * sent * (2 if outcome else 1))
+            outcomes = repeat(bytes([outcome]) * n)
+        else:
+            draw = self._rng.random
+            flat = bytes([0 if draw() < drop else 2 if draw() < dup else 1
+                          for _ in range(n * sent)])
+            outcomes = [flat[k * n:k * n + n] for k in range(sent)]
+        rows.extend(zip(*map(repeat, head), lengths[:sent], repeat("bcast"), repeat(dsts),
+                        outcomes))
+        if sent < len(lengths):
+            raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
 
     # -- streams -----------------------------------------------------------
 
