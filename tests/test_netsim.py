@@ -590,10 +590,11 @@ class TestBurst:
     @pytest.mark.parametrize("drop", [-0.5, 0.0, 1.0, 1.5, math.nan])
     @pytest.mark.parametrize("dup", [-0.5, 0.0, 1.0, 1.5, math.nan])
     def test_burst_takes_every_draw_at_any_rate(self, drop, dup):
-        """Three receivers with closed ports, and rx-c, whose handler closes
-        its port on its first call: rows, calls and the generator match a
-        replay of one ``random() < rate`` draw per decision."""
-        sim = fresh_sim(drop=drop, dup=dup, seed=11)
+        """Three receivers with closed ports, and rx-c, whose handler sets the
+        rates and closes its port on its first call, so that no receiver hears
+        the rest of the burst: rows, calls and the generator match a replay of
+        one ``random() < rate`` draw per decision."""
+        sim = fresh_sim(seed=11)
         sim.create_network("net-a", "password-a")
         eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
         for ep in eps.values():
@@ -602,26 +603,26 @@ class TestBurst:
 
         def close_on_first_call(d):
             calls.append(len(d.payload))
+            sim.loss.drop_prob, sim.loss.dup_prob = drop, dup
             sim.set_datagram_handler(eps["rx-c"], PORT, None)
 
         sim.set_datagram_handler(eps["rx-c"], PORT, close_on_first_call)
         lengths = list(range(3, 53))
         assert broadcast_lengths(sim, eps["tx"], lengths) == 50
 
-        rng, want_frames, want_calls = random.Random(11), [], []
-        for length in lengths:
+        rng, want_frames = random.Random(11), []
+        for k, length in enumerate(lengths):
+            frame_drop, frame_dup = (drop, dup) if k else (0.0, 0.0)
             outcomes = []
             for _ in BURST_RX:
-                if rng.random() < drop:
+                if rng.random() < frame_drop:
                     outcomes.append(0)
                 else:
-                    outcomes.append(2 if rng.random() < dup else 1)
+                    outcomes.append(2 if rng.random() < frame_dup else 1)
             want_frames.append((T0, "net-a", "tx", PORT, length, "bcast", BURST_RX,
                                 bytes(outcomes)))
-            if outcomes[2] and not want_calls:
-                want_calls.append(length)
         assert sim.capture.frames() == want_frames
-        assert calls == want_calls
+        assert calls == [3]
         assert sim._rng.getstate() == rng.getstate()
 
 
