@@ -574,6 +574,20 @@ class TestBurst:
         "scripts": {name: {} for name in BURST_RX},
         "ssid": None, "lengths": [5, 2049],
     })
+    @example(case={
+        # as seed 3, at rates that make every outcome certain
+        "seed": 7, "drop": 0.0, "dup": 0.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": dict.fromkeys(BURST_RX, "closed"),
+        "scripts": {name: {} for name in BURST_RX},
+        "ssid": "net-a", "lengths": [5, 6, 7, 0, 9, 10, 11, 12, 13, 14],
+    })
+    @example(case={
+        # as seed 6, at rates that make every outcome certain
+        "seed": 8, "drop": 1.0, "dup": 0.5, "net-a": ["tx"], "net-b": ["rx-a"],
+        "ports": dict.fromkeys(BURST_RX, "handler"),
+        "scripts": {name: {} for name in BURST_RX},
+        "ssid": None, "lengths": [5, 2049],
+    })
     def test_broadcast_lengths_matches_per_frame_oracle(self, case):
         rows, calls, rng_state, error = _run_burst(case)
         want_rows, want_calls, want_state, want_error = _burst_oracle(case)
