@@ -326,7 +326,7 @@ class DecoderState:
                 if band == "idx" or band == "val":
                     buf.append(frame)
                     continue
-                if not buf and band != "len" and band != "crc":
+                if not buf and (band == "guide" or band == "som" or band == "som_noise"):
                     self._head_known = True  # a separator with no round to settle
                     continue
                 self._feed_collecting(band, frame[1])

@@ -414,7 +414,8 @@ class Simulation:
         that fails a check raises after the frames before it are sent.  A handler's
         change to membership or presence applies from the next frame, to a port
         from the next delivery.  Once no receiver's port is open no handler can
-        run, so the rest is written in one step.  The lock is held for the burst."""
+        run, so when the rates make every outcome certain the rest is written in
+        one step.  The lock is held for the burst."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         with self._lock:
@@ -445,9 +446,14 @@ class Simulation:
                     # positions of the receivers whose port is open, last first
                     live = [i for i in range(len(recs) - 1, -1, -1)
                             if recs[i].datagram_handlers.get(dst_port) is not None]
-                    if not live:  # no handler can run and change anything read here
+                    drop, dup = loss.drop_prob, loss.dup_prob
+                    # with no port open no handler can run and change what was read
+                    # here; when the rates also make every outcome certain, the rest
+                    # of the burst is written in one step
+                    if not live and (drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)):
                         self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
-                                           chain((payload,), rest), loss)
+                                           chain((payload,), rest),
+                                           0 if drop >= 1 else 2 if dup >= 1 else 1)
                         return len(payloads)
                 drop, dup = loss.drop_prob, loss.dup_prob
                 # LossModel draw order: per receiver, drop, then dup if delivered
@@ -468,26 +474,18 @@ class Simulation:
                         todo = list(range(len(recs) - 1, i, -1))
             return len(payloads)
 
-    def _send_unheard(self, rows, head, dsts, payloads, loss) -> None:
+    def _send_unheard(self, rows, head, dsts, payloads, outcome) -> None:
         """Write a burst's frames that no receiver hears, each row led by ``head``,
-        ``(t, ssid, src, port)``, with the per-frame loop's records, draws and error."""
+        ``(t, ssid, src, port)``, with every outcome the certain ``outcome``; the
+        records, draws and error are the per-frame loop's."""
         lengths = list(map(len, payloads))
         sent = next((k for k, n in enumerate(lengths) if not 1 <= n <= MAX_DATAGRAM),
                     len(lengths))
-        n, drop, dup = len(dsts), loss.drop_prob, loss.dup_prob
-        if drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1):
-            # every outcome is certain; a random() takes two 32-bit words, as
-            # 64 bits of getrandbits do, and a drop takes one draw, a delivery two
-            outcome = 0 if drop >= 1 else 2 if dup >= 1 else 1
-            self._rng.getrandbits(64 * n * sent * (2 if outcome else 1))
-            outcomes = repeat(bytes([outcome]) * n)
-        else:
-            draw = self._rng.random
-            flat = bytes([0 if draw() < drop else 2 if draw() < dup else 1
-                          for _ in range(n * sent)])
-            outcomes = [flat[k * n:k * n + n] for k in range(sent)]
+        # a random() takes two 32-bit words, as 64 bits of getrandbits do; a drop
+        # takes one draw, a delivery two
+        self._rng.getrandbits(64 * len(dsts) * sent * (2 if outcome else 1))
         rows.extend(zip(*map(repeat, head), lengths[:sent], repeat("bcast"), repeat(dsts),
-                        outcomes))
+                        repeat(bytes([outcome]) * len(dsts))))
         if sent < len(lengths):
             raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
 
