@@ -8,6 +8,7 @@ from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.provisioner import (
     AppConfig,
     CloudRejected,
+    EnvelopeFactory,
     MobileApp,
     UnknownRegion,
     hardcoded_endpoints,
@@ -117,6 +118,41 @@ class TestAcquireToken:
         assert env["a"] == "tuya.m.token.get"
         for name in ("time", "lang", "deviceId", "postData", "requestId", "sign"):
             assert name in env
+
+    def test_envelope_is_pinned(self, keyset):
+        # every key, value, insertion order and the sign of one app envelope
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="tt3advw3as8se94muvt9", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        rng = random.Random(7)
+        envelope = EnvelopeFactory(config, rng, nonce_source=rng).build(
+            "tuya.m.token.get", {"region": "EU", "userId": "user-01"}, 1_613_163_767)
+        assert list(envelope.items()) == [
+            ("time", 1613163767),
+            ("lang", "en"),
+            ("deviceId", "CAAC4B69-A95B-4483-801D-000000000001"),
+            ("et", "0.0.1"),
+            ("osSystem", "14.2"),
+            ("bundleId", "com.xyz.smart"),
+            ("lon", -90.0),
+            ("channel", "oem"),
+            ("appVersion", "1.1.2"),
+            ("ttid", "appstore"),
+            ("v", "1.0"),
+            ("sid", "az16113405328608e6hqj3z3"),
+            ("platform", "iPhone"),
+            ("postData", "UvImZaYMEtKJGF2VrdUlTAKBQViOD9pGIevEEr0cCgogsQO70xAY"
+                         "+Ln/xz47U/DSAtMuUj9X0KpYyVK8DLqQazo="),
+            ("requestId", "00000001-1612DD272D13"),
+            ("sdVersion", "3.20.1"),
+            ("timeZoneId", "America/Chicago"),
+            ("lat", 90.0),
+            ("clientId", "tt3advw3as8se94muvt9"),
+            ("a", "tuya.m.token.get"),
+            ("appRnVersion", "5.29"),
+            ("sign", "62cb8b48452427a3e039a5781e7200e08b0a90b855057192028a474ccfeeb805"),
+        ]
 
 
 class TestProvisionFlow:
