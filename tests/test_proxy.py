@@ -15,6 +15,7 @@ from provlab.proxy import (
     PolicyDenied,
     ProxyGateway,
     ProxyPolicy,
+    UpstreamRejected,
 )
 from provlab.stego import MagicMismatch, StegoRecord, make_bmp, parse_bmp, stego_embed
 
@@ -280,6 +281,19 @@ class TestConstruction:
             ProxyGateway(sim, config, {"52.29.0.171": cloud}, None, rng,
                          endpoint_id="proxy-positional")
 
+    def test_a_gateway_built_with_its_defaults_provisions_a_device(self, keyset):
+        rng = random.Random(31)
+        sim = Simulation(loss=LossModel(), clock=SimClock(1_613_000_000))
+        cloud = VendorCloud(sim, rng=rng, nonce_source=rng)
+        cloud.register_vendor("com.xyz.smart", keyset)
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="gw-client", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        proxy = ProxyGateway(sim, config, {"52.29.0.171": cloud}, rng=rng)
+        device, _ = provision_proxied(sim, proxy)
+        assert device.phase is DevicePhase.REGISTERED
+
 
 class TestUpstreamResolution:
     def test_region_without_endpoints_fails_the_provisioning(self, rig, keyset):
@@ -298,6 +312,42 @@ class TestUpstreamResolution:
         assert "'XX'" in outcome.error
         assert device.phase is DevicePhase.REGISTER_FAILED
         assert device.events[-1]["detail"] == "cloud reject: UpstreamUnreachable"
+
+    def _control_envelope(self, sim, cloud, keyset, rng):
+        app = MobileApp(
+            sim, AppConfig(bundle_id="com.xyz.smart", client_id="app-client", region="EU",
+                           user_id="user-01", keys=keyset),
+            {"52.29.0.171": cloud}, rng=rng, dns_available=False, endpoint_id="phone",
+            nonce_source=rng,
+        )
+        return app.envelopes.build(
+            protocol.ACTION_DEVICE_CONTROL,
+            {"device_id": "bulb-01", "command": {"power": "on"}},
+            sim.clock.now,
+        )
+
+    def test_a_dark_cloud_rejects_the_relay(self, rig, keyset):
+        sim, cloud, proxy, rng = rig
+        envelope = self._control_envelope(sim, cloud, keyset, rng)
+        cloud.set_online(False)
+        before = cloud.requests_total
+        with pytest.raises(UpstreamRejected):
+            proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before
+
+    def test_a_region_without_endpoints_rejects_the_relay(self, rig, keyset):
+        sim, cloud, _, rng = rig
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="gw-client", region="XX",
+            user_id="user-01", keys=keyset,
+        )
+        proxy = ProxyGateway(sim, config, {"52.29.0.171": cloud}, rng=rng,
+                             endpoint_id="proxy-xx", dns_available=False)
+        envelope = self._control_envelope(sim, cloud, keyset, rng)
+        before = cloud.requests_total
+        with pytest.raises(UpstreamRejected):
+            proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before
 
 
 class TestLocalControl:
