@@ -79,7 +79,7 @@ class ProxyGateway:
         rng,
         home_ssid: str | None = None,
         endpoint_id: str = "proxy-gw",
-        dns_available: bool = True,
+        dns_available: bool = False,
         dns_answers: dict[str, list[str]] | None = None,
         nonce_source=None,
     ):
@@ -178,7 +178,7 @@ class ProxyGateway:
         try:
             cloud = self.cloud_client.resolve()
             return json.loads(cloud.post(API_PATH, json.dumps(forwarded)))
-        except CloudUnreachable as exc:
+        except (CloudUnreachable, ProvisionerError) as exc:
             raise UpstreamRejected(str(exc)) from exc
 
     # -- cloud-role toward devices / device-role toward cloud -------------------------
