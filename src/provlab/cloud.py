@@ -168,18 +168,12 @@ class VendorCloud:
     6668 (or its 1883 alias) as length-prefixed frames.
     """
 
-    def __init__(
-        self,
-        sim: Simulation,
-        rng,
-        endpoint_id: str = "cloud",
-        nonce_source=None,
-    ):
+    def __init__(self, sim: Simulation, rng, nonce_source=None):
         self.sim = sim
         self.clock = sim.clock
         self.rng = rng
         self.nonce_source = nonce_source
-        self.endpoint = sim.register(endpoint_id, "cloud", wan=True)
+        self.endpoint = sim.register("cloud", "cloud", wan=True)
         self.channels = DeviceChannels(sim, self.endpoint, "relay", self._on_device_frame)
         self.registry = CloudRegistry()
         self.requests_total = 0

@@ -86,16 +86,15 @@ def keys_from_bmp(image: BmpImage, seed: str, cert_hash: str, secret1: str) -> S
 
 @dataclass
 class AppConfig:
+    """Who the emulated app is toward the cloud.  Its install (``deviceId``,
+    ``sid``), location (``lat``, ``lon``) and ``timeZoneId`` are fixed
+    values of the emulated app, written by :meth:`EnvelopeFactory.build`."""
+
     bundle_id: str
     client_id: str
     region: str
     user_id: str
     keys: SigningKeySet
-    sid: str = "az16113405328608e6hqj3z3"
-    install_id: str = "CAAC4B69-A95B-4483-801D-000000000001"
-    lat: float = 90.0
-    lon: float = -90.0
-    time_zone_id: str = "America/Chicago"
 
 
 class EnvelopeFactory:
@@ -113,22 +112,22 @@ class EnvelopeFactory:
         tail = "".join(self.rng.choice("0123456789ABCDEF") for _ in range(12))
         return f"{self._seq:08d}-{tail}"
 
-    def build(self, action: str, post_obj: dict, now: int, redact: dict | None = None) -> dict:
+    def build(self, action: str, post_obj: dict, now: int) -> dict:
         cfg = self.config
         key = derive_signing_key(cfg.keys)
         envelope = {
             "time": now,
             "lang": "en",
-            "deviceId": cfg.install_id,
+            "deviceId": "CAAC4B69-A95B-4483-801D-000000000001",
             "et": "0.0.1",
             "osSystem": "14.2",
             "bundleId": cfg.bundle_id,
-            "lon": cfg.lon,
+            "lon": -90.0,
             "channel": "oem",
             "appVersion": "1.1.2",
             "ttid": "appstore",
             "v": "1.0",
-            "sid": cfg.sid,
+            "sid": "az16113405328608e6hqj3z3",
             "platform": "iPhone",
             "postData": seal_postdata(
                 json.dumps(post_obj, sort_keys=True).encode("utf-8"),
@@ -137,14 +136,12 @@ class EnvelopeFactory:
             ),
             "requestId": self._request_id(),
             "sdVersion": "3.20.1",
-            "timeZoneId": cfg.time_zone_id,
-            "lat": cfg.lat,
+            "timeZoneId": "America/Chicago",
+            "lat": 90.0,
             "clientId": cfg.client_id,
             "a": action,
             "appRnVersion": "5.29",
         }
-        if redact:
-            envelope.update(redact)
         envelope["sign"] = sign_envelope(envelope, key)
         return envelope
 
@@ -193,12 +190,16 @@ class CloudClient:
         )
         return cloud
 
+    def post(self, cloud: VendorCloud, envelope: dict) -> dict:
+        """POST one envelope to ``cloud``'s app API; returns the parsed reply."""
+        return json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+
     def call(self, action: str, post_obj: dict) -> dict:
         """One signed request; returns the opened result or raises
         :class:`CloudRejected`."""
         cloud = self.resolve()
         envelope = self.envelopes.build(action, post_obj, self.clock.now)
-        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        response = self.post(cloud, envelope)
         key = derive_signing_key(self.config.keys)
         if not response.get("success"):
             reason = response.get("result", {}).get("error", "Unknown")

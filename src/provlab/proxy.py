@@ -11,12 +11,11 @@ home credentials.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
 from . import dpl, protocol
-from .cloud import API_PATH, CloudUnreachable, DeviceChannels, VendorCloud
+from .cloud import CloudUnreachable, DeviceChannels, VendorCloud
 from .netsim import DuplicateSsid, PeerUnreachable, Simulation, StreamEnd, VirtualNetwork
 from .protocol import DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
@@ -59,13 +58,14 @@ class LocalCommandRefused(ProxyError):
 
 @dataclass
 class ProxyPolicy:
-    """What the proxy lets through and what it scrubs."""
+    """What the proxy scrubs from an app envelope before it re-signs it.
 
-    allowed_actions: set[str] = field(
-        default_factory=lambda: set(protocol.REGISTERED_ACTIONS)
-    )
+    Each member of ``redact_fields`` becomes ``0.0`` if it holds a number
+    (a boolean does not count) and ``"redacted"`` otherwise.  Only the
+    registered actions pass, whatever the policy.
+    """
+
     redact_fields: set[str] = field(default_factory=set)
-    local_control: bool = True
 
 
 class ProxyGateway:
@@ -80,23 +80,17 @@ class ProxyGateway:
         home_ssid: str | None = None,
         endpoint_id: str = "proxy-gw",
         dns_available: bool = False,
-        dns_answers: dict[str, list[str]] | None = None,
         nonce_source=None,
     ):
         self.sim = sim
-        self.config = config
         self.policy = policy or ProxyPolicy()
         self.rng = rng
         self.home_ssid = home_ssid
         self.endpoint = sim.register(endpoint_id, "proxy")
         self.channels = DeviceChannels(sim, self.endpoint, "local", self._on_device_frame)
         self.cloud_client = CloudClient(
-            config,
-            EnvelopeFactory(config, rng, nonce_source=nonce_source),
-            directory,
-            sim.clock,
-            dns_available,
-            dns_answers or {},
+            config, EnvelopeFactory(config, rng, nonce_source=nonce_source), directory,
+            sim.clock, dns_available, {},
         )
         self.assignments: dict[str, VirtualNetwork] = {}
         self._upstreams: dict[str, StreamEnd] = {}
@@ -126,19 +120,10 @@ class ProxyGateway:
         self.assignments[device_id] = net
         return net
 
-    # -- app-role: token and status traffic to the real cloud ---------------------
-
-    def acquire_token(self) -> str:
-        return self.cloud_client.request_token()["token"]
-
     # -- isolated provisioning ----------------------------------------------------
 
     def provision_isolated(
-        self,
-        device_id: str,
-        token: str | None = None,
-        rounds: int = dpl.DEFAULT_ROUNDS,
-        idle_hook=None,
+        self, device_id: str, token: str | None = None, idle_hook=None
     ) -> ProvisionOutcome:
         """Provision one device onto its decoy network with decoy credentials;
         the device registers with the cloud knowing nothing about the home."""
@@ -147,12 +132,11 @@ class ProxyGateway:
             net = self.allocate_virtual_network(device_id)
         if token is None:
             try:
-                token = self.acquire_token()
+                token = self.cloud_client.request_token()["token"]
             except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
-        lengths = dpl.encode(creds, rounds)
-        broadcast_lengths(self.sim, self.endpoint, lengths, ssid=net.ssid)
+        broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds), ssid=net.ssid)
         if idle_hook is not None:
             idle_hook()
         return self.cloud_client.wait_until_online(token)
@@ -162,22 +146,17 @@ class ProxyGateway:
     def relay_app_envelope(self, envelope: dict) -> dict:
         """Terminate an app request, scrub it per policy, re-sign, forward."""
         action = envelope.get("a")
-        if not isinstance(action, str) or action not in self.policy.allowed_actions:
+        if not isinstance(action, str) or action not in protocol.REGISTERED_ACTIONS:
             raise PolicyDenied(f"action {action!r} not allowed")
         forwarded = {k: v for k, v in envelope.items() if k != protocol.SIGN_FIELD}
-        for name in self.policy.redact_fields:
-            if name in forwarded:
-                forwarded[name] = (
-                    REDACTED_NUMBER
-                    if isinstance(forwarded[name], (int, float))
-                    and not isinstance(forwarded[name], bool)
-                    else REDACTED_TEXT
-                )
-        key = derive_signing_key(self.config.keys)
-        forwarded["sign"] = sign_envelope(forwarded, key)
+        for name in self.policy.redact_fields & forwarded.keys():
+            value = forwarded[name]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            forwarded[name] = REDACTED_NUMBER if number else REDACTED_TEXT
+        client = self.cloud_client
+        forwarded["sign"] = sign_envelope(forwarded, derive_signing_key(client.config.keys))
         try:
-            cloud = self.cloud_client.resolve()
-            return json.loads(cloud.post(API_PATH, json.dumps(forwarded)))
+            return client.post(client.resolve(), forwarded)
         except (CloudUnreachable, ProvisionerError) as exc:
             raise UpstreamRejected(str(exc)) from exc
 
@@ -235,8 +214,6 @@ class ProxyGateway:
         """Command the device directly over the proxy's device-side channel;
         works with the vendor cloud completely dark.  Returns the device's
         status, or raises :class:`LocalCommandRefused` if it refused."""
-        if not self.policy.local_control:
-            raise PolicyDenied("local_control is disabled by policy")
         ack = self.channels.command(device_id, command)
         if not ack.get("success", False):
             raise LocalCommandRefused(ack.get("reason", "CommandRejected"))

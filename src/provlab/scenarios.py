@@ -570,7 +570,7 @@ def scenario_proxy_transparency(seed: int) -> ScenarioReport:
 def scenario_proxy_offline_control(seed: int) -> ScenarioReport:
     report = ScenarioReport("proxy-offline-control", seed)
     world = build_world(seed)
-    proxy = _proxy(world, ProxyPolicy(local_control=True))
+    proxy = _proxy(world, ProxyPolicy())
     device, outcome = _isolated_device(world, proxy, "bulb-01")
     report.check("device registers via the proxy", outcome, outcome.success)
     status = proxy.local_control("bulb-01", {"power": "on"})

@@ -33,7 +33,7 @@ def rig(keyset):
     )
     proxy = ProxyGateway(
         sim, config, {"52.29.0.171": cloud},
-        policy=ProxyPolicy(redact_fields={"lat", "lon"}, local_control=True),
+        policy=ProxyPolicy(redact_fields={"lat", "lon"}),
         rng=rng, home_ssid="home-net", dns_available=False, nonce_source=rng,
     )
     return sim, cloud, proxy, rng
@@ -92,7 +92,7 @@ class TestIsolatedProvisioning:
 
     def test_stale_token_is_bind_rejected(self, rig):
         sim, cloud, proxy, _ = rig
-        token = proxy.acquire_token()
+        token = proxy.cloud_client.request_token()["token"]
         sim.clock.advance(protocol.TTL_SECONDS + 5)
         net = proxy.allocate_virtual_network("bulb-01")
         device = IoTDevice(sim, "bulb-01", proxy.endpoint)
@@ -148,14 +148,13 @@ class TestRelay:
         assert cloud.last_envelope["lon"] == 0.0
         assert cloud.verify_failures == 0
 
-    # an action that is not a string is denied, even one that holds an
-    # allowed action, as the cloud answers it with UnknownAction
+    # an action that is not a string is denied, even one that holds a
+    # registered action, as the cloud answers it with UnknownAction
     @pytest.mark.parametrize("action", [
-        protocol.ACTION_DEVICE_CONTROL, [protocol.ACTION_DEVICE_STATUS], {"a": 1},
+        "m.factory.reset", [protocol.ACTION_DEVICE_STATUS], {"a": 1},
     ], ids=["not-allowed", "list", "object"])
     def test_policy_denied_sends_nothing_upstream(self, rig, keyset, action):
         sim, cloud, proxy, rng = rig
-        proxy.policy.allowed_actions = {protocol.ACTION_DEVICE_STATUS}
         before = cloud.requests_total
         with pytest.raises(PolicyDenied):
             proxy.relay_app_envelope({"a": action})
@@ -167,16 +166,12 @@ class TestDefaultPolicy:
     # takes the defaults
 
     def test_defaults(self):
-        assert ProxyPolicy() == ProxyPolicy(
-            allowed_actions=set(protocol.REGISTERED_ACTIONS), redact_fields=set(),
-            local_control=True)
+        assert ProxyPolicy() == ProxyPolicy(redact_fields=set())
 
     def test_default_sets_are_not_shared(self):
         first, second = ProxyPolicy(), ProxyPolicy()
-        first.allowed_actions.discard(protocol.ACTION_DEVICE_BIND)
         first.redact_fields.add("lat")
         assert second == ProxyPolicy()
-        assert protocol.ACTION_DEVICE_BIND in protocol.REGISTERED_ACTIONS
 
     @pytest.fixture
     def plain(self, rig, keyset):
@@ -368,13 +363,6 @@ class TestLocalControl:
         assert refused.value.reason == "UnknownCommand"
         assert device.attributes == {"power": "off", "brightness": 0}
         assert type(device.attributes["brightness"]) is int
-
-    def test_local_control_disabled_by_policy(self, rig):
-        sim, cloud, proxy, _ = rig
-        provision_proxied(sim, proxy)
-        proxy.policy.local_control = False
-        with pytest.raises(PolicyDenied):
-            proxy.local_control("bulb-01", {"power": "on"})
 
     def test_unknown_device(self, rig):
         _, _, proxy, _ = rig
