@@ -217,6 +217,18 @@ def _isolated_device(
     return dev, proxy.provision_isolated(device_id, idle_hook=dev.idle)
 
 
+def _send_frame(
+    world: World, attacker_id: str, role: str, peer, frame: DeviceFrame
+) -> list[DeviceFrame]:
+    """A new endpoint joins the home network, sends ``frame`` to ``peer``'s
+    device port and returns the frames it gets back."""
+    attacker = world.sim.register(attacker_id, role)
+    world.sim.join(attacker, HOME_SSID, world.home_passphrase)
+    stream = world.sim.open_stream(attacker, peer, protocol.DEVICE_PORT)
+    stream.send(encode_frame(frame))
+    return FrameReader().push(stream.recv())
+
+
 def _frames_from(world: World, src_id: str) -> int:
     """Capture records sent by ``src_id``, counted from its frames."""
     return sum(1 if len(row) == 7 else 1 + len(row[7]) + row[7].count(2)
@@ -365,22 +377,10 @@ def scenario_replay_defense(seed: int) -> ScenarioReport:
         "attacker recovers the token from captured packet lengths",
         bool(sniffed), bool(sniffed) and sniffed[0] == token.value,
     )
-    attacker = world.sim.register("attacker-rig", "app")
-    world.sim.join(attacker, HOME_SSID, world.home_passphrase)
-    stream = world.sim.open_stream(attacker, world.cloud.endpoint, protocol.DEVICE_PORT)
-    reader = FrameReader()
-    stream.send(
-        encode_frame(
-            DeviceFrame(
-                kind="bind",
-                device_id="rogue-device",
-                token=token.value,
-                payload={"ssid": HOME_SSID, "passphrase": world.home_passphrase,
-                         "bundle_id": "com.xyz.smart"},
-            )
-        )
-    )
-    acks = reader.push(stream.recv())
+    acks = _send_frame(world, "attacker-rig", "app", world.cloud.endpoint, DeviceFrame(
+        kind="bind", device_id="rogue-device", token=token.value,
+        payload={"ssid": HOME_SSID, "passphrase": world.home_passphrase,
+                 "bundle_id": "com.xyz.smart"}))
     report.check(
         "replayed bind is rejected as AlreadyBound",
         acks[0].payload if acks else None,
@@ -464,17 +464,9 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
     app = _app(world)
     _token, outcome = _provision(world, app, device)
     report.check("victim device registers on the shared network", outcome, outcome.success)
-    attacker = world.sim.register("evil-plug", "device")
-    world.sim.join(attacker, HOME_SSID, world.home_passphrase)
-    stream = world.sim.open_stream(attacker, device.endpoint, protocol.DEVICE_PORT)
-    reader = FrameReader()
-    stream.send(
-        encode_frame(
-            DeviceFrame(kind="command", device_id="bulb-01",
-                        payload={"command": {"power": "on"}}, request_id="hijack-1")
-        )
-    )
-    acks = reader.push(stream.recv())
+    acks = _send_frame(world, "evil-plug", "device", device.endpoint, DeviceFrame(
+        kind="command", device_id="bulb-01", payload={"command": {"power": "on"}},
+        request_id="hijack-1"))
     report.check(
         "co-resident attacker commands the device over its open port",
         device.attributes,
