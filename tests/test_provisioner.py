@@ -94,6 +94,18 @@ class TestAcquireToken:
         assert token.acquired_at == sim.clock.now
         assert cloud.registry.tokens.get(token.value) is not None
 
+    def test_an_app_built_with_its_defaults_gets_a_token(self, keyset):
+        rng = random.Random(5)
+        sim = Simulation(loss=LossModel(), clock=SimClock(1_613_000_000))
+        cloud = VendorCloud(sim, rng=rng, nonce_source=rng)
+        cloud.register_vendor("com.xyz.smart", keyset)
+        config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="client-01", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        token = MobileApp(sim, config, {"52.29.0.171": cloud}, rng).acquire_token()
+        assert cloud.registry.tokens.get(token.value) is not None
+
     def test_wrong_secret2_rejected(self, rig, keyset):
         sim, cloud, app, rng = rig
         bad = AppConfig(
