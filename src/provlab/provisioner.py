@@ -242,7 +242,7 @@ class MobileApp:
         config: AppConfig,
         directory: dict[str, VendorCloud],
         rng,
-        dns_available: bool = True,
+        dns_available: bool = False,
         dns_answers: dict[str, list[str]] | None = None,
         endpoint_id: str | None = None,
         nonce_source=None,
