@@ -212,24 +212,26 @@ class CaptureLog:
         return [CaptureEntry(*row) for row in CaptureLog.parse_rows(text)]
 
     @staticmethod
-    def parse_rows(text: str) -> list[tuple]:
+    def parse_rows(text: str, bcast_port: int | None = None) -> list[tuple]:
         """Parse capture JSONL into ``(t, ssid, src, port, len, kind, dst)``
-        tuples.  Lines end at "\\n", are stripped of the JSON whitespace around
-        them, and one of nothing else is blank.  One regex pass matches each
-        distinct non-blank line once, and stands only if every one is canonical;
-        equal lines then share one row.  Else each line goes through
-        ``json.loads``, and the first that is not JSON, nests too deeply, is not
-        an object, lacks a field or has one of the wrong type raises
-        ``ValueError`` naming its 1-based line number."""
+        tuples in capture order, or given ``bcast_port`` only that port's
+        ``bcast`` rows; every line is checked either way.  Lines end at "\\n",
+        are stripped of the JSON whitespace around them, and one of nothing else
+        is blank.  One regex pass matches each distinct non-blank line once, and
+        stands only if every one is canonical; equal lines then share one row.
+        Else each line goes through ``json.loads``, and the first that is not
+        JSON, nests too deeply, is not an object, lacks a field or has one of
+        the wrong type raises ``ValueError`` naming its 1-based line number."""
         lines = list(map(str.strip, text.split("\n"), repeat(_JSON_WS)))
         distinct = dict.fromkeys(filter(None, lines))
-        rows = [
+        rows = [  # None for a line that is checked but not kept
             (int(t), ssid, src, int(port), int(length), kind, dst)
+            if bcast_port is None or kind == "bcast" and int(port) == bcast_port else None
             for dst, kind, length, port, src, ssid, t
             in map(re.Match.groups, _CANONICAL_LINE.finditer("\n".join(distinct)))
         ]
         if len(rows) == len(distinct):
-            return list(map(dict(zip(distinct, rows)).__getitem__, filter(None, lines)))
+            return list(filter(None, map(dict(zip(distinct, rows)).get, filter(None, lines))))
         rows = []
         for lineno, line in enumerate(lines, 1):
             if not line:
@@ -245,7 +247,8 @@ class CaptureLog:
                 raise ValueError(
                     f"line {lineno} is not a capture entry: {type(exc).__name__}: {exc}"
                 ) from exc
-            rows.append(row)
+            if bcast_port is None or row[5] == "bcast" and port == bcast_port:
+                rows.append(row)
         return rows
 
 

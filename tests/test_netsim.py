@@ -1051,10 +1051,10 @@ RECORDS = st.fixed_dictionaries(
 
 
 @st.composite
-def _record_line(draw, odd=False):
+def _record_line(draw, odd=False, records=RECORDS):
     """A record rendered canonically, as ``to_jsonl`` does, or as other
     valid JSON; with ``odd``, one field may take any other value."""
-    rec = draw(RECORDS)
+    rec = draw(records)
     if odd:
         rec[draw(st.sampled_from(FIELDS))] = draw(ODD_SOURCES | INT_SOURCES | STR_SOURCES)
     keys, sep, colon = sorted(rec), ", ", ": "
@@ -1121,6 +1121,57 @@ class TestCaptureParseDifferential:
                 parse(text)
         else:
             assert repr(parse(text)) == repr(expected)
+
+
+# kinds and ports next to the ones the decoder keeps: bcast on 30011
+NEAR_RECORDS = st.tuples(
+    RECORDS,
+    st.sampled_from(['"bcast"', '"deliver"', '"drop"', '"stream"', '"Bcast"']),
+    st.sampled_from(["30011", "30011", "0", "-0", "30012", "6668"]),
+).map(lambda r: {**r[0], "kind": r[1], "port": r[2]})
+PLAIN_NAMES = st.sampled_from(["", "a", "b", "phone-1", "\u00e9"])
+DELIVER_DST = CANONICAL_DST.replace('"bcast"', '"deliver"')
+
+
+@st.composite
+def _bcast_capture_text(draw):
+    """Canonical port-30011 broadcasts, with or without a dst, among records
+    of other kinds and ports, canonical or other JSON, and blank lines; with
+    at most one line that is not a capture entry, which may occur twice."""
+    kept = st.builds(CANONICAL.__mod__, st.tuples(PLAIN_NAMES, INT_SOURCES))
+    kept_dst = st.builds(CANONICAL_DST.__mod__, st.tuples(PLAIN_NAMES, PLAIN_NAMES, INT_SOURCES))
+    blank = st.sampled_from(["", "  ", "\t", " \r"])
+    lines = draw(st.lists(kept | kept_dst | _record_line(records=NEAR_RECORDS) | blank,
+                          max_size=12))
+    if draw(st.booleans()):
+        odd = draw(_record_line(odd=True, records=NEAR_RECORDS)
+                   | st.sampled_from(["{", "[1]", '{"t": 1}', "\u3000" + CANONICAL % ("a", 7)]))
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), odd)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestCaptureBcastFilterDifferential:
+    """Given a port, the capture parser keeps the oracle's ``bcast`` rows on
+    that port, in order, or names the oracle's first bad line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_bcast_capture_text())
+    @example(text=CANONICAL.replace("30011", "-0") % ("a", 7) + "\n" + CANONICAL % ("b", 8))
+    @example(text=CANONICAL_DST % ("rx", "a", 7) + "\n" + CANONICAL % ("a", 8))
+    @example(text="\r\n".join([CANONICAL % ("a", 7), DELIVER_DST % ("rx", "a", 7),
+                                CANONICAL % ("b", 8), ""]))
+    @example(text="\n".join([CANONICAL % ("a", 7), DELIVER_DST % ("rx", "a", 7), "{"]))
+    @pytest.mark.parametrize("port", [dpl.PROVISION_PORT, 0])
+    def test_keeps_the_oracles_bcast_rows_on_the_port(self, port, text):
+        expected = _oracle_rows(text)
+        if isinstance(expected, int):
+            with pytest.raises(ValueError, match=f"^line {expected} "):
+                CaptureLog.parse_rows(text, port)
+        else:
+            kept = [row for row in expected if row[5] == "bcast" and row[3] == port]
+            assert repr(CaptureLog.parse_rows(text, port)) == repr(kept)
 
 
 class TestCaptureFuzz:
