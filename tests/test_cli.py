@@ -126,6 +126,41 @@ class TestDecodeCommand:
         assert device.phase is DevicePhase.UNPROVISIONED
         assert device.creds is None
 
+    def test_other_valid_json_decodes_as_the_canonical_capture(self, tmp_path, capsys):
+        # lossy, interleaved senders and a stream: deliver, drop and stream
+        # records lie between the broadcasts the decoder keeps
+        sim = Simulation(loss=LossModel(drop_prob=0.2, dup_prob=0.1, seed=5), clock=SimClock())
+        sim.create_network("home-net", "hunter2-long")
+        rx = sim.register("bulb", "device")
+        sim.join(rx, "home-net", "hunter2-long")
+        sim.set_stream_handler(rx, 6668, lambda end, src: None)
+        phones = [sim.register(f"phone-{k}", "app") for k in range(3)]
+        for k, phone in enumerate(phones):
+            sim.join(phone, "home-net", "hunter2-long")
+            sim.open_stream(phone, rx, 6668).send(b"hello")
+        bursts = [dpl.encode(dpl.Credentials("home-net", f"pass-{k}", f"{k:02d}" * 16), 3)
+                  for k in range(3)]
+        for t in range(0, max(map(len, bursts)), 40):
+            for phone, lengths in zip(phones, bursts):
+                sim.broadcast_many(phone, dpl.PROVISION_PORT,
+                                   [b"\x55" * n for n in lengths[t:t + 40]])
+        canonical = sim.capture.to_jsonl()
+        other = "".join(
+            ("\r\n" if i % 7 else " \t\r\n") + " " + line.replace(
+                '{"kind": "bcast"', '{"dst": null, "kind": "bcast"') + "\t\r\n"
+            for i, line in enumerate(canonical.splitlines())
+        )
+        assert '"dst": null' in other and canonical.count("\n") > 1000
+        runs = []
+        for name, text in (("canonical", canonical), ("other", other)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(text.encode())
+            runs.append((cli.main(["decode", str(path), "--unmask"]), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == cli.EXIT_OK
+        assert {re.search(r"passphrase=(\S+)", line)[1] for line in runs[0][1].splitlines()} == {
+            "pass-0", "pass-1", "pass-2"}
+
     def test_no_provisioning_traffic(self, tmp_path, capsys):
         sim = Simulation()
         sim.create_network("net-x", "password-x")
