@@ -186,6 +186,18 @@ class TestDecodeCommand:
         assert cli.main(["decode", str(path)]) == cli.EXIT_FAIL
         assert "line 2 " in capsys.readouterr().err
 
+    def test_lone_carriage_return_inside_a_record(self, tmp_path, capsys):
+        # "\r" is JSON whitespace between tokens; only "\n" ends a line
+        record = ('{"kind": "bcast",\r"len": 100, "port": 30011, "src": "app",'
+                  ' "ssid": "home-net", "t": 1600000000}\n')
+        path = tmp_path / "cap.jsonl"
+        path.write_bytes(record.encode())
+        assert cli.main(["decode", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "attempt 0: src=app incomplete\n"
+        path.write_bytes((record * 2 + "{nope\n").encode())
+        assert cli.main(["decode", str(path)]) == cli.EXIT_FAIL
+        assert "line 3 " in capsys.readouterr().err
+
 
 class TestRKeysCommand:
     @pytest.fixture

@@ -250,6 +250,18 @@ class TestRegistrationFlow:
                                              payload={"status": status})))
         assert cloud.registry.devices["rogue-01"].status == {}
 
+    def test_frame_with_an_int_past_the_digit_limit_is_dropped(self, world):
+        sim, cloud, app, _ = world
+        token = app.acquire_token()
+        rogue = sim.register("rogue", "device")
+        stream = sim.open_stream(rogue, cloud.endpoint, protocol.DEVICE_PORT)
+        body = b'{"kind": "bind", "device_id": "rogue-01", "n": ' + b"9" * 5000 + b"}"
+        stream.send(len(body).to_bytes(4, "big") + body)
+        assert "rogue-01" not in cloud.registry.devices
+        stream.send(encode_frame(DeviceFrame(kind="bind", device_id="rogue-01",
+                                             token=token.value)))
+        assert "rogue-01" in cloud.registry.devices
+
 
 class TestSignatureGate:
     def test_no_mutation_on_tamper(self, world):
@@ -321,6 +333,9 @@ class TestSignatureGate:
         ("[1]", "BadRequest"), ('"x"', "BadRequest"), ("5", "BadRequest"),
         ("null", "BadRequest"), ('{"bundleId": [1]}', "UnknownBundle"),
         pytest.param("[" * 100_000, "BadRequest", id="nested-100k"),
+        # json.loads raises a plain ValueError past CPython's int digit limit
+        pytest.param('{"bundleId": "com.xyz.smart", "time": ' + "9" * 5000 + "}",
+                     "BadRequest", id="int-5000-digits"),
     ])
     def test_envelope_of_the_wrong_shape(self, world, body, error):
         _, cloud, _, _ = world
@@ -336,6 +351,31 @@ class TestSignatureGate:
         envelope["sign"] = sign_envelope(envelope, key)
         response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
         assert response["result"]["error"] == "BadPostData"
+
+    def test_post_data_with_an_int_past_the_digit_limit(self, world, keyset):
+        sim, cloud, app, _ = world
+        key = derive_signing_key(keyset)
+        envelope = app.envelopes.build(protocol.ACTION_DEVICE_STATUS, {}, sim.clock.now)
+        envelope["postData"] = seal_postdata(b'{"device_id": ' + b"9" * 5000 + b"}", key)
+        envelope["sign"] = sign_envelope(envelope, key)
+        fingerprint = cloud.registry.fingerprint()
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["result"]["error"] == "BadPostData"
+        assert cloud.registry.fingerprint() == fingerprint
+
+    def test_non_ascii_sign_is_a_bad_signature(self, world):
+        sim, cloud, app, _ = world
+        envelope = app.envelopes.build(
+            protocol.ACTION_TOKEN_GET, {"region": "EU"}, sim.clock.now
+        )
+        envelope["sign"] = "é" * 64
+        fingerprint = cloud.registry.fingerprint()
+        failures = cloud.verify_failures
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["success"] is False
+        assert response["result"]["error"] == "BadSignature"
+        assert cloud.verify_failures == failures + 1
+        assert cloud.registry.fingerprint() == fingerprint
 
     def test_signed_action_that_is_not_a_string(self, world, keyset):
         sim, cloud, app, _ = world

@@ -1,3 +1,4 @@
+import enum
 import json
 
 import pytest
@@ -19,6 +20,43 @@ from provlab.protocol import (
 )
 
 
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+def _reference_literal(value) -> str:
+    # the signing-string literal rules as first written, kept to pin the contract
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, float)):
+        return json.dumps(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_canonicalize(envelope: dict) -> str:
+    return "||".join(
+        f"{name}={_reference_literal(envelope[name])}"
+        for name in sorted(envelope) if name != "sign"
+    )
+
+
+_SCALARS = (
+    st.text(max_size=8) | st.booleans() | st.none()
+    | st.integers(min_value=-(2**70), max_value=2**70) | st.sampled_from(list(_Level))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestCanonicalize:
     def test_excludes_sign(self):
         assert canonicalize({"a": "x", "sign": "ff"}) == canonicalize({"a": "x"})
@@ -28,6 +66,13 @@ class TestCanonicalize:
             {"s": "str", "i": 3, "f": 2.5, "b": False, "n": None, "d": {"z": 1, "a": 2}}
         )
         assert text == 'b=false||d={"a":2,"z":1}||f=2.5||i=3||n=null||s=str'
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6))
+    @example({"i": 2**64 + 1, "e": _Level.HIGH, "n": [-0.0, 1e16, 5e-324]})
+    @example({"x": float("nan"), "y": float("inf"), "z": {"w": [float("-inf")]}})
+    def test_matches_the_reference_rendering(self, envelope):
+        assert canonicalize(envelope) == _reference_canonicalize(envelope)
 
 
 class TestTokens:
@@ -172,6 +217,11 @@ class TestFrames:
     def test_deeply_nested_body(self):
         with pytest.raises(MalformedFrame):
             decode_frame_body(b"[" * 100_000)
+
+    def test_int_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError, not JSONDecodeError, here
+        with pytest.raises(MalformedFrame):
+            decode_frame_body(b'{"kind": "ack", "device_id": "d", "n": ' + b"9" * 5000 + b"}")
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.binary(max_size=64) | st.sampled_from([

@@ -115,6 +115,10 @@ class TestSignatures:
         tampered["lon"] = -90.1
         assert not verify_envelope(tampered, key)
 
+    def test_non_ascii_sign_fails(self, keyset):
+        env = {"a": "x", "sign": "é" * 64}
+        assert not verify_envelope(env, derive_signing_key(keyset))
+
     def test_missing_sign(self, keyset):
         with pytest.raises(MissingSign):
             verify_envelope({"a": "x"}, derive_signing_key(keyset))
@@ -176,6 +180,17 @@ class TestPostDataSealing:
             corrupted[pos] ^= delta
             with pytest.raises(AuthFailure):
                 open_postdata(base64.b64encode(bytes(corrupted)).decode(), key)
+
+    def test_seeded_seal_is_pinned(self, keyset):
+        # the nonce is 12 getrandbits(8) draws; the sealed text is frozen
+        source = random.Random(7)
+        sealed = seal_postdata(b'{"device_id": "bulb-01"}', derive_signing_key(keyset),
+                               nonce_source=source)
+        assert sealed == "UvImZaYMEtKJGF2VrdUzTBOBTVPzXJ5GXp7EXOhSHVR18miifp9ALrjh4e1CT7SJw0M54A=="
+        expected = random.Random(7)
+        for _ in range(12):
+            expected.getrandbits(8)
+        assert source.getstate() == expected.getstate()
 
     def test_fresh_nonces_differ(self, keyset):
         key = derive_signing_key(keyset)
