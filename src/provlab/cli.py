@@ -105,7 +105,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_decode(args) -> int:
     try:
-        with open(args.capture, "r", encoding="utf-8") as fh:
+        with open(args.capture, "r", encoding="utf-8", newline="") as fh:
             rows = CaptureLog.parse_rows(fh.read(), dpl.PROVISION_PORT)
     except (OSError, ValueError) as exc:
         print(f"cannot read capture: {exc}", file=sys.stderr)

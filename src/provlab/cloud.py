@@ -31,8 +31,6 @@ from .signing import (
     seal_postdata,
     sign_envelope,
     verify_envelope,
-    AuthFailure,
-    BadEncoding,
     MissingSign,
 )
 
@@ -202,7 +200,7 @@ class VendorCloud:
             return json.dumps(self._failure(None, "NotFound"))
         try:
             envelope = json.loads(body)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError covers JSONDecodeError
             return json.dumps(self._failure(None, "BadRequest"))
         if not isinstance(envelope, dict):
             return json.dumps(self._failure(None, "BadRequest"))
@@ -229,8 +227,7 @@ class VendorCloud:
             return self._failure(key, "UnknownAction")
         try:
             post_obj = json.loads(open_postdata(envelope.get("postData", ""), key))
-        except (AuthFailure, BadEncoding, json.JSONDecodeError, UnicodeDecodeError,
-                RecursionError):
+        except (ValueError, RecursionError):  # SigningError, JSON and UTF-8 errors
             return self._failure(key, "BadPostData")
         if not isinstance(post_obj, dict):
             return self._failure(key, "BadPostData")

@@ -228,7 +228,7 @@ def encode_frame(frame: DeviceFrame) -> bytes:
 def decode_frame_body(body: bytes) -> DeviceFrame:
     try:
         rec = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
         raise MalformedFrame(f"frame body does not parse: {exc}") from exc
     if not isinstance(rec, dict):
         raise MalformedFrame("frame body is not an object")

@@ -71,7 +71,8 @@ def verify_envelope(envelope: dict, key: bytes) -> bool:
     if sign is None:
         raise MissingSign("envelope carries no sign field")
     expected = sign_envelope(envelope, key)
-    return hmac.compare_digest(expected, str(sign).lower())
+    # bytes, since compare_digest refuses a str with non-ASCII characters
+    return hmac.compare_digest(expected.encode("ascii"), str(sign).lower().encode("utf-8"))
 
 
 def _cipher_key(signing_key: bytes) -> bytes:
