@@ -22,6 +22,7 @@ from .protocol import (
     MalformedFrame,
     TokenStore,
     encode_frame,
+    encode_sorted,
     issue_token,
 )
 from .signing import (
@@ -243,7 +244,7 @@ class VendorCloud:
 
     def _respond(self, key: bytes, result_obj: dict) -> dict:
         sealed = seal_postdata(
-            json.dumps(result_obj, sort_keys=True).encode("utf-8"),
+            encode_sorted(result_obj).encode("utf-8"),
             key,
             nonce_source=self.nonce_source,
         )

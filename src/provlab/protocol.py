@@ -10,6 +10,7 @@ but the length.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ FRAME_KINDS = frozenset({"bind", "command", "status", "ack"})
 _FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BODY = 1 << 20
 
+# Built once: json.dumps given any option builds a new encoder on every call.
+encode_sorted = json.JSONEncoder(sort_keys=True).encode
+_compact_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class ProtocolError(ValueError):
     pass
@@ -53,12 +58,9 @@ def canonicalize(envelope: dict) -> str:
     ``None`` as ``null``, numbers and containers as compact JSON with
     sorted keys.  This is the cross-language contract.
     """
-    parts = []
-    for name in sorted(envelope):
-        if name == SIGN_FIELD:
-            continue
-        parts.append(f"{name}={_literal(envelope[name])}")
-    return "||".join(parts)
+    return "||".join(
+        [f"{name}={_literal(envelope[name])}" for name in sorted(envelope) if name != SIGN_FIELD]
+    )
 
 
 def _literal(value) -> str:
@@ -68,9 +70,12 @@ def _literal(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, float)):
-        return json.dumps(value)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    if isinstance(value, int):  # a finite number's repr is its json.dumps text
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return _compact_sorted(value)
+
 
 
 # -- tokens ----------------------------------------------------------------
@@ -221,7 +226,7 @@ def encode_frame(frame: DeviceFrame) -> bytes:
     """4-byte big-endian body length, then the JSON body."""
     if frame.kind not in FRAME_KINDS:
         raise MalformedFrame(f"unknown frame kind {frame.kind!r}")
-    body = json.dumps(frame.to_body(), sort_keys=True).encode("utf-8")
+    body = encode_sorted(frame.to_body()).encode("utf-8")
     return _FRAME_HEADER.pack(len(body)) + body
 
 

@@ -130,7 +130,7 @@ class EnvelopeFactory:
             "sid": "az16113405328608e6hqj3z3",
             "platform": "iPhone",
             "postData": seal_postdata(
-                json.dumps(post_obj, sort_keys=True).encode("utf-8"),
+                protocol.encode_sorted(post_obj).encode("utf-8"),
                 key,
                 nonce_source=self.nonce_source,
             ),

@@ -14,6 +14,8 @@ import hashlib
 import hmac
 import secrets as _sysrand
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -22,6 +24,7 @@ from .protocol import canonicalize
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
+CIPHER_CACHE_SIZE = 64  # distinct signing keys whose cipher is kept built
 
 
 class SigningError(ValueError):
@@ -62,7 +65,7 @@ def derive_signing_key(keys: SigningKeySet) -> bytes:
 
 def sign_envelope(fields: dict, key: bytes) -> str:
     """Lowercase hex HMAC-SHA256 over the canonical field string."""
-    return hmac.new(key, canonicalize(fields).encode("utf-8"), hashlib.sha256).hexdigest()
+    return hmac.digest(key, canonicalize(fields).encode("utf-8"), "sha256").hex()
 
 
 def verify_envelope(envelope: dict, key: bytes) -> bool:
@@ -75,8 +78,10 @@ def verify_envelope(envelope: dict, key: bytes) -> bool:
     return hmac.compare_digest(expected.encode("ascii"), str(sign).lower().encode("utf-8"))
 
 
-def _cipher_key(signing_key: bytes) -> bytes:
-    return hashlib.sha256(signing_key).digest()[:16]
+@lru_cache(maxsize=CIPHER_CACHE_SIZE)
+def _cipher(signing_key: bytes) -> AESGCM:
+    """The AES-128-GCM cipher keyed by ``sha256(signing_key)[:16]``."""
+    return AESGCM(hashlib.sha256(signing_key).digest()[:16])
 
 
 def seal_postdata(plaintext: bytes, key: bytes, nonce_source=None) -> str:
@@ -88,8 +93,8 @@ def seal_postdata(plaintext: bytes, key: bytes, nonce_source=None) -> str:
     if nonce_source is None:
         nonce = _sysrand.token_bytes(NONCE_BYTES)
     else:
-        nonce = bytes(nonce_source.getrandbits(8) for _ in range(NONCE_BYTES))
-    sealed = AESGCM(_cipher_key(key)).encrypt(nonce, plaintext, None)
+        nonce = bytes(map(nonce_source.getrandbits, repeat(8, NONCE_BYTES)))
+    sealed = _cipher(bytes(key)).encrypt(nonce, plaintext, None)
     return base64.b64encode(nonce + sealed).decode("ascii")
 
 
@@ -103,6 +108,6 @@ def open_postdata(sealed: str, key: bytes) -> bytes:
         raise BadEncoding("sealed text shorter than nonce plus tag")
     nonce, ct = raw[:NONCE_BYTES], raw[NONCE_BYTES:]
     try:
-        return AESGCM(_cipher_key(key)).decrypt(nonce, ct, None)
+        return _cipher(bytes(key)).decrypt(nonce, ct, None)
     except InvalidTag as exc:
         raise AuthFailure("postData authentication failed") from exc
