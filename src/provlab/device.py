@@ -12,7 +12,6 @@ which is the replay/hijack surface the isolation mitigation closes.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 from . import dpl, protocol
@@ -153,7 +152,7 @@ class IoTDevice:
             else:
                 return "UnknownCommand"
         self.attributes.update(staged)
-        self._log("command", json.dumps(staged, sort_keys=True))
+        self._log("command", protocol.encode_sorted(staged))
         return None
 
     # -- the open local listener --------------------------------------------------

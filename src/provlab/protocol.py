@@ -77,7 +77,6 @@ def _literal(value) -> str:
     return _compact_sorted(value)
 
 
-
 # -- tokens ----------------------------------------------------------------
 
 
