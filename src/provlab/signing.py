@@ -24,7 +24,6 @@ from .protocol import canonicalize
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
-CIPHER_CACHE_SIZE = 64  # distinct signing keys whose cipher is kept built
 
 
 class SigningError(ValueError):
@@ -65,7 +64,9 @@ def derive_signing_key(keys: SigningKeySet) -> bytes:
 
 def sign_envelope(fields: dict, key: bytes) -> str:
     """Lowercase hex HMAC-SHA256 over the canonical field string."""
-    return hmac.digest(key, canonicalize(fields).encode("utf-8"), "sha256").hex()
+    mac = _keyed(bytes(key))[0].copy()
+    mac.update(canonicalize(fields).encode("utf-8"))
+    return mac.hexdigest()
 
 
 def verify_envelope(envelope: dict, key: bytes) -> bool:
@@ -75,13 +76,15 @@ def verify_envelope(envelope: dict, key: bytes) -> bool:
         raise MissingSign("envelope carries no sign field")
     expected = sign_envelope(envelope, key)
     # bytes, since compare_digest refuses a str with non-ASCII characters
-    return hmac.compare_digest(expected.encode("ascii"), str(sign).lower().encode("utf-8"))
+    return hmac.compare_digest(expected.encode(), str(sign).lower().encode())
 
 
-@lru_cache(maxsize=CIPHER_CACHE_SIZE)
-def _cipher(signing_key: bytes) -> AESGCM:
-    """The AES-128-GCM cipher keyed by ``sha256(signing_key)[:16]``."""
-    return AESGCM(hashlib.sha256(signing_key).digest()[:16])
+@lru_cache(maxsize=64)  # signing keys whose primitives are kept built
+def _keyed(signing_key: bytes) -> tuple[hmac.HMAC, AESGCM]:
+    """The HMAC-SHA256 keyed by ``signing_key``, which each signature copies,
+    and the AES-128-GCM cipher keyed by ``sha256(signing_key)[:16]``."""
+    cipher = AESGCM(hashlib.sha256(signing_key).digest()[:16])
+    return hmac.new(signing_key, digestmod=hashlib.sha256), cipher
 
 
 def seal_postdata(plaintext: bytes, key: bytes, nonce_source=None) -> str:
@@ -94,7 +97,7 @@ def seal_postdata(plaintext: bytes, key: bytes, nonce_source=None) -> str:
         nonce = _sysrand.token_bytes(NONCE_BYTES)
     else:
         nonce = bytes(map(nonce_source.getrandbits, repeat(8, NONCE_BYTES)))
-    sealed = _cipher(bytes(key)).encrypt(nonce, plaintext, None)
+    sealed = _keyed(bytes(key))[1].encrypt(nonce, plaintext, None)
     return base64.b64encode(nonce + sealed).decode("ascii")
 
 
@@ -108,6 +111,6 @@ def open_postdata(sealed: str, key: bytes) -> bytes:
         raise BadEncoding("sealed text shorter than nonce plus tag")
     nonce, ct = raw[:NONCE_BYTES], raw[NONCE_BYTES:]
     try:
-        return _cipher(bytes(key)).decrypt(nonce, ct, None)
+        return _keyed(bytes(key))[1].decrypt(nonce, ct, None)
     except InvalidTag as exc:
         raise AuthFailure("postData authentication failed") from exc
