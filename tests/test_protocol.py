@@ -52,7 +52,8 @@ _SCALARS = (
 )
 _VALUES = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=12,
 )
 
