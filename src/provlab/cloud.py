@@ -32,7 +32,6 @@ from .signing import (
     seal_postdata,
     sign_envelope,
     verify_envelope,
-    MissingSign,
 )
 
 API_PATH = "/api.json"
@@ -215,11 +214,7 @@ class VendorCloud:
             self.verify_failures += 1
             return self._failure(None, "UnknownBundle")
         key = derive_signing_key(keys)
-        try:
-            verified = verify_envelope(envelope, key)
-        except MissingSign:
-            verified = False
-        if not verified:
+        if not verify_envelope(envelope, key):
             self.verify_failures += 1
             return self._failure(key, "BadSignature")
         action = envelope.get("a")

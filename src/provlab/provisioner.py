@@ -205,7 +205,7 @@ class CloudClient:
             reason = response.get("result", {}).get("error", "Unknown")
             raise CloudRejected(reason)
         # responses are signed by the cloud too; check before trusting data
-        if not response.get("sign") or not verify_envelope(response, key):
+        if not verify_envelope(response, key):
             raise CloudRejected("response signature does not verify")
         return json.loads(open_postdata(response["result"], key))
 

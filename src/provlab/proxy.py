@@ -17,7 +17,7 @@ from functools import partial
 from . import dpl, protocol
 from .cloud import CloudUnreachable, DeviceChannels, VendorCloud
 from .netsim import DuplicateSsid, PeerUnreachable, Simulation, StreamEnd, VirtualNetwork
-from .protocol import DeviceFrame, encode_frame, serve_frames
+from .protocol import TOKEN_ALPHABET, DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
     AppConfig,
     CloudClient,
@@ -26,7 +26,7 @@ from .provisioner import (
     ProvisionOutcome,
     broadcast_lengths,
 )
-from .signing import derive_signing_key, sign_envelope
+from .signing import SigningError, derive_signing_key, sign_envelope
 
 FAKE_SSID_PREFIX = "vdev-"
 FAKE_PSK_CHARS = 16
@@ -103,14 +103,13 @@ class ProxyGateway:
         broadcast provisioning traffic and reach the device afterwards."""
         if device_id in self.assignments:
             raise AlreadyAssigned(device_id)
-        alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
         while True:
             ssid = FAKE_SSID_PREFIX + "".join(
                 self.rng.choice("0123456789abcdef") for _ in range(4)
             )
             if ssid == self.home_ssid:
                 continue
-            passphrase = "".join(self.rng.choice(alphabet) for _ in range(FAKE_PSK_CHARS))
+            passphrase = "".join(self.rng.choice(TOKEN_ALPHABET) for _ in range(FAKE_PSK_CHARS))
             try:
                 net = self.sim.create_network(ssid, passphrase)
                 break
@@ -154,7 +153,10 @@ class ProxyGateway:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             forwarded[name] = REDACTED_NUMBER if number else REDACTED_TEXT
         client = self.cloud_client
-        forwarded["sign"] = sign_envelope(forwarded, derive_signing_key(client.config.keys))
+        try:
+            forwarded["sign"] = sign_envelope(forwarded, derive_signing_key(client.config.keys))
+        except SigningError as exc:
+            raise PolicyDenied(str(exc)) from exc
         try:
             return client.post(client.resolve(), forwarded)
         except (CloudUnreachable, ProvisionerError) as exc:

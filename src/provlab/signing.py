@@ -34,10 +34,6 @@ class EmptyKeyPart(SigningError):
     pass
 
 
-class MissingSign(SigningError):
-    pass
-
-
 class AuthFailure(SigningError):
     pass
 
@@ -64,17 +60,25 @@ def derive_signing_key(keys: SigningKeySet) -> bytes:
 
 def sign_envelope(fields: dict, key: bytes) -> str:
     """Lowercase hex HMAC-SHA256 over the canonical field string."""
+    try:
+        text = canonicalize(fields)
+    except RecursionError as exc:
+        raise SigningError("a field nests too deeply for the signing string") from exc
     mac = _keyed(bytes(key))[0].copy()
-    mac.update(canonicalize(fields).encode("utf-8"))
+    mac.update(text.encode("utf-8"))
     return mac.hexdigest()
 
 
 def verify_envelope(envelope: dict, key: bytes) -> bool:
-    """Constant-time check of the ``sign`` field against a recomputation."""
+    """Constant-time check of the ``sign`` field against a recomputation;
+    False too for a missing ``sign`` or a signing string that cannot be built."""
     sign = envelope.get("sign")
     if sign is None:
-        raise MissingSign("envelope carries no sign field")
-    expected = sign_envelope(envelope, key)
+        return False
+    try:
+        expected = sign_envelope(envelope, key)
+    except SigningError:
+        return False
     # bytes, since compare_digest refuses a str with non-ASCII characters
     return hmac.compare_digest(expected.encode(), str(sign).lower().encode())
 

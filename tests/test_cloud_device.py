@@ -394,6 +394,21 @@ class TestSignatureGate:
         response = cloud.handle_app_request(envelope)
         assert response["result"]["error"] == "BadSignature"
 
+    def test_an_envelope_nested_near_the_parser_limit_is_answered(self, world):
+        # the signing string nests one level deeper than json.loads, so a
+        # field that just parses must still get an answer, not a traceback
+        _, cloud, _, _ = world
+        errors, raised = set(), []
+        for depth in range(700, 1001):
+            body = ('{"bundleId": "com.xyz.smart", "a": ' + "[" * depth + "]" * depth
+                    + ', "sign": "00"}')
+            try:
+                errors.add(json.loads(cloud.post(API_PATH, body))["result"]["error"])
+            except RecursionError:
+                raised.append(depth)
+        assert raised == []
+        assert errors == {"BadSignature", "BadRequest"}
+
 
 # Written apart from APP_ACTIONS: the JSON types each postData field accepts.
 _TEXT_OR_NULL = (str, type(None))

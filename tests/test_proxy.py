@@ -160,6 +160,26 @@ class TestRelay:
             proxy.relay_app_envelope({"a": action})
         assert cloud.requests_total == before
 
+    def test_an_envelope_nested_too_deeply_to_sign_is_denied(self, rig):
+        sim, cloud, proxy, rng = rig
+        denied, raised = [], []
+        for depth in range(700, 1001):
+            value = []
+            for _ in range(depth):
+                value = [value]
+            envelope = {"a": protocol.ACTION_DEVICE_STATUS, "bundleId": "com.xyz.smart",
+                        "postData": value}
+            before = cloud.requests_total
+            try:
+                proxy.relay_app_envelope(envelope)
+            except PolicyDenied:
+                denied.append(depth)
+                assert cloud.requests_total == before
+            except RecursionError:
+                raised.append(depth)
+        assert raised == []
+        assert denied and denied[-1] == 1000
+
 
 class TestDefaultPolicy:
     # every gateway is built from a ProxyPolicy object; one built with none

@@ -13,7 +13,6 @@ from provlab.signing import (
     AuthFailure,
     BadEncoding,
     EmptyKeyPart,
-    MissingSign,
     SigningKeySet,
     derive_signing_key,
     open_postdata,
@@ -120,8 +119,7 @@ class TestSignatures:
         assert not verify_envelope(env, derive_signing_key(keyset))
 
     def test_missing_sign(self, keyset):
-        with pytest.raises(MissingSign):
-            verify_envelope({"a": "x"}, derive_signing_key(keyset))
+        assert not verify_envelope({"a": "x"}, derive_signing_key(keyset))
 
     def test_in_flight_alteration_without_key_fails(self, keyset, rng):
         # an on-path attacker without the key cannot keep the envelope valid
