@@ -4,20 +4,23 @@ Each scenario builds a fresh simulation from one seed, drives the
 protocol end to end, and checks its expectations against what the
 capture log and registries actually show.  Reports are plain JSON so a
 rerun with the same (name, seed) is byte-identical.
+
+A new scenario is one ``@_scenario`` body, plus its ``name@0`` and
+``name@2026`` entries in ``tests/golden.json``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import dpl, protocol
 from .cloud import CloudUnreachable, VendorCloud
 from .device import DevicePhase, IoTDevice
 from .netsim import LossModel, PeerUnreachable, SimClock, Simulation
-from .protocol import DeviceFrame, FrameReader, encode_frame
+from .protocol import TOKEN_ALPHABET, DeviceFrame, FrameReader, encode_frame
 from .provisioner import (
     AppConfig,
     IssuedToken,
@@ -33,9 +36,6 @@ from .stego import InsufficientCapacity, StegoRecord, make_bmp, stego_embed
 
 HOME_SSID = "home-net"
 EPOCH = 1_613_000_000
-ALPHA = "abcdefghijklmnopqrstuvwxyz0123456789"
-# .worlds: the worlds built by this thread's run_scenario call in progress
-_run = threading.local()
 
 
 class UnknownScenario(KeyError):
@@ -86,7 +86,6 @@ class ScenarioReport:
 class World:
     """One scenario's simulation universe."""
 
-    seed: int
     rng: random.Random
     clock: SimClock
     sim: Simulation
@@ -99,13 +98,13 @@ class World:
 def _vendor_keys(rng: random.Random, bundle_id: str) -> SigningKeySet:
     """Generate a vendor key set, routing secret2 through the stego
     pipeline exactly like a real extraction run would."""
-    secret2 = "".join(rng.choice(ALPHA) for _ in range(32))
+    secret2 = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(32))
     image = make_bmp(64, 64)
     record = StegoRecord(keys=[secret2.encode("ascii")])
     while True:
         # the embed offset is seed-derived and can land too close to the
         # end of the pixel array; draw a fresh seed string until it fits
-        seed_str = "".join(rng.choice(ALPHA) for _ in range(20))
+        seed_str = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(20))
         try:
             carrier = stego_embed(image, seed_str, record)
             break
@@ -115,7 +114,7 @@ def _vendor_keys(rng: random.Random, bundle_id: str) -> SigningKeySet:
         carrier,
         seed_str,
         cert_hash="".join(rng.choice("0123456789abcdef") for _ in range(16)),
-        secret1="".join(rng.choice(ALPHA) for _ in range(24)),
+        secret1="".join(rng.choice(TOKEN_ALPHABET) for _ in range(24)),
     )
 
 
@@ -133,13 +132,10 @@ def build_world(
         keys[bundle] = _vendor_keys(rng, bundle)
         cloud.register_vendor(bundle, keys[bundle])
     directory = {addr: cloud for addr in hardcoded_endpoints("EU")}
-    home_psk = "".join(rng.choice(ALPHA) for _ in range(12))
+    home_psk = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(12))
     sim.create_network(HOME_SSID, home_psk)
-    world = World(seed=seed, rng=rng, clock=clock, sim=sim, cloud=cloud,
-                  directory=directory, keys=keys, home_passphrase=home_psk)
-    if getattr(_run, "worlds", None) is not None:
-        _run.worlds.append(world)
-    return world
+    return World(rng=rng, clock=clock, sim=sim, cloud=cloud,
+                 directory=directory, keys=keys, home_passphrase=home_psk)
 
 
 def _config(world: World, client_id: str, bundle: str = "com.xyz.smart",
@@ -244,15 +240,53 @@ def _sniffed_tokens(world: World, src_id: str) -> list[str]:
     ]
 
 
+def _raises(exc: type[Exception], fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises ``exc``."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
+SCENARIOS: dict[str, Callable[[int], ScenarioReport]] = {}
+
+
+def _scenario(name: str, bundles: tuple[str, ...] = ("com.xyz.smart",)):
+    """File a ``body(report, world)`` under ``name``; the function it returns
+    runs the body on a fresh world built from a seed and returns the report."""
+    def register(body: Callable[[ScenarioReport, World], None]):
+        def run(seed: int) -> ScenarioReport:
+            report = ScenarioReport(name, seed)
+            world = build_world(seed, bundles)
+            try:
+                body(report, world)
+            finally:
+                # closing breaks the world's reference cycles, so it is freed
+                world.sim.close()
+            return report
+
+        SCENARIOS[name] = run
+        return run
+
+    return register
+
+
+def run_scenario(name: str, seed: int) -> ScenarioReport:
+    fn = SCENARIOS.get(name)
+    if fn is None:
+        raise UnknownScenario(name)
+    return fn(seed)
+
+
 # -- token experiments (the three cases) --------------------------------------
 
 
-def scenario_token_case_1(seed: int) -> ScenarioReport:
-    report = ScenarioReport("token-case-1", seed)
-    world = build_world(seed)
+@_scenario("token-case-1")
+def scenario_token_case_1(report: ScenarioReport, world: World) -> None:
     device = _device(world, "bulb-01")
     rig = _app(world, user="rig")
-    token16 = "".join(world.rng.choice(ALPHA) for _ in range(16))
+    token16 = "".join(world.rng.choice(TOKEN_ALPHABET) for _ in range(16))
     payload = dpl.frame_fields(HOME_SSID, world.home_passphrase, token16)
     broadcast_lengths(world.sim, rig.endpoint, dpl.encode_payload(payload, rounds=1))
     device.idle()
@@ -274,7 +308,6 @@ def scenario_token_case_1(seed: int) -> ScenarioReport:
     report.check_eq(
         "device never bound cloud-side", world.cloud.registry.devices, {}
     )
-    return report
 
 
 def _run_direct_broadcast_case(
@@ -295,9 +328,8 @@ def _run_direct_broadcast_case(
     return device
 
 
-def scenario_token_case_2_random(seed: int) -> ScenarioReport:
-    report = ScenarioReport("token-case-2-random", seed)
-    world = build_world(seed)
+@_scenario("token-case-2-random")
+def scenario_token_case_2_random(report: ScenarioReport, world: World) -> None:
     token = protocol.generate_token_value(world.rng)  # never issued
     device = _run_direct_broadcast_case(report, world, token)
     report.check_eq(
@@ -309,12 +341,10 @@ def scenario_token_case_2_random(seed: int) -> ScenarioReport:
         device.events[-1]["detail"],
         "Unknown" in device.events[-1]["detail"],
     )
-    return report
 
 
-def scenario_token_case_2_stale(seed: int) -> ScenarioReport:
-    report = ScenarioReport("token-case-2-stale", seed)
-    world = build_world(seed)
+@_scenario("token-case-2-stale")
+def scenario_token_case_2_stale(report: ScenarioReport, world: World) -> None:
     app = _app(world)
     token = app.acquire_token()
     world.clock.advance(protocol.TTL_SECONDS + 100)  # well past the window
@@ -325,12 +355,10 @@ def scenario_token_case_2_stale(seed: int) -> ScenarioReport:
     )
     rec = world.cloud.registry.tokens.get(token.value)
     report.check_eq("cloud recorded the Expired verdict", rec.last_reject, "Expired")
-    return report
 
 
-def scenario_token_case_3(seed: int) -> ScenarioReport:
-    report = ScenarioReport("token-case-3", seed)
-    world = build_world(seed)
+@_scenario("token-case-3")
+def scenario_token_case_3(report: ScenarioReport, world: World) -> None:
     device = _device(world, "bulb-01")
     app = _app(world)
     token, outcome = _provision(world, app, device)
@@ -357,15 +385,13 @@ def scenario_token_case_3(seed: int) -> ScenarioReport:
         "app never talks to the device outside port-30011 broadcasts",
         len(direct), 0,
     )
-    return report
 
 
 # -- replay and isolation -------------------------------------------------------
 
 
-def scenario_replay_defense(seed: int) -> ScenarioReport:
-    report = ScenarioReport("replay-defense", seed)
-    world = build_world(seed)
+@_scenario("replay-defense")
+def scenario_replay_defense(report: ScenarioReport, world: World) -> None:
     device = _device(world, "bulb-01")
     app = _app(world)
     token, outcome = _provision(world, app, device)
@@ -393,7 +419,6 @@ def scenario_replay_defense(seed: int) -> ScenarioReport:
         sorted(world.cloud.registry.devices),
         "rogue-device" not in world.cloud.registry.devices,
     )
-    return report
 
 
 def _isolated_pair(
@@ -415,9 +440,8 @@ def _isolated_pair(
     return proxy, devices
 
 
-def scenario_isolation_two_devices(seed: int) -> ScenarioReport:
-    report = ScenarioReport("isolation-two-devices", seed)
-    world = build_world(seed)
+@_scenario("isolation-two-devices")
+def scenario_isolation_two_devices(report: ScenarioReport, world: World) -> None:
     proxy, (dev_a, dev_b) = _isolated_pair(report, world)
     net_a = proxy.assignments["bulb-01"]
     net_b = proxy.assignments["plug-02"]
@@ -451,13 +475,11 @@ def scenario_isolation_two_devices(seed: int) -> ScenarioReport:
         "(checked against registry snapshot)",
         world.home_passphrase not in snapshot,
     )
-    return report
 
 
-def scenario_hijack_surface(seed: int) -> ScenarioReport:
+@_scenario("hijack-surface")
+def scenario_hijack_surface(report: ScenarioReport, world: World) -> None:
     """The open-listener vulnerability, then the isolation mitigation."""
-    report = ScenarioReport("hijack-surface", seed)
-    world = build_world(seed)
 
     # baseline: attacker co-resident on the same network commands the device
     device = _device(world, "bulb-01")
@@ -482,11 +504,8 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
     net_b = proxy.assignments["plug-12"]
     world.sim.join(attacker2, net_b.ssid, net_b.passphrase)  # compromised co-tenant
     before = _frames_from(world, "evil-plug-2")
-    try:
-        world.sim.open_stream(attacker2, dev_a.endpoint, protocol.DEVICE_PORT)
-        reached = True
-    except PeerUnreachable:
-        reached = False
+    reached = not _raises(PeerUnreachable, world.sim.open_stream,
+                          attacker2, dev_a.endpoint, protocol.DEVICE_PORT)
     after = _frames_from(world, "evil-plug-2")
     report.check(
         "attack across isolation networks cannot reach the device",
@@ -499,15 +518,13 @@ def scenario_hijack_surface(seed: int) -> ScenarioReport:
         "victim device state untouched by the second attack",
         dev_a.attributes["power"], "off",
     )
-    return report
 
 
 # -- proxy scenarios ---------------------------------------------------------------
 
 
-def scenario_proxy_transparency(seed: int) -> ScenarioReport:
-    report = ScenarioReport("proxy-transparency", seed)
-    world = build_world(seed)
+@_scenario("proxy-transparency")
+def scenario_proxy_transparency(report: ScenarioReport, world: World) -> None:
 
     # direct path device
     direct_dev = _device(world, "bulb-direct")
@@ -548,20 +565,13 @@ def scenario_proxy_transparency(seed: int) -> ScenarioReport:
         {k: last.get(k) for k in ("lat", "lon")},
         last is not None and last["lat"] == 0.0 and last["lon"] == 0.0,
     )
-    try:
-        proxy.relay_app_envelope(
-            app.envelopes.build("m.factory.reset", {}, world.clock.now)
-        )
-        denied = False
-    except PolicyDenied:
-        denied = True
+    denied = _raises(PolicyDenied, proxy.relay_app_envelope,
+                     app.envelopes.build("m.factory.reset", {}, world.clock.now))
     report.check("an action outside the policy is refused locally", "PolicyDenied", denied)
-    return report
 
 
-def scenario_proxy_offline_control(seed: int) -> ScenarioReport:
-    report = ScenarioReport("proxy-offline-control", seed)
-    world = build_world(seed)
+@_scenario("proxy-offline-control")
+def scenario_proxy_offline_control(report: ScenarioReport, world: World) -> None:
     proxy = _proxy(world, ProxyPolicy())
     device, outcome = _isolated_device(world, proxy, "bulb-01")
     report.check("device registers via the proxy", outcome, outcome.success)
@@ -570,11 +580,8 @@ def scenario_proxy_offline_control(seed: int) -> ScenarioReport:
 
     world.cloud.set_online(False)  # the vendor cloud goes dark
     app = _app(world)
-    try:
-        app.control_device("bulb-01", {"power": "off"})
-        cloud_path = "succeeded"
-    except CloudUnreachable:
-        cloud_path = "CloudUnreachable"
+    down = _raises(CloudUnreachable, app.control_device, "bulb-01", {"power": "off"})
+    cloud_path = "CloudUnreachable" if down else "succeeded"
     report.check_eq(
         "cloud-path control fails with the cloud down", cloud_path, "CloudUnreachable"
     )
@@ -584,12 +591,10 @@ def scenario_proxy_offline_control(seed: int) -> ScenarioReport:
         status.get("power"), "off",
     )
     report.check_eq("device actually obeyed", device.attributes["power"], "off")
-    return report
 
 
-def scenario_stovepipe_baseline(seed: int) -> ScenarioReport:
-    report = ScenarioReport("stovepipe-baseline", seed)
-    world = build_world(seed)
+@_scenario("stovepipe-baseline")
+def scenario_stovepipe_baseline(report: ScenarioReport, world: World) -> None:
     device = _device(world, "bulb-01")
     app = _app(world)
     _token, outcome = _provision(world, app, device)
@@ -601,23 +606,17 @@ def scenario_stovepipe_baseline(seed: int) -> ScenarioReport:
         and HOME_SSID in world.sim.networks_of(device.endpoint),
     )
     world.cloud.set_online(False)
-    try:
-        app.control_device("bulb-01", {"power": "on"})
-        failed = False
-    except CloudUnreachable:
-        failed = True
+    failed = _raises(CloudUnreachable, app.control_device, "bulb-01", {"power": "on"})
     report.check(
         "with the cloud down the user loses control despite the shared LAN",
         "CloudUnreachable" if failed else "control succeeded", failed,
     )
     report.check_eq("device state unchanged", device.attributes["power"], "off")
-    return report
 
 
-def scenario_multi_vendor(seed: int) -> ScenarioReport:
-    report = ScenarioReport("multi-vendor", seed)
-    bundles = ("com.xyz.smart", "com.abc.home")
-    world = build_world(seed, bundles=bundles)
+@_scenario("multi-vendor", bundles=("com.xyz.smart", "com.abc.home"))
+def scenario_multi_vendor(report: ScenarioReport, world: World) -> None:
+    bundles = tuple(world.keys)
     apps = {}
     for i, bundle in enumerate(bundles):
         app = _app(world, bundle=bundle, user=f"user-{i+1:02d}")
@@ -652,14 +651,12 @@ def scenario_multi_vendor(seed: int) -> ScenarioReport:
         response.get("success") is False
         and response["result"]["error"] == "BadSignature",
     )
-    return report
 
 
-def scenario_concurrent_provisioning(seed: int) -> ScenarioReport:
+@_scenario("concurrent-provisioning")
+def scenario_concurrent_provisioning(report: ScenarioReport, world: World) -> None:
     """Two phones broadcast at once on one network; every listener keeps
     their frames apart by sender."""
-    report = ScenarioReport("concurrent-provisioning", seed)
-    world = build_world(seed)
     apps = [_app(world, user=user) for user in ("user-01", "user-02")]
     devices = [_device(world, device_id) for device_id in ("bulb-01", "plug-02")]
     sent = [dpl.Credentials(HOME_SSID, world.home_passphrase, app.acquire_token().value)
@@ -681,35 +678,3 @@ def scenario_concurrent_provisioning(seed: int) -> ScenarioReport:
             f"an eavesdropper recovers {app.endpoint.id}'s token from the air",
             sorted(set(_sniffed_tokens(world, app.endpoint.id))), [creds.token],
         )
-    return report
-
-
-SCENARIOS = {
-    "token-case-1": scenario_token_case_1,
-    "token-case-2-random": scenario_token_case_2_random,
-    "token-case-2-stale": scenario_token_case_2_stale,
-    "token-case-3": scenario_token_case_3,
-    "replay-defense": scenario_replay_defense,
-    "isolation-two-devices": scenario_isolation_two_devices,
-    "hijack-surface": scenario_hijack_surface,
-    "proxy-transparency": scenario_proxy_transparency,
-    "proxy-offline-control": scenario_proxy_offline_control,
-    "stovepipe-baseline": scenario_stovepipe_baseline,
-    "multi-vendor": scenario_multi_vendor,
-    "concurrent-provisioning": scenario_concurrent_provisioning,
-}
-
-
-def run_scenario(name: str, seed: int) -> ScenarioReport:
-    fn = SCENARIOS.get(name)
-    if fn is None:
-        raise UnknownScenario(name)
-    # A world is full of reference cycles through its simulation's handlers
-    # and streams; closing it breaks them, so the world is freed on return.
-    _run.worlds = worlds = []
-    try:
-        return fn(seed)
-    finally:
-        _run.worlds = None
-        for world in worlds:
-            world.sim.close()

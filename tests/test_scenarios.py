@@ -1,25 +1,46 @@
 import gc
 import weakref
 
+import pytest
+
 from provlab import scenarios
 
 
-def test_a_finished_scenario_frees_its_world(monkeypatch):
-    # back-to-back runs hold one world at a time, not one per run until the
-    # oldest generation is next collected
-    sims = []
+@pytest.fixture
+def sims(monkeypatch):
+    """Weak references to the simulation of every world built from here on."""
+    refs = []
     build_world = scenarios.build_world
 
     def recording_build_world(*args, **kwargs):
         world = build_world(*args, **kwargs)
-        sims.append(weakref.ref(world.sim))
+        refs.append(weakref.ref(world.sim))
         return world
 
     monkeypatch.setattr(scenarios, "build_world", recording_build_world)
     gc.collect()
+    return refs
+
+
+def test_a_finished_scenario_frees_its_world(sims):
+    # back-to-back runs hold one world at a time, not one per run until the
+    # oldest generation is next collected
     for name in sorted(scenarios.SCENARIOS):
         scenarios.run_scenario(name, 0)
         assert [ref() for ref in sims] == [None] * len(sims), name
+
+
+def test_a_failed_scenario_still_frees_its_world(sims, monkeypatch):
+    def broken(report, world):
+        scenarios._device(world, "bulb-01")  # a listener: its handlers form cycles
+        raise RuntimeError("body failed")
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "broken", None)  # deleted again on undo
+    scenarios._scenario("broken")(broken)  # files its runner over the placeholder
+    with pytest.raises(RuntimeError, match="body failed"):
+        scenarios.run_scenario("broken", 0)
+    assert len(sims) == 1
+    assert [ref() for ref in sims] == [None]
 
 
 def test_a_closed_world_is_freed_by_reference_counting():

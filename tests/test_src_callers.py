@@ -4,7 +4,9 @@ A definition counts as called when its name appears anywhere in ``src/`` as a
 ``Name`` or as an ``Attribute``.  The check is by name, not by binding, so it
 misses a dead method that shares its name with a live one; it catches a
 definition that nothing in the package mentions at all.  Dunder methods are
-called by the interpreter and are skipped.
+called by the interpreter and are skipped.  A scenario body decorated with
+``@_scenario(...)`` counts as called: ``run_scenario`` calls it through the
+``SCENARIOS`` table the decorator files it in.
 """
 
 import ast
@@ -23,18 +25,44 @@ OUTSIDE_USERS = {
 }
 
 
-def _scan():
+def _registered(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_scenario" for d in node.decorator_list)
+
+
+def _scan(sources=None):
+    if sources is None:
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(SRC.glob("*.py"))}
     defined, referenced = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, name)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                if _registered(node):
+                    referenced.add(node.name)
+                elif not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{name}:{node.lineno}")
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     return defined, referenced
+
+
+def test_the_scan_counts_only_a_registered_scenario_as_called():
+    source = (
+        "from functools import cache\n"
+        "def _scenario(name):\n    return lambda body: body\n"
+        "@_scenario('x')\ndef registered(report, world):\n    pass\n"
+        "def plain():\n    pass\n"
+        "@cache\ndef cached():\n    pass\n"
+        "class Box:\n"
+        "    @property\n    def prop(self):\n        pass\n"
+        "    @staticmethod\n    def static():\n        pass\n"
+        "Box()\n"
+    )
+    defined, referenced = _scan({"snippet.py": source})
+    assert sorted(set(defined) - referenced) == ["cached", "plain", "prop", "static"]
 
 
 def test_every_definition_has_a_caller_in_src():
