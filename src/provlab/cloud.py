@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass, field, asdict
 
 from . import protocol
-from .netsim import EndpointId, PeerUnreachable, Simulation, StreamEnd
+from .netsim import PeerUnreachable, Simulation, StreamEnd
 from .protocol import (
     DeviceFrame,
     MalformedFrame,
@@ -101,7 +101,7 @@ class DeviceChannels:
     bound on; the rest is dropped.
     """
 
-    def __init__(self, sim: Simulation, endpoint: EndpointId, prefix: str, on_frame):
+    def __init__(self, sim: Simulation, endpoint: str, prefix: str, on_frame):
         self._prefix = prefix  # request ids are f"{prefix}-NNNNNN"
         # weak: the owner holds these channels, and a strong ref would be a cycle
         self._on_frame = weakref.WeakMethod(on_frame)
@@ -171,7 +171,7 @@ class VendorCloud:
         self.clock = sim.clock
         self.rng = rng
         self.nonce_source = nonce_source
-        self.endpoint = sim.register("cloud", "cloud", wan=True)
+        self.endpoint = sim.register("cloud", wan=True)
         self.channels = DeviceChannels(sim, self.endpoint, "relay", self._on_device_frame)
         self.registry = CloudRegistry()
         self.requests_total = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import dpl, protocol
-from .netsim import EndpointId, NetSimError, PeerUnreachable, Simulation, StreamEnd
+from .netsim import NetSimError, PeerUnreachable, Simulation, StreamEnd
 from .protocol import DeviceFrame, encode_frame, serve_frames
 
 VALID_POWER = ("on", "off")
@@ -37,7 +37,7 @@ class IoTDevice:
         self,
         sim: Simulation,
         device_id: str,
-        cloud_endpoint: EndpointId,
+        cloud_endpoint: str,
         bundle_id: str = "com.xyz.smart",
     ):
         self.sim = sim
@@ -45,7 +45,7 @@ class IoTDevice:
         self.device_id = device_id
         self.cloud_endpoint = cloud_endpoint
         self.bundle_id = bundle_id
-        self.endpoint = sim.register(device_id, "device")
+        self.endpoint = sim.register(device_id)
         self.phase = DevicePhase.UNPROVISIONED
         self.creds: dpl.Credentials | None = None
         self.attributes = {"power": "off", "brightness": 0}
@@ -60,7 +60,7 @@ class IoTDevice:
     def _on_datagram(self, dgram) -> None:
         if self.phase is not DevicePhase.UNPROVISIONED:
             return
-        state = self.bank.feed(dgram.src.id, len(dgram.payload))
+        state = self.bank.feed(dgram.src, len(dgram.payload))
         if state.phase is dpl.Phase.COMPLETE:
             self._on_credentials(state.credentials)
 

@@ -1,10 +1,11 @@
 """In-process simulated network.
 
-Virtual Wi-Fi networks gate membership on an (ssid, passphrase) pair.
-Broadcast datagrams reach every co-member, subject to a seeded
-loss/duplication model; streams are lossless ordered byte pipes.  Every
-frame lands in a capture log, one row per frame, so scenarios can assert on
-what was actually observable on the wire.
+An endpoint is the id it was registered under.  Virtual Wi-Fi networks
+gate membership on an (ssid, passphrase) pair.  Broadcast datagrams reach
+every co-member, subject to a seeded loss/duplication model; a stream is a
+lossless ordered byte pipe, a pair of linked ends.  Every frame lands in a
+capture log, one row per frame, so scenarios can assert on what was
+actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
 call, which keeps whole scenarios deterministic without an event loop.
@@ -88,15 +89,6 @@ class SimClock:
         return self.now
 
 
-@dataclass(frozen=True)
-class EndpointId:
-    id: str
-    role: str  # device | app | cloud | proxy
-
-    def __str__(self) -> str:
-        return self.id
-
-
 @dataclass
 class LossModel:
     """Seeded broadcast unreliability.
@@ -118,12 +110,12 @@ class VirtualNetwork:
     ssid: str
     passphrase: str
     # in join order; only Simulation.join and Simulation.leave change it
-    members: list[EndpointId] = field(default_factory=list)
+    members: list[str] = field(default_factory=list)
 
 
 @dataclass
 class Datagram:
-    src: EndpointId
+    src: str
     dst_port: int
     payload: bytes
     ssid: str
@@ -253,21 +245,20 @@ class CaptureLog:
 
 
 class StreamEnd:
-    """One side of a reliable ordered byte pipe."""
+    """One side of a reliable ordered byte pipe, from ``src`` to ``peer``."""
 
-    def __init__(self, sim: "Simulation", stream: "_Stream", side: int):
+    def __init__(self, sim: "Simulation", src: str, peer: str, port: int, label: str):
         self._sim = sim
-        self._stream = stream
-        self._side = side
+        self.src = src
+        self.peer = peer
+        self.port = port
+        self.label = label  # shared ssid, or "wan" for uplink streams
+        self.far: StreamEnd | None = None  # the other side; None once the simulation closes
         self._buf = bytearray()
         self.on_data = None  # callable() fired after bytes are appended
 
-    @property
-    def peer(self) -> EndpointId:
-        return self._stream.ends[1 - self._side]
-
     def send(self, data: bytes) -> None:
-        self._sim._stream_send(self._stream, self._side, data)
+        self._sim._stream_send(self, data)
 
     def recv(self) -> bytes:
         with self._sim._lock:
@@ -276,16 +267,8 @@ class StreamEnd:
         return out
 
 
-class _Stream:
-    def __init__(self, a: EndpointId, b: EndpointId, port: int, label: str):
-        self.ends = (a, b)
-        self.port = port
-        self.label = label  # shared ssid, or "wan" for uplink streams
-
-
 class _EndpointRec:
-    def __init__(self, endpoint: EndpointId, wan: bool):
-        self.endpoint = endpoint
+    def __init__(self, wan: bool):
         self.wan = wan
         self.networks: set[str] = set()
         self.datagram_handlers: dict[int, object] = {}
@@ -303,7 +286,7 @@ class Simulation:
         self._networks: dict[str, VirtualNetwork] = {}
         self._endpoints: dict[str, _EndpointRec] = {}
         self._offline: set[str] = set()  # ids of the endpoints set offline
-        self._streams: list[_Stream] = []
+        self._streams: list[StreamEnd] = []  # both ends of every open stream
         self.capture = CaptureLog(self._lock)
         self._gen = 0  # bumped by each change to membership, presence or a datagram port
 
@@ -315,41 +298,38 @@ class Simulation:
             for rec in self._endpoints.values():
                 rec.datagram_handlers.clear()
                 rec.stream_handlers.clear()
-            for stream in self._streams:
-                for end in stream.end_objs:
-                    end.on_data = None
-                stream.end_objs = ()
+            for end in self._streams:
+                end.on_data = end.far = None
             self._streams.clear()
 
     # -- endpoints ---------------------------------------------------------
 
-    def register(self, endpoint_id: str, role: str, wan: bool = False) -> EndpointId:
+    def register(self, endpoint: str, wan: bool = False) -> str:
         with self._lock:
-            if endpoint_id in self._endpoints:
-                raise NetSimError(f"endpoint id {endpoint_id!r} already registered")
-            ep = EndpointId(endpoint_id, role)
-            self._endpoints[endpoint_id] = _EndpointRec(ep, wan)
-            return ep
+            if endpoint in self._endpoints:
+                raise NetSimError(f"endpoint id {endpoint!r} already registered")
+            self._endpoints[endpoint] = _EndpointRec(wan)
+            return endpoint
 
-    def set_online(self, endpoint: EndpointId, online: bool) -> None:
+    def set_online(self, endpoint: str, online: bool) -> None:
         """An offline endpoint neither sends nor receives, by stream or broadcast."""
         with self._lock:
             self._rec(endpoint)
             self._gen += 1
             if online:
-                self._offline.discard(endpoint.id)
+                self._offline.discard(endpoint)
             else:
-                self._offline.add(endpoint.id)
+                self._offline.add(endpoint)
 
-    def is_online(self, endpoint: EndpointId) -> bool:
+    def is_online(self, endpoint: str) -> bool:
         with self._lock:
             self._rec(endpoint)
-            return endpoint.id not in self._offline
+            return endpoint not in self._offline
 
-    def _rec(self, endpoint: EndpointId) -> _EndpointRec:
-        rec = self._endpoints.get(endpoint.id)
+    def _rec(self, endpoint: str) -> _EndpointRec:
+        rec = self._endpoints.get(endpoint)
         if rec is None:
-            raise UnknownEndpoint(f"unregistered endpoint {endpoint.id!r}")
+            raise UnknownEndpoint(f"unregistered endpoint {endpoint!r}")
         return rec
 
     # -- networks ----------------------------------------------------------
@@ -366,7 +346,7 @@ class Simulation:
             self._networks[ssid] = net
             return net
 
-    def join(self, endpoint: EndpointId, ssid: str, passphrase: str) -> VirtualNetwork:
+    def join(self, endpoint: str, ssid: str, passphrase: str) -> VirtualNetwork:
         with self._lock:
             rec = self._rec(endpoint)
             net = self._networks.get(ssid)
@@ -380,7 +360,7 @@ class Simulation:
             rec.networks.add(ssid)
             return net
 
-    def leave(self, endpoint: EndpointId, ssid: str) -> None:
+    def leave(self, endpoint: str, ssid: str) -> None:
         with self._lock:
             rec = self._rec(endpoint)
             net = self._networks.get(ssid)
@@ -391,13 +371,13 @@ class Simulation:
                 net.members.remove(endpoint)
             rec.networks.discard(ssid)
 
-    def networks_of(self, endpoint: EndpointId) -> set[str]:
+    def networks_of(self, endpoint: str) -> set[str]:
         with self._lock:
             return set(self._rec(endpoint).networks)
 
     # -- broadcast ---------------------------------------------------------
 
-    def set_datagram_handler(self, endpoint: EndpointId, port: int, handler) -> None:
+    def set_datagram_handler(self, endpoint: str, port: int, handler) -> None:
         """Run ``handler(dgram)`` for each datagram delivered to ``port``;
         ``None`` closes the port.  A port with no handler, never opened or
         closed, discards its datagrams after their capture records and loss
@@ -406,11 +386,11 @@ class Simulation:
             self._rec(endpoint).datagram_handlers[port] = handler
             self._gen += 1
 
-    def broadcast(self, endpoint: EndpointId, dst_port: int, payload: bytes,
+    def broadcast(self, endpoint: str, dst_port: int, payload: bytes,
                   ssid: str | None = None) -> None:
         self.broadcast_many(endpoint, dst_port, (payload,), ssid)
 
-    def broadcast_many(self, endpoint: EndpointId, dst_port: int, payloads: Sequence[bytes],
+    def broadcast_many(self, endpoint: str, dst_port: int, payloads: Sequence[bytes],
                        ssid: str | None = None) -> int:
         """Broadcast each payload in turn; returns the count.  Records, draws and
         handler calls are those of one :meth:`broadcast` per payload, and a frame
@@ -423,7 +403,7 @@ class Simulation:
             raise InvalidLength("port must be 1-65535")
         with self._lock:
             networks = self._rec(endpoint).networks
-            src, clock, loss = endpoint.id, self.clock, self.loss
+            src, clock, loss = endpoint, self.clock, self.loss
             rows, draw = self.capture._rows, self._rng.random
             # the last frame's receivers, and the _gen they and their ports were read at
             dsts, recs, gen = (), [], None
@@ -442,8 +422,8 @@ class Simulation:
                     net = next(iter(networks)) if ssid is None else ssid
                     if net not in networks:
                         raise NotJoined(f"{src} is not a member of {net!r}")
-                    now = tuple([m.id for m in self._networks[net].members
-                                 if m.id != src and m.id not in self._offline])
+                    now = tuple([m for m in self._networks[net].members
+                                 if m != src and m not in self._offline])
                     if now != dsts:
                         dsts, recs = now, [self._endpoints[dst] for dst in now]
                     # positions of the receivers whose port is open, last first
@@ -471,7 +451,7 @@ class Simulation:
                     for _ in range(outcomes[i]):
                         handler = recs[i].datagram_handlers.get(dst_port)
                         if handler is not None:  # no handler: the port is closed
-                            dgram = dgram or Datagram(endpoint, dst_port, payload, net)
+                            dgram = dgram or Datagram(src, dst_port, payload, net)
                             handler(dgram)
                     if gen != self._gen:  # a handler changed something: read every later port
                         todo = list(range(len(recs) - 1, i, -1))
@@ -494,51 +474,42 @@ class Simulation:
 
     # -- streams -----------------------------------------------------------
 
-    def set_stream_handler(self, endpoint: EndpointId, port: int, handler) -> None:
-        """handler(stream_end, src_endpoint) is invoked on incoming opens."""
+    def set_stream_handler(self, endpoint: str, port: int, handler) -> None:
+        """handler(stream_end, src) is invoked on incoming opens, ``src`` the opener."""
         with self._lock:
             self._rec(endpoint).stream_handlers[port] = handler
 
-    def open_stream(
-        self, endpoint: EndpointId, peer: EndpointId, port: int
-    ) -> StreamEnd:
+    def open_stream(self, endpoint: str, peer: str, port: int) -> StreamEnd:
         with self._lock:
             src = self._rec(endpoint)
             dst = self._rec(peer)
-            if endpoint.id in self._offline or peer.id in self._offline:
-                raise PeerUnreachable(f"{peer.id} is offline")
+            if endpoint in self._offline or peer in self._offline:
+                raise PeerUnreachable(f"{peer} is offline")
             shared = src.networks & dst.networks
             if not (dst.wan or src.wan or shared):
-                raise PeerUnreachable(
-                    f"{endpoint.id} and {peer.id} share no network and no uplink"
-                )
-            label = sorted(shared)[0] if shared else WAN_LABEL
-            stream = _Stream(endpoint, peer, port, label)
-            a_end = StreamEnd(self, stream, 0)
-            b_end = StreamEnd(self, stream, 1)
-            stream.end_objs = (a_end, b_end)
+                raise PeerUnreachable(f"{endpoint} and {peer} share no network and no uplink")
             handler = dst.stream_handlers.get(port)
             if handler is None:
-                raise PeerUnreachable(f"{peer.id} is not listening on port {port}")
-            self._streams.append(stream)
+                raise PeerUnreachable(f"{peer} is not listening on port {port}")
+            label = sorted(shared)[0] if shared else WAN_LABEL
+            a_end = StreamEnd(self, endpoint, peer, port, label)
+            b_end = StreamEnd(self, peer, endpoint, port, label)
+            a_end.far, b_end.far = b_end, a_end
+            self._streams += (a_end, b_end)
             handler(b_end, endpoint)
             return a_end
 
-    def _stream_send(self, stream: _Stream, side: int, data: bytes) -> None:
+    def _stream_send(self, end: StreamEnd, data: bytes) -> None:
         if not data:
             return
         with self._lock:
-            src = stream.ends[side]
-            dst = stream.ends[1 - side]
-            if src.id in self._offline or dst.id in self._offline:
-                raise PeerUnreachable(f"{dst.id} is offline")
-            self.capture.append(
-                CaptureEntry(
-                    self.clock.now, stream.label, src.id, stream.port,
-                    len(data), "stream", dst=dst.id,
-                )
-            )
-            far = stream.end_objs[1 - side]
+            if end.src in self._offline or end.peer in self._offline:
+                raise PeerUnreachable(f"{end.peer} is offline")
+            far = end.far
+            if far is None:
+                raise PeerUnreachable(f"{end.peer} is unreachable: the simulation is closed")
+            self.capture.append(CaptureEntry(self.clock.now, end.label, end.src, end.port,
+                                             len(data), "stream", dst=end.peer))
             far._buf.extend(data)
             if far.on_data is not None:
                 far.on_data()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import dpl, protocol
 from .cloud import API_PATH, CloudUnreachable, DeviceOffline, VendorCloud
-from .netsim import EndpointId, SimClock, Simulation
+from .netsim import SimClock, Simulation
 from .signing import (
     SigningKeySet,
     derive_signing_key,
@@ -62,7 +62,8 @@ def resolve_cloud_endpoint(
     dns_answers: dict[str, list[str]],
     directory: dict[str, VendorCloud],
 ) -> tuple[str, VendorCloud]:
-    """First reachable endpoint for the region, DNS first, table second."""
+    """First reachable endpoint for the region: among its DNS answers when DNS
+    is available, else in the hard-coded table, never both."""
     if dns_available:
         candidates = list(dns_answers.get(region, []))
     else:
@@ -162,7 +163,7 @@ class IssuedToken:
 
 
 def broadcast_lengths(
-    sim: Simulation, endpoint: EndpointId, lengths: list[int], ssid: str | None = None
+    sim: Simulation, endpoint: str, lengths: list[int], ssid: str | None = None
 ) -> int:
     """Send one filler datagram per length on port 30011, in one burst; returns the count."""
     filler = bytes([dpl.FILLER_BYTE])
@@ -250,7 +251,7 @@ class MobileApp:
         self.sim = sim
         self.clock = sim.clock
         self.config = config
-        self.endpoint = sim.register(endpoint_id or f"app-{config.user_id}", "app")
+        self.endpoint = sim.register(endpoint_id or f"app-{config.user_id}")
         self.envelopes = EnvelopeFactory(config, rng, nonce_source=nonce_source)
         self.cloud_client = CloudClient(
             config, self.envelopes, directory, sim.clock, dns_available, dns_answers or {}

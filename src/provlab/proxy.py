@@ -62,7 +62,7 @@ class ProxyPolicy:
 
     Each member of ``redact_fields`` becomes ``0.0`` if it holds a number
     (a boolean does not count) and ``"redacted"`` otherwise.  Only the
-    registered actions pass, whatever the policy.
+    registered actions of the gateway's own vendor pass, whatever the policy.
     """
 
     redact_fields: set[str] = field(default_factory=set)
@@ -86,7 +86,7 @@ class ProxyGateway:
         self.policy = policy or ProxyPolicy()
         self.rng = rng
         self.home_ssid = home_ssid
-        self.endpoint = sim.register(endpoint_id, "proxy")
+        self.endpoint = sim.register(endpoint_id)
         self.channels = DeviceChannels(sim, self.endpoint, "local", self._on_device_frame)
         self.cloud_client = CloudClient(
             config, EnvelopeFactory(config, rng, nonce_source=nonce_source), directory,
@@ -147,12 +147,15 @@ class ProxyGateway:
         action = envelope.get("a")
         if not isinstance(action, str) or action not in protocol.REGISTERED_ACTIONS:
             raise PolicyDenied(f"action {action!r} not allowed")
+        client = self.cloud_client
+        bundle = envelope.get("bundleId")
+        if bundle != client.config.bundle_id:
+            raise PolicyDenied(f"bundle {bundle!r}: the gateway holds no key for it")
         forwarded = {k: v for k, v in envelope.items() if k != protocol.SIGN_FIELD}
         for name in self.policy.redact_fields & forwarded.keys():
             value = forwarded[name]
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             forwarded[name] = REDACTED_NUMBER if number else REDACTED_TEXT
-        client = self.cloud_client
         try:
             forwarded["sign"] = sign_envelope(forwarded, derive_signing_key(client.config.keys))
         except SigningError as exc:

@@ -95,7 +95,7 @@ class World:
     home_passphrase: str
 
 
-def _vendor_keys(rng: random.Random, bundle_id: str) -> SigningKeySet:
+def _vendor_keys(rng: random.Random) -> SigningKeySet:
     """Generate a vendor key set, routing secret2 through the stego
     pipeline exactly like a real extraction run would."""
     secret2 = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(32))
@@ -129,7 +129,7 @@ def build_world(
     cloud = VendorCloud(sim, rng=rng, nonce_source=rng)
     keys = {}
     for bundle in bundles:
-        keys[bundle] = _vendor_keys(rng, bundle)
+        keys[bundle] = _vendor_keys(rng)
         cloud.register_vendor(bundle, keys[bundle])
     directory = {addr: cloud for addr in hardcoded_endpoints("EU")}
     home_psk = "".join(rng.choice(TOKEN_ALPHABET) for _ in range(12))
@@ -213,12 +213,10 @@ def _isolated_device(
     return dev, proxy.provision_isolated(device_id, idle_hook=dev.idle)
 
 
-def _send_frame(
-    world: World, attacker_id: str, role: str, peer, frame: DeviceFrame
-) -> list[DeviceFrame]:
+def _send_frame(world: World, attacker_id: str, peer, frame: DeviceFrame) -> list[DeviceFrame]:
     """A new endpoint joins the home network, sends ``frame`` to ``peer``'s
     device port and returns the frames it gets back."""
-    attacker = world.sim.register(attacker_id, role)
+    attacker = world.sim.register(attacker_id)
     world.sim.join(attacker, HOME_SSID, world.home_passphrase)
     stream = world.sim.open_stream(attacker, peer, protocol.DEVICE_PORT)
     stream.send(encode_frame(frame))
@@ -370,7 +368,7 @@ def scenario_token_case_3(report: ScenarioReport, world: World) -> None:
     report.check_eq("device is Registered", device.phase.value, "Registered")
     status = app.control_device("bulb-01", {"power": "on"})
     report.check_eq("app controls the device via the cloud", status.get("power"), "on")
-    sniffed = _sniffed_tokens(world, app.endpoint.id)
+    sniffed = _sniffed_tokens(world, app.endpoint)
     report.check(
         "token broadcast over the air equals the token the cloud issued",
         sniffed[0] if sniffed else None,
@@ -379,7 +377,7 @@ def scenario_token_case_3(report: ScenarioReport, world: World) -> None:
     direct = [
         row
         for row in world.sim.capture.frames()
-        if row[2] == app.endpoint.id and row[5] == "stream" and row[6] == "bulb-01"
+        if row[2] == app.endpoint and row[5] == "stream" and row[6] == "bulb-01"
     ]
     report.check_eq(
         "app never talks to the device outside port-30011 broadcasts",
@@ -398,12 +396,12 @@ def scenario_replay_defense(report: ScenarioReport, world: World) -> None:
     report.check("legitimate provisioning succeeds", outcome, outcome.success)
 
     # the attacker sniffs the broadcast, recovers the token, and replays it
-    sniffed = _sniffed_tokens(world, app.endpoint.id)
+    sniffed = _sniffed_tokens(world, app.endpoint)
     report.check(
         "attacker recovers the token from captured packet lengths",
         bool(sniffed), bool(sniffed) and sniffed[0] == token.value,
     )
-    acks = _send_frame(world, "attacker-rig", "app", world.cloud.endpoint, DeviceFrame(
+    acks = _send_frame(world, "attacker-rig", world.cloud.endpoint, DeviceFrame(
         kind="bind", device_id="rogue-device", token=token.value,
         payload={"ssid": HOME_SSID, "passphrase": world.home_passphrase,
                  "bundle_id": "com.xyz.smart"}))
@@ -486,7 +484,7 @@ def scenario_hijack_surface(report: ScenarioReport, world: World) -> None:
     app = _app(world)
     _token, outcome = _provision(world, app, device)
     report.check("victim device registers on the shared network", outcome, outcome.success)
-    acks = _send_frame(world, "evil-plug", "device", device.endpoint, DeviceFrame(
+    acks = _send_frame(world, "evil-plug", device.endpoint, DeviceFrame(
         kind="command", device_id="bulb-01", payload={"command": {"power": "on"}},
         request_id="hijack-1"))
     report.check(
@@ -500,7 +498,7 @@ def scenario_hijack_surface(report: ScenarioReport, world: World) -> None:
     proxy, (dev_a, dev_b) = _isolated_pair(
         report, world, device_ids=("bulb-11", "plug-12"), proxy_id="proxy-iso"
     )
-    attacker2 = world.sim.register("evil-plug-2", "device")
+    attacker2 = world.sim.register("evil-plug-2")
     net_b = proxy.assignments["plug-12"]
     world.sim.join(attacker2, net_b.ssid, net_b.passphrase)  # compromised co-tenant
     before = _frames_from(world, "evil-plug-2")
@@ -675,6 +673,6 @@ def scenario_concurrent_provisioning(report: ScenarioReport, world: World) -> No
         )
     for app, creds in zip(apps, sent):
         report.check_eq(
-            f"an eavesdropper recovers {app.endpoint.id}'s token from the air",
-            sorted(set(_sniffed_tokens(world, app.endpoint.id))), [creds.token],
+            f"an eavesdropper recovers {app.endpoint}'s token from the air",
+            sorted(set(_sniffed_tokens(world, app.endpoint))), [creds.token],
         )

@@ -20,8 +20,8 @@ KEY = "4j8vqy4egph3thd7fdchk435hjudwsey"
 def make_capture(tmp_path, drop=0.0, rounds=1, extra_stream=False):
     sim = Simulation(loss=LossModel(drop_prob=drop, seed=77), clock=SimClock())
     sim.create_network("home-net", "hunter2-long")
-    tx = sim.register("phone", "app")
-    rx = sim.register("bulb", "device")
+    tx = sim.register("phone")
+    rx = sim.register("bulb")
     sim.join(tx, "home-net", "hunter2-long")
     sim.join(rx, "home-net", "hunter2-long")
     creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
@@ -99,11 +99,11 @@ class TestDecodeCommand:
         phones = dpl.MAX_SENDERS + 1
         sim = Simulation(clock=SimClock())
         sim.create_network("home-net", "hunter2-long")
-        device = IoTDevice(sim, "bulb", sim.register("cloud", "cloud", wan=True))
+        device = IoTDevice(sim, "bulb", sim.register("cloud", wan=True))
         sim.join(device.endpoint, "home-net", "hunter2-long")
         senders, sent, lengths = [], [], []
         for k in range(phones):
-            senders.append(sim.register(f"phone-{k}", "app"))
+            senders.append(sim.register(f"phone-{k}"))
             sim.join(senders[k], "home-net", "hunter2-long")
             sent.append(dpl.Credentials("home-net", f"pass-{k}", f"{k:02d}" * 16))
             lengths.append(dpl.encode(sent[k], 1))
@@ -131,10 +131,10 @@ class TestDecodeCommand:
         # records lie between the broadcasts the decoder keeps
         sim = Simulation(loss=LossModel(drop_prob=0.2, dup_prob=0.1, seed=5), clock=SimClock())
         sim.create_network("home-net", "hunter2-long")
-        rx = sim.register("bulb", "device")
+        rx = sim.register("bulb")
         sim.join(rx, "home-net", "hunter2-long")
         sim.set_stream_handler(rx, 6668, lambda end, src: None)
-        phones = [sim.register(f"phone-{k}", "app") for k in range(3)]
+        phones = [sim.register(f"phone-{k}") for k in range(3)]
         for k, phone in enumerate(phones):
             sim.join(phone, "home-net", "hunter2-long")
             sim.open_stream(phone, rx, 6668).send(b"hello")
@@ -164,8 +164,8 @@ class TestDecodeCommand:
     def test_no_provisioning_traffic(self, tmp_path, capsys):
         sim = Simulation()
         sim.create_network("net-x", "password-x")
-        a = sim.register("a", "app")
-        b = sim.register("b", "device")
+        a = sim.register("a")
+        b = sim.register("b")
         sim.join(a, "net-x", "password-x")
         sim.join(b, "net-x", "password-x")
         sim.set_stream_handler(b, 6668, lambda end, src: None)

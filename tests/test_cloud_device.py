@@ -93,11 +93,11 @@ class TestRegistrationFlow:
             rng = random.Random(trial)
             sim = Simulation(loss=LossModel(), clock=SimClock(1_613_000_000))
             sim.create_network(HOME, PSK)
-            device = IoTDevice(sim, "bulb-01", sim.register("cloud", "cloud", wan=True))
+            device = IoTDevice(sim, "bulb-01", sim.register("cloud", wan=True))
             sim.join(device.endpoint, HOME, PSK)
             phones, sent, lengths = [], [], []
             for k in range(2):
-                phones.append(sim.register(f"phone-{k}", "app"))
+                phones.append(sim.register(f"phone-{k}"))
                 sim.join(phones[k], HOME, PSK)
                 sent.append(dpl.Credentials(HOME, PSK, protocol.generate_token_value(rng)))
                 lengths.append(dpl.encode(sent[k], 5))
@@ -114,7 +114,7 @@ class TestRegistrationFlow:
         sim, cloud, app, _ = world
         device = IoTDevice(sim, "bulb-01", cloud.endpoint)
         sim.join(device.endpoint, HOME, PSK)
-        rig = sim.register("rig", "app")
+        rig = sim.register("rig")
         sim.join(rig, HOME, PSK)
         lengths = dpl.encode(dpl.Credentials(HOME, PSK, "x" * 32), 1)
         lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
@@ -132,7 +132,7 @@ class TestRegistrationFlow:
         sim, cloud, app, _ = world
         device = IoTDevice(sim, "bulb-01", cloud.endpoint)
         sim.join(device.endpoint, HOME, PSK)
-        phone = sim.register("app-user-02", "app")
+        phone = sim.register("app-user-02")
         sim.join(phone, HOME, PSK)
         creds = dpl.Credentials(HOME, PSK, "t" * 32)
         sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1))
@@ -194,10 +194,10 @@ class TestRegistrationFlow:
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
         before = [row for row in sim.capture.rows()
-                  if row[5] == "stream" and row[2] == cloud.endpoint.id]
+                  if row[5] == "stream" and row[2] == cloud.endpoint]
         app.control_device("bulb-01", {"power": "on"})
         after = [row for row in sim.capture.rows()
-                 if row[5] == "stream" and row[2] == cloud.endpoint.id]
+                 if row[5] == "stream" and row[2] == cloud.endpoint]
         # exactly one command frame left the cloud for this control call
         assert len(after) == len(before) + 1
         acks = [row for row in sim.capture.rows()
@@ -208,7 +208,7 @@ class TestRegistrationFlow:
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
         before = dict(cloud.registry.devices["bulb-01"].status)
-        intruder = sim.register("intruder", "device")
+        intruder = sim.register("intruder")
         sim.join(intruder, HOME, PSK)
         stream = sim.open_stream(intruder, cloud.endpoint, protocol.DEVICE_PORT)
         stream.send(encode_frame(DeviceFrame(
@@ -242,7 +242,7 @@ class TestRegistrationFlow:
     def test_status_that_is_not_an_object_is_dropped(self, world, status):
         sim, cloud, app, _ = world
         token = app.acquire_token()
-        rogue = sim.register("rogue", "device")
+        rogue = sim.register("rogue")
         stream = sim.open_stream(rogue, cloud.endpoint, protocol.DEVICE_PORT)
         stream.send(encode_frame(DeviceFrame(kind="bind", device_id="rogue-01",
                                              token=token.value)))
@@ -253,7 +253,7 @@ class TestRegistrationFlow:
     def test_frame_with_an_int_past_the_digit_limit_is_dropped(self, world):
         sim, cloud, app, _ = world
         token = app.acquire_token()
-        rogue = sim.register("rogue", "device")
+        rogue = sim.register("rogue")
         stream = sim.open_stream(rogue, cloud.endpoint, protocol.DEVICE_PORT)
         body = b'{"kind": "bind", "device_id": "rogue-01", "n": ' + b"9" * 5000 + b"}"
         stream.send(len(body).to_bytes(4, "big") + body)
@@ -527,7 +527,7 @@ class TestBind:
         assert len(cloud.registry.devices) == 1
 
     def _rebind(self, sim, cloud, token, endpoint_id):
-        wan = sim.register(endpoint_id, "device", wan=True)
+        wan = sim.register(endpoint_id, wan=True)
         stream = sim.open_stream(wan, cloud.endpoint, protocol.DEVICE_PORT)
         stream.send(encode_frame(DeviceFrame(
             kind="bind", device_id="bulb-01", token=token.value,
@@ -653,7 +653,7 @@ class TestLocalListener:
     def test_same_network_attacker_commands_device(self, world):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
-        attacker = sim.register("attacker", "device")
+        attacker = sim.register("attacker")
         sim.join(attacker, HOME, PSK)
         stream = sim.open_stream(attacker, device.endpoint, protocol.DEVICE_PORT)
         stream.send(encode_frame(DeviceFrame(
@@ -667,7 +667,7 @@ class TestLocalListener:
     def test_alt_port_1883_same_framing(self, world):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
-        attacker = sim.register("attacker", "device")
+        attacker = sim.register("attacker")
         sim.join(attacker, HOME, PSK)
         stream = sim.open_stream(attacker, device.endpoint, protocol.DEVICE_PORT_ALT)
         stream.send(encode_frame(DeviceFrame(
@@ -680,7 +680,7 @@ class TestLocalListener:
     def test_malformed_frames_ignored(self, world, body):
         sim, cloud, app, _ = world
         device, _ = provision_one(sim, cloud, app)
-        attacker = sim.register("attacker", "device")
+        attacker = sim.register("attacker")
         sim.join(attacker, HOME, PSK)
         stream = sim.open_stream(attacker, device.endpoint, protocol.DEVICE_PORT)
         stream.send(len(body).to_bytes(4, "big") + body)

@@ -20,10 +20,12 @@ from provlab.netsim import (
     DuplicateSsid,
     InvalidLength,
     LossModel,
+    NetSimError,
     NotJoined,
     PeerUnreachable,
     SimClock,
     Simulation,
+    UnknownEndpoint,
     UnknownSsid,
     WrongPassphrase,
 )
@@ -65,7 +67,7 @@ class TestNetworks:
 
     def test_join_requires_exact_pair(self, sim):
         sim.create_network("home-net", "hunter2-long")
-        ep = sim.register("dev", "device")
+        ep = sim.register("dev")
         with pytest.raises(UnknownSsid):
             sim.join(ep, "nope", "hunter2-long")
         with pytest.raises(WrongPassphrase):
@@ -75,7 +77,7 @@ class TestNetworks:
 
     def test_leave(self, sim):
         sim.create_network("home-net", "hunter2-long")
-        ep = sim.register("dev", "device")
+        ep = sim.register("dev")
         sim.join(ep, "home-net", "hunter2-long")
         sim.leave(ep, "home-net")
         assert sim.networks_of(ep) == set()
@@ -84,8 +86,8 @@ class TestNetworks:
 class TestBroadcast:
     def test_zero_loss_delivers_exactly_once_in_order(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
@@ -98,13 +100,13 @@ class TestBroadcast:
 
     def test_not_joined(self, sim):
         sim.create_network("net-a", "password-a")
-        lone = sim.register("lone", "app")
+        lone = sim.register("lone")
         with pytest.raises(NotJoined):
             sim.broadcast(lone, 30011, b"x")
 
     def test_payload_bounds(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
+        tx = sim.register("tx")
         sim.join(tx, "net-a", "password-a")
         with pytest.raises(InvalidLength):
             sim.broadcast(tx, 30011, b"")
@@ -114,8 +116,8 @@ class TestBroadcast:
     def test_cross_network_silence(self, sim):
         sim.create_network("net-a", "password-a")
         sim.create_network("net-b", "password-b")
-        tx = sim.register("tx", "app")
-        rx_b = sim.register("rx-b", "device")
+        tx = sim.register("tx")
+        rx_b = sim.register("rx-b")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx_b, "net-b", "password-b")
         got = []
@@ -134,8 +136,8 @@ class TestBroadcast:
         drop, dup, seed, frames = 0.2, 0.0, 99, 1000
         sim = fresh_sim(drop=drop, dup=dup, seed=seed)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
@@ -162,23 +164,22 @@ class TestBroadcast:
         sim.create_network("net-a", "password-a")
         sim.create_network("net-b", "password-b")
         names = ["rx-d", "rx-b", "tx", "rx-a", "rx-c"]
-        eps = {name: sim.register(name, "app" if name == "tx" else "device")
-               for name in names}
+        eps = {name: sim.register(name) for name in names}
         for name in names:
             sim.join(eps[name], "net-a", "password-a")
-        elsewhere = sim.register("rx-e", "device")
+        elsewhere = sim.register("rx-e")
         sim.join(elsewhere, "net-b", "password-b")
         handled = []
 
         def on_datagram(d):
-            assert (d.src.id, d.dst_port, d.ssid) == ("tx", port, "net-a")
+            assert (d.src, d.dst_port, d.ssid) == ("tx", port, "net-a")
             handled.append(len(d.payload))
 
         sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
         recorded = [eps["rx-d"], eps["rx-a"], eps["rx-c"], eps["tx"], elsewhere]
-        got = {ep.id: [] for ep in recorded}
+        got = {ep: [] for ep in recorded}
         for ep in recorded:
-            sim.set_datagram_handler(ep, port, got[ep.id].append)
+            sim.set_datagram_handler(ep, port, got[ep].append)
         draw = random.Random(7)
         lengths = [draw.randint(1, 2048) for _ in range(400)]
         for length in lengths:
@@ -205,16 +206,16 @@ class TestBroadcast:
         assert handled == delivered["rx-b"]
         for name in ("rx-d", "rx-a", "rx-c"):
             assert [len(d.payload) for d in got[name]] == delivered[name]
-            assert ({(d.src.id, d.dst_port, d.ssid) for d in got[name]}
+            assert ({(d.src, d.dst_port, d.ssid) for d in got[name]}
                     == {("tx", port, "net-a")})
         assert got["tx"] == got["rx-e"] == []
 
     def test_handler_stream_send_follows_the_fan_out_records(self):
         sim = fresh_sim(drop=0.3, dup=0.3, seed=4)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rxs = [sim.register(f"rx-{i}", "device") for i in range(4)]
-        hub = sim.register("hub", "cloud", wan=True)
+        tx = sim.register("tx")
+        rxs = [sim.register(f"rx-{i}") for i in range(4)]
+        hub = sim.register("hub", wan=True)
         for ep in [rxs[0], tx, *rxs[1:]]:
             sim.join(ep, "net-a", "password-a")
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
@@ -239,8 +240,8 @@ class TestBroadcast:
     def test_duplication_delivers_twice(self):
         sim = fresh_sim(drop=0.0, dup=1.0, seed=5)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
@@ -251,8 +252,8 @@ class TestBroadcast:
     def test_drops_recorded_as_sent_not_delivered(self):
         sim = fresh_sim(drop=1.0)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         sim.broadcast(tx, 30011, b"abc")
@@ -263,7 +264,7 @@ class TestBroadcast:
         def run(port):
             sim = fresh_sim(drop=0.2, dup=0.15, seed=3)
             sim.create_network("net-a", "password-a")
-            eps = {name: sim.register(name, "device") for name in ("tx", "rx-a", "rx-b", "rx-c")}
+            eps = {name: sim.register(name) for name in ("tx", "rx-a", "rx-b", "rx-c")}
             for ep in eps.values():
                 sim.join(ep, "net-a", "password-a")
             got = {name: [] for name in ("rx-a", "rx-b", "rx-c")}
@@ -293,8 +294,8 @@ class TestBroadcast:
 
     def test_handler_gets_frames_synchronously(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         seen = []
@@ -305,7 +306,7 @@ class TestBroadcast:
     def test_offline_sender_raises_before_any_record(self):
         sim = fresh_sim(drop=0.3, dup=0.3, seed=2)
         sim.create_network("net-a", "password-a")
-        tx, rx = sim.register("tx", "app"), sim.register("rx", "device")
+        tx, rx = sim.register("tx"), sim.register("rx")
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
         got = []
@@ -326,7 +327,7 @@ class TestBroadcast:
             # with offline_member, rx-b joins but is offline; else it never joins
             sim = fresh_sim(drop=0.2, dup=0.2, seed=6)
             sim.create_network("net-a", "password-a")
-            eps = {name: sim.register(name, "device") for name in ("tx", "rx-a", "rx-b", "rx-c")}
+            eps = {name: sim.register(name) for name in ("tx", "rx-a", "rx-b", "rx-c")}
             for name, ep in eps.items():
                 if name != "rx-b" or offline_member:
                     sim.join(ep, "net-a", "password-a")
@@ -467,7 +468,7 @@ def _burst_sim(case):
     """The case's simulation and endpoints, with its receivers' ports set;
     returns (sim, endpoints, handler calls)."""
     sim = fresh_sim(drop=case["drop"], dup=case["dup"], seed=case["seed"])
-    eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
+    eps = {name: sim.register(name) for name in ("tx",) + BURST_RX}
     for ssid, passphrase in (("net-a", "password-a"), ("net-b", "password-b")):
         sim.create_network(ssid, passphrase)
         for name in case[ssid]:
@@ -476,9 +477,9 @@ def _burst_sim(case):
 
     def handler_of(name):
         def on_datagram(d):
-            assert d.src is eps[d.src.id] and d.dst_port == PORT
+            assert d.src in eps and d.dst_port == PORT
             assert d.payload == bytes([dpl.FILLER_BYTE]) * len(d.payload)
-            calls.append((name, d.src.id, len(d.payload), d.ssid))
+            calls.append((name, d.src, len(d.payload), d.ssid))
             action = case["scripts"][name].get(seen[name], ("none",))
             seen[name] += 1
             if action[0] == "leave":
@@ -610,7 +611,7 @@ class TestBurst:
         one ``random() < rate`` draw per decision."""
         sim = fresh_sim(seed=11)
         sim.create_network("net-a", "password-a")
-        eps = {name: sim.register(name, "device") for name in ("tx",) + BURST_RX}
+        eps = {name: sim.register(name) for name in ("tx",) + BURST_RX}
         for ep in eps.values():
             sim.join(ep, "net-a", "password-a")
         calls = []
@@ -651,7 +652,7 @@ class TestFrames:
     @given(case=_burst_case())
     def test_frame_readers_agree_with_row_readers(self, case):
         sim, eps, _calls = _burst_sim(case)
-        hub = sim.register("hub", "cloud", wan=True)
+        hub = sim.register("hub", wan=True)
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
         uplink = sim.open_stream(eps["rx-b"], hub, 6668)
         escaped = []
@@ -700,10 +701,10 @@ class TestFrames:
     def test_a_burst_to_closed_ports_stores_one_small_row_per_frame(self):
         sim = fresh_sim(drop=0.1, dup=0.05, seed=8)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
+        tx = sim.register("tx")
         sim.join(tx, "net-a", "password-a")
         for i in range(32):
-            rx = sim.register(f"rx-{i:02d}", "device")
+            rx = sim.register(f"rx-{i:02d}")
             sim.join(rx, "net-a", "password-a")
             sim.set_datagram_handler(rx, PORT, None)
         payloads = [bytes([dpl.FILLER_BYTE]) * (1 + i % 600) for i in range(1000)]
@@ -724,8 +725,8 @@ class TestDeterminism:
     def _run(seed):
         sim = fresh_sim(drop=0.25, dup=0.15, seed=seed)
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         rng = random.Random(7)
@@ -744,8 +745,8 @@ class TestDeterminism:
 class TestStreams:
     def _pair(self, sim):
         sim.create_network("net-a", "password-a")
-        a = sim.register("a", "app")
-        b = sim.register("b", "device")
+        a = sim.register("a")
+        b = sim.register("b")
         sim.join(a, "net-a", "password-a")
         sim.join(b, "net-a", "password-a")
         return a, b
@@ -769,8 +770,8 @@ class TestStreams:
     def test_unreachable_without_shared_network_or_uplink(self, sim):
         sim.create_network("net-a", "password-a")
         sim.create_network("net-b", "password-b")
-        a = sim.register("a", "app")
-        b = sim.register("b", "device")
+        a = sim.register("a")
+        b = sim.register("b")
         sim.join(a, "net-a", "password-a")
         sim.join(b, "net-b", "password-b")
         sim.set_stream_handler(b, 6668, lambda end, src: None)
@@ -779,8 +780,8 @@ class TestStreams:
 
     def test_wan_endpoint_reachable_from_any_network(self, sim):
         sim.create_network("net-a", "password-a")
-        a = sim.register("a", "device")
-        cloud = sim.register("cloud", "cloud", wan=True)
+        a = sim.register("a")
+        cloud = sim.register("cloud", wan=True)
         sim.join(a, "net-a", "password-a")
         sim.set_stream_handler(cloud, 6668, lambda end, src: None)
         end = sim.open_stream(a, cloud, 6668)
@@ -803,6 +804,57 @@ class TestStreams:
         with pytest.raises(PeerUnreachable):
             sim.open_stream(a, b, 4242)
 
+    def test_a_send_after_close_is_unreachable_and_keeps_what_arrived(self, sim):
+        a, b = self._pair(sim)
+        ends = {}
+        sim.set_stream_handler(b, 6668, lambda end, src: ends.setdefault("b", end))
+        end_a = sim.open_stream(a, b, 6668)
+        end_a.send(b"before")
+        frames = sim.capture.frames()
+        sim.close()
+        for end in (end_a, ends["b"]):
+            with pytest.raises(PeerUnreachable, match="the simulation is closed"):
+                end.send(b"x")
+        assert sim.capture.frames() == frames
+        assert ends["b"].recv() == b"before"
+        assert (end_a.peer, ends["b"].peer) == (b, a)
+
+
+# every Simulation entry point that takes an endpoint, given an unregistered one
+UNREGISTERED_CALLS = {
+    "set_online": lambda sim, ep: sim.set_online(ep, False),
+    "is_online": lambda sim, ep: sim.is_online(ep),
+    "join": lambda sim, ep: sim.join(ep, "net-a", "password-a"),
+    "leave": lambda sim, ep: sim.leave(ep, "net-a"),
+    "networks_of": lambda sim, ep: sim.networks_of(ep),
+    "set_datagram_handler": lambda sim, ep: sim.set_datagram_handler(ep, 30011, None),
+    "broadcast": lambda sim, ep: sim.broadcast(ep, 30011, b"x"),
+    "broadcast_many": lambda sim, ep: sim.broadcast_many(ep, 30011, [b"x", b"yy"]),
+    "set_stream_handler": lambda sim, ep: sim.set_stream_handler(ep, 6668, None),
+    "open_stream-src": lambda sim, ep: sim.open_stream(ep, "b", 6668),
+    "open_stream-peer": lambda sim, ep: sim.open_stream("a", ep, 6668),
+}
+
+
+class TestEndpoints:
+    @pytest.mark.parametrize("call", UNREGISTERED_CALLS.values(), ids=UNREGISTERED_CALLS)
+    def test_an_unregistered_id_is_an_unknown_endpoint(self, sim, call):
+        sim.create_network("net-a", "password-a")
+        for name in ("a", "b"):
+            sim.join(sim.register(name), "net-a", "password-a")
+        sim.set_stream_handler("b", 6668, lambda end, src: None)
+        sim.broadcast("a", 30011, b"x")
+        frames = sim.capture.frames()
+        with pytest.raises(UnknownEndpoint, match="unregistered endpoint 'b-01'"):
+            call(sim, "b-01")
+        assert sim.capture.frames() == frames
+
+    def test_an_id_registers_once(self, sim):
+        assert sim.register("a") == "a"
+        with pytest.raises(NetSimError, match="'a' already registered") as info:
+            sim.register("a", wan=True)
+        assert info.type is NetSimError
+
 
 class TestConcurrency:
     @staticmethod
@@ -811,11 +863,11 @@ class TestConcurrency:
         frames of lengths 1..100 to one receiver, whose frames are checked
         to keep each sender's order."""
         sim.create_network("net-a", "password-a")
-        rx = sim.register("rx", "device")
+        rx = sim.register("rx")
         sim.join(rx, "net-a", "password-a")
         senders = []
         for i in range(4):
-            tx = sim.register(f"tx-{i}", "app")
+            tx = sim.register(f"tx-{i}")
             sim.join(tx, "net-a", "password-a")
             senders.append(tx)
         got = []
@@ -829,14 +881,14 @@ class TestConcurrency:
         assert len(got) == 400
         per_sender = {}
         for d in got:
-            per_sender.setdefault(d.src.id, []).append(len(d.payload))
+            per_sender.setdefault(d.src, []).append(len(d.payload))
         for seq in per_sender.values():
             assert seq == list(range(1, 101))  # each sender's frames stay in order
 
     def test_per_sender_order_under_concurrent_sends(self, sim):
         def pump(sim, tx):
             for k in range(100):
-                sim.broadcast(tx, 30011, bytes([int(tx.id[-1]) + 1]) * (k + 1))
+                sim.broadcast(tx, 30011, bytes([int(tx[-1]) + 1]) * (k + 1))
 
         self._four_senders(sim, pump)
 
@@ -858,8 +910,8 @@ class TestConcurrency:
 
     def test_presence_change_from_another_thread_waits_for_the_burst(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rxs = [sim.register(f"rx-{i}", "device") for i in range(4)]
+        tx = sim.register("tx")
+        rxs = [sim.register(f"rx-{i}") for i in range(4)]
         for ep in [tx, *rxs]:
             sim.join(ep, "net-a", "password-a")
         stop = threading.Event()
@@ -891,8 +943,8 @@ class TestConcurrency:
 
     def test_capture_snapshot_is_consistent_prefix(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         stop = threading.Event()
@@ -917,8 +969,8 @@ class TestConcurrency:
 class TestCaptureFormat:
     def test_jsonl_round_trip(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         sim.broadcast(tx, 30011, b"abc")
@@ -944,8 +996,8 @@ class TestCaptureFormat:
 
     def test_mutating_a_snapshot_leaves_the_log_unchanged(self, sim):
         sim.create_network("net-a", "password-a")
-        tx = sim.register("tx", "app")
-        rx = sim.register("rx", "device")
+        tx = sim.register("tx")
+        rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         sim.broadcast(tx, 30011, b"abc")
@@ -996,8 +1048,8 @@ class TestCaptureFormat:
         # a lossy credential burst in one tick repeats most of its lines
         sim = Simulation(loss=LossModel(drop_prob=0.2, seed=77), clock=SimClock())
         sim.create_network("home-net", "hunter2-long")
-        tx = sim.register("phone", "app")
-        rx = sim.register("bulb", "device")
+        tx = sim.register("phone")
+        rx = sim.register("bulb")
         sim.join(tx, "home-net", "hunter2-long")
         sim.join(rx, "home-net", "hunter2-long")
         creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)

@@ -70,7 +70,7 @@ class TestIsolationManager:
         assert net_a.ssid != net_b.ssid
         assert net_a.passphrase != net_b.passphrase
         # cross-broadcast delivery count is zero
-        rx = sim.register("listener", "device")
+        rx = sim.register("listener")
         sim.join(rx, net_b.ssid, net_b.passphrase)
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
@@ -160,6 +160,21 @@ class TestRelay:
             proxy.relay_app_envelope({"a": action})
         assert cloud.requests_total == before
 
+    # the gateway holds only xyz's key; absent or not a string, a bundle is foreign
+    @pytest.mark.parametrize("bundle", ["com.abc.home", None, ["com.xyz.smart"]],
+                             ids=["other-vendor", "absent", "list"])
+    def test_an_envelope_of_a_vendor_without_a_key_is_denied(self, rig, keyset, bundle):
+        sim, cloud, proxy, rng = rig
+        cloud.register_vendor("com.abc.home", replace(keyset, secret1="abcsecretabcsecretabcsec"))
+        envelope = {"a": protocol.ACTION_TOKEN_GET, "bundleId": bundle,
+                    "postData": {"region": "EU", "userId": "user-01"}}
+        if bundle is None:
+            del envelope["bundleId"]
+        before = cloud.requests_total
+        with pytest.raises(PolicyDenied, match="no key"):
+            proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before
+
     def test_an_envelope_nested_too_deeply_to_sign_is_denied(self, rig):
         sim, cloud, proxy, rng = rig
         denied, raised = [], []
@@ -235,7 +250,7 @@ class TestBindHijack:
         device, _ = provision_proxied(sim, proxy, "bulb-11")
         # an endpoint on another decoy network binds as bulb-11
         decoy = proxy.allocate_virtual_network("plug-12")
-        intruder = sim.register("intruder", "device")
+        intruder = sim.register("intruder")
         sim.join(intruder, decoy.ssid, decoy.passphrase)
         stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
         received = []
@@ -265,7 +280,7 @@ class TestBindHijack:
     def test_a_bind_for_no_decoy_network_opens_no_upstream(self, rig):
         sim, _cloud, proxy, _rng = rig
         decoy = proxy.allocate_virtual_network("plug-12")
-        intruder = sim.register("intruder", "device")
+        intruder = sim.register("intruder")
         sim.join(intruder, decoy.ssid, decoy.passphrase)
         stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
         received = []
