@@ -6,6 +6,10 @@
     provlab embed-secret <seed> <key> <in.bmp> <out.bmp>
 
 PROVLAB_SEED in the environment overrides --seed.
+
+``decode`` prints one line per attempt: every unprintable character of a
+sender, SSID, passphrase or token is escaped (a newline as ``\\n``), so
+a broadcast cannot forge a line of its own.
 """
 
 from __future__ import annotations
@@ -116,15 +120,20 @@ def _cmd_decode(args) -> int:
         return EXIT_NO_TRAFFIC
     for i, (src, state) in enumerate(attempts):
         if state.phase is not dpl.Phase.COMPLETE:
-            print(f"attempt {i}: src={src} incomplete")
+            print(f"attempt {i}: src={_printable(src)} incomplete")
             continue
         creds = state.credentials
         psk = creds.passphrase if args.unmask else "*" * len(creds.passphrase)
         print(
-            f"attempt {i}: src={src} ssid={creds.ssid} "
-            f"passphrase={psk} token={creds.token}"
+            f"attempt {i}: src={_printable(src)} ssid={_printable(creds.ssid)} "
+            f"passphrase={_printable(psk)} token={_printable(creds.token)}"
         )
     return EXIT_OK
+
+
+def _printable(text: str) -> str:
+    """``text`` with each unprintable character escaped as ``repr`` writes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _cmd_r_keys(args) -> int:

@@ -58,10 +58,9 @@ class IoTDevice:
     # -- provisioning ---------------------------------------------------------
 
     def _on_datagram(self, dgram) -> None:
-        if self.phase is not DevicePhase.UNPROVISIONED:
-            return
+        # runs only while Unprovisioned: _on_credentials closes the port first
         state = self.bank.feed(dgram.src, len(dgram.payload))
-        if state.phase is dpl.Phase.COMPLETE:
+        if state.phase is dpl.COMPLETE:
             self._on_credentials(state.credentials)
 
     def idle(self) -> None:

@@ -231,6 +231,10 @@ class Phase(Enum):
     FAILED = "failed"
 
 
+# bound once: each Phase.X lookup goes through EnumType's slow __getattr__
+HUNTING, COLLECTING, COMPLETE, FAILED = (Phase.HUNTING, Phase.COLLECTING,
+                                         Phase.COMPLETE, Phase.FAILED)
+
 # length -> (band, value within the band); every other length is a gap.
 # Out-of-band lengths in 18..65 separate rounds; those in 1..10 are gaps.
 _BANDS: dict[int, tuple[str, int | None]] = {
@@ -307,7 +311,7 @@ class DecoderState:
         """Feed ``lengths[i:]`` until the attempt is COMPLETE or FAILED;
         return the index after the last frame fed."""
         phase = self.phase
-        if phase is Phase.COMPLETE or phase is Phase.FAILED:
+        if phase is COMPLETE or phase is FAILED:
             return i
         prev, buf, end = self._prev_len, self._round_buf, len(lengths)
         while i < end:
@@ -322,7 +326,7 @@ class DecoderState:
             band = frame[0]
             if band == "gap":
                 continue
-            if phase is Phase.COLLECTING:
+            if phase is COLLECTING:
                 if band == "idx" or band == "val":
                     buf.append(frame)
                     continue
@@ -330,13 +334,13 @@ class DecoderState:
                     self._head_known = True  # a separator with no round to settle
                     continue
                 self._feed_collecting(band, frame[1])
-            elif phase is Phase.HUNTING:
+            elif phase is HUNTING:
                 self._feed_hunting(band, frame[1])
             else:
                 self._feed_synced(band, frame[1])
             # a helper may settle the round (a fresh buffer) or move the phase
             phase, buf = self.phase, self._round_buf
-            if phase is Phase.COMPLETE:
+            if phase is COMPLETE:
                 break
         self._prev_len = prev
         return i
@@ -490,7 +494,7 @@ def decode_lengths(lengths) -> DecoderState:
 
 
 MAX_SENDERS = 16  # attempts a device's DecoderBank keeps at once
-_SETTLED = (Phase.COMPLETE, Phase.FAILED)
+_SETTLED = (COMPLETE, FAILED)
 
 
 class DecoderBank:

@@ -26,7 +26,7 @@ from .provisioner import (
     ProvisionOutcome,
     broadcast_lengths,
 )
-from .signing import SigningError, derive_signing_key, sign_envelope
+from .signing import derive_signing_key, sign_envelope, verify_envelope
 
 FAKE_SSID_PREFIX = "vdev-"
 FAKE_PSK_CHARS = 16
@@ -62,7 +62,8 @@ class ProxyPolicy:
 
     Each member of ``redact_fields`` becomes ``0.0`` if it holds a number
     (a boolean does not count) and ``"redacted"`` otherwise.  Only the
-    registered actions of the gateway's own vendor pass, whatever the policy.
+    registered actions of the gateway's own vendor, with a ``sign`` that
+    verifies, pass, whatever the policy.
     """
 
     redact_fields: set[str] = field(default_factory=set)
@@ -143,7 +144,7 @@ class ProxyGateway:
     # -- app-side relay with policy -------------------------------------------------
 
     def relay_app_envelope(self, envelope: dict) -> dict:
-        """Terminate an app request, scrub it per policy, re-sign, forward."""
+        """Terminate an app request, verify it, scrub it per policy, forward."""
         action = envelope.get("a")
         if not isinstance(action, str) or action not in protocol.REGISTERED_ACTIONS:
             raise PolicyDenied(f"action {action!r} not allowed")
@@ -151,17 +152,20 @@ class ProxyGateway:
         bundle = envelope.get("bundleId")
         if bundle != client.config.bundle_id:
             raise PolicyDenied(f"bundle {bundle!r}: the gateway holds no key for it")
-        forwarded = {k: v for k, v in envelope.items() if k != protocol.SIGN_FIELD}
-        for name in self.policy.redact_fields & forwarded.keys():
-            value = forwarded[name]
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            forwarded[name] = REDACTED_NUMBER if number else REDACTED_TEXT
+        key = derive_signing_key(client.config.keys)
+        if not verify_envelope(envelope, key):
+            raise PolicyDenied("the envelope's sign does not verify")
+        redact = self.policy.redact_fields & envelope.keys()
+        if redact:
+            envelope = dict(envelope)
+            for name in redact:
+                value = envelope[name]
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                envelope[name] = REDACTED_NUMBER if number else REDACTED_TEXT
+            # it verified, so its signing string builds, and so does the scrubbed one's
+            envelope[protocol.SIGN_FIELD] = sign_envelope(envelope, key)
         try:
-            forwarded["sign"] = sign_envelope(forwarded, derive_signing_key(client.config.keys))
-        except SigningError as exc:
-            raise PolicyDenied(str(exc)) from exc
-        try:
-            return client.post(client.resolve(), forwarded)
+            return client.post(client.resolve(), envelope)
         except (CloudUnreachable, ProvisionerError) as exc:
             raise UpstreamRejected(str(exc)) from exc
 

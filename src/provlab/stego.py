@@ -41,9 +41,10 @@ class MagicMismatch(StegoError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class BmpImage:
-    """A parsed BMP: everything before the pixel array, then the pixels."""
+    """A parsed BMP: everything before the pixel array, then the pixels.
+    Frozen, so one image can be shared as a carrier."""
 
     header: bytes  # bytes [0, bfOffBits)
     pixels: bytes  # bytes [bfOffBits, end)

@@ -126,6 +126,28 @@ class TestDecodeCommand:
         assert device.phase is DevicePhase.UNPROVISIONED
         assert device.creds is None
 
+    def test_a_broadcast_cannot_forge_a_line_of_the_output(self, tmp_path, capsys):
+        sim = Simulation(clock=SimClock())
+        sim.create_network("home-net", "hunter2-long")
+        forged = "attempt 7: src=phone-01 ssid=HomeNet passphrase=hunter22 token=" + "Z" * 32
+        senders = {"phone-01": ("home-net", "hunter2-long", "t" * 32),
+                   "mallory": ("home-net", "x", "T" * 8 + "\n" + forged),
+                   "eve\r\n" + forged: ("home\x1b[2K", "y\x00", "u" * 32)}
+        for src, fields in senders.items():
+            sim.join(sim.register(src), "home-net", "hunter2-long")
+            for length in dpl.encode_payload(dpl.frame_fields(*fields), 1):
+                sim.broadcast(src, dpl.PROVISION_PORT, b"\x55" * length)
+        path = tmp_path / "forged.jsonl"
+        path.write_text(sim.capture.to_jsonl())
+        assert cli.main(["decode", str(path), "--unmask"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(senders)
+        assert not any(line.startswith("attempt 7") for line in lines)
+        assert lines[1] == ("attempt 1: src=mallory ssid=home-net passphrase=x "
+                            "token=TTTTTTTT\\n" + forged)
+        assert lines[2] == (f"attempt 2: src=eve\\r\\n{forged} ssid=home\\x1b[2K "
+                            f"passphrase=y\\x00 token={'u' * 32}")
+
     def test_other_valid_json_decodes_as_the_canonical_capture(self, tmp_path, capsys):
         # lossy, interleaved senders and a stream: deliver, drop and stream
         # records lie between the broadcasts the decoder keeps

@@ -175,6 +175,34 @@ class TestRelay:
             proxy.relay_app_envelope(envelope)
         assert cloud.requests_total == before
 
+    # the gateway checks the app's sign with the vendor key it holds; a sign
+    # that does not verify sends nothing upstream, where the cloud would accept
+    # the re-signed envelope
+    @pytest.mark.parametrize("forge", [
+        lambda sign: "00" * 32, None, lambda sign: [sign], lambda sign: 0,
+    ], ids=["forged", "absent", "list", "number"])
+    def test_an_envelope_whose_sign_does_not_verify_is_denied(self, rig, keyset, forge):
+        sim, cloud, proxy, rng = rig
+        app_config = AppConfig(
+            bundle_id="com.xyz.smart", client_id="app-client", region="EU",
+            user_id="user-01", keys=keyset,
+        )
+        app = MobileApp(
+            sim, app_config, {"52.29.0.171": cloud}, rng=rng,
+            dns_available=False, endpoint_id="phone", nonce_source=rng,
+        )
+        envelope = app.envelopes.build(
+            protocol.ACTION_TOKEN_GET, {"region": "EU", "userId": "user-01"}, sim.clock.now,
+        )
+        if forge is None:
+            del envelope["sign"]
+        else:
+            envelope["sign"] = forge(envelope["sign"])
+        before = cloud.requests_total
+        with pytest.raises(PolicyDenied, match="sign does not verify"):
+            proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before
+
     def test_an_envelope_nested_too_deeply_to_sign_is_denied(self, rig):
         sim, cloud, proxy, rng = rig
         denied, raised = [], []
@@ -182,8 +210,9 @@ class TestRelay:
             value = []
             for _ in range(depth):
                 value = [value]
+            # a sign, so that the gateway builds the signing string to check it
             envelope = {"a": protocol.ACTION_DEVICE_STATUS, "bundleId": "com.xyz.smart",
-                        "postData": value}
+                        "postData": value, "sign": "00" * 32}
             before = cloud.requests_total
             try:
                 proxy.relay_app_envelope(envelope)
@@ -242,6 +271,16 @@ class TestDefaultPolicy:
         assert forwarded["a"] == action
         assert {k: v for k, v in forwarded.items() if k != "sign"} == {
             k: v for k, v in envelope.items() if k != "sign"}
+
+    def test_an_unredacted_envelope_goes_upstream_as_the_app_signed_it(self, plain):
+        sim, cloud, proxy, app = plain
+        envelope = app.envelopes.build(
+            protocol.ACTION_TOKEN_GET, {"region": "EU", "userId": "user-01"}, sim.clock.now,
+        )
+        # the cloud takes a sign in either case; a re-signed envelope's is lowercase
+        envelope["sign"] = envelope["sign"].upper()
+        assert proxy.relay_app_envelope(envelope)["success"] is True
+        assert list(cloud.last_envelope.items()) == list(envelope.items())
 
 
 class TestBindHijack:

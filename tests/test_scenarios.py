@@ -1,9 +1,11 @@
 import gc
 import weakref
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from provlab import scenarios
+from provlab.stego import BmpImage, make_bmp
 
 
 @pytest.fixture
@@ -70,3 +72,14 @@ def test_a_closed_world_is_freed_by_reference_counting():
         assert capture.to_jsonl() == text
     finally:
         gc.enable()
+
+
+# every vendor's secret2 is embedded into the one carrier image built at import
+@pytest.mark.parametrize("name", [f.name for f in fields(BmpImage)])
+def test_the_shared_carrier_cannot_be_changed(name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(scenarios._CARRIER, name, getattr(scenarios._CARRIER, name))
+
+
+def test_the_shared_carrier_is_the_fixture_image():
+    assert scenarios._CARRIER.to_bytes() == make_bmp(64, 64).to_bytes()
