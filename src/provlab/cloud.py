@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import weakref
 from dataclasses import dataclass, field, asdict
 
@@ -105,15 +104,13 @@ class DeviceChannels:
         self._prefix = prefix  # request ids are f"{prefix}-NNNNNN"
         # weak: the owner holds these channels, and a strong ref would be a cycle
         self._on_frame = weakref.WeakMethod(on_frame)
-        self._lock = threading.RLock()
         self._streams: dict[str, StreamEnd] = {}
         self._pending: dict[str, tuple[StreamEnd, DeviceFrame | None]] = {}
         self._seq = 0
         protocol.listen_frames(sim, endpoint, self._dispatch)
 
     def bind(self, device_id: str, stream: StreamEnd) -> None:
-        with self._lock:
-            self._streams[device_id] = stream
+        self._streams[device_id] = stream
 
     def stream_of(self, device_id: str) -> StreamEnd | None:
         return self._streams.get(device_id)
@@ -121,13 +118,12 @@ class DeviceChannels:
     def command(self, device_id: str, command: dict) -> dict:
         """Send one command frame on the device's bind stream and return
         the ack payload; :class:`DeviceOffline` if no ack comes back."""
-        with self._lock:
-            stream = self._streams.get(device_id)
-            self._seq += 1
-            request_id = f"{self._prefix}-{self._seq:06d}"
-            if stream is None:
-                raise DeviceOffline(f"no live channel to {device_id}")
-            self._pending[request_id] = (stream, None)
+        stream = self._streams.get(device_id)
+        self._seq += 1
+        request_id = f"{self._prefix}-{self._seq:06d}"
+        if stream is None:
+            raise DeviceOffline(f"no live channel to {device_id}")
+        self._pending[request_id] = (stream, None)
         frame = DeviceFrame(
             kind="command",
             device_id=device_id,
@@ -139,19 +135,17 @@ class DeviceChannels:
         except PeerUnreachable as exc:
             raise DeviceOffline(f"channel to {device_id} is dead: {exc}") from exc
         finally:
-            with self._lock:
-                _stream, ack = self._pending.pop(request_id)
+            _stream, ack = self._pending.pop(request_id)
         if ack is None:
             raise DeviceOffline(f"{device_id} did not acknowledge")
         return ack.payload
 
     def _dispatch(self, stream: StreamEnd, frame: DeviceFrame) -> None:
         if frame.kind == "ack":
-            with self._lock:
-                waiting = self._pending.get(frame.request_id)
-                if waiting is not None and waiting[0] is stream:
-                    self._pending[frame.request_id] = (stream, frame)
-                    return
+            waiting = self._pending.get(frame.request_id)
+            if waiting is not None and waiting[0] is stream:
+                self._pending[frame.request_id] = (stream, frame)
+                return
         if frame.kind == "bind" or self._streams.get(frame.device_id) is stream:
             on_frame = self._on_frame()
             if on_frame is not None:
@@ -344,7 +338,7 @@ class VendorCloud:
             dev.status = dict(status)
 
     def handle_bind(self, frame: DeviceFrame) -> DeviceFrame:
-        """Atomic token check-and-bind; the ack carries the verdict."""
+        """Token check-and-bind, once per token; the ack carries the verdict."""
         if frame.kind != "bind":
             raise MalformedFrame(f"expected bind frame, got {frame.kind!r}")
         token_value = frame.token or ""

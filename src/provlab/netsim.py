@@ -9,11 +9,7 @@ actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
 call, which keeps whole scenarios deterministic without an event loop.
-Per-sender ordering is guaranteed under concurrent use; a reentrant
-lock serializes broker state, and a read of the capture always observes
-a consistent prefix of whole frames.  A burst (``broadcast_many``) holds
-the lock throughout: concurrent senders interleave per burst, not per
-frame, and a change from another thread waits for the burst to end.
+provlab is single-threaded: nothing here may be called from two threads.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -162,25 +157,22 @@ class CaptureLog:
     collection nothing.
     """
 
-    def __init__(self, lock: threading.RLock):
+    def __init__(self):
         self._rows: list[tuple] = []
-        self._lock = lock
 
     def append(self, entry: CaptureEntry) -> None:
         """Record one frame.  The fields are copied into a tuple, so the caller
-        may change and append the same entry again.  The caller holds the
-        simulation lock, as ``Simulation._stream_send`` does."""
+        may change and append the same entry again."""
         self._rows.append(
             (entry.t, entry.ssid, entry.src, entry.port, entry.len, entry.kind, entry.dst)
         )
 
     def frames(self) -> list[tuple]:
-        """A consistent prefix of the log, one row per sent frame."""
-        with self._lock:
-            return self._rows.copy()
+        """A copy of the log so far, one row per sent frame."""
+        return self._rows.copy()
 
     def rows(self) -> list[tuple]:
-        """A consistent prefix of the log, as ``(t, ssid, src, port, len, kind, dst)``."""
+        """The log so far, as ``(t, ssid, src, port, len, kind, dst)`` records."""
         out = []
         for row in self.frames():
             if len(row) == 7:
@@ -261,9 +253,8 @@ class StreamEnd:
         self._sim._stream_send(self, data)
 
     def recv(self) -> bytes:
-        with self._sim._lock:
-            out = bytes(self._buf)
-            self._buf.clear()
+        out = bytes(self._buf)
+        self._buf.clear()
         return out
 
 
@@ -279,7 +270,6 @@ class Simulation:
     """Broker for virtual networks, broadcasts, streams and the capture."""
 
     def __init__(self, loss: LossModel | None = None, clock: SimClock | None = None):
-        self._lock = threading.RLock()
         self.clock = clock or SimClock()
         self.loss = loss or LossModel()
         self._rng = random.Random(self.loss.seed)
@@ -287,44 +277,40 @@ class Simulation:
         self._endpoints: dict[str, _EndpointRec] = {}
         self._offline: set[str] = set()  # ids of the endpoints set offline
         self._streams: list[StreamEnd] = []  # both ends of every open stream
-        self.capture = CaptureLog(self._lock)
+        self.capture = CaptureLog()
         self._gen = 0  # bumped by each change to membership, presence or a datagram port
 
     def close(self) -> None:
         """Drop the handlers, stream links and ``on_data`` callbacks, whose cycles
         would keep a finished world alive.  Only the capture stays readable."""
-        with self._lock:
-            self._gen += 1
-            for rec in self._endpoints.values():
-                rec.datagram_handlers.clear()
-                rec.stream_handlers.clear()
-            for end in self._streams:
-                end.on_data = end.far = None
-            self._streams.clear()
+        self._gen += 1
+        for rec in self._endpoints.values():
+            rec.datagram_handlers.clear()
+            rec.stream_handlers.clear()
+        for end in self._streams:
+            end.on_data = end.far = None
+        self._streams.clear()
 
     # -- endpoints ---------------------------------------------------------
 
     def register(self, endpoint: str, wan: bool = False) -> str:
-        with self._lock:
-            if endpoint in self._endpoints:
-                raise NetSimError(f"endpoint id {endpoint!r} already registered")
-            self._endpoints[endpoint] = _EndpointRec(wan)
-            return endpoint
+        if endpoint in self._endpoints:
+            raise NetSimError(f"endpoint id {endpoint!r} already registered")
+        self._endpoints[endpoint] = _EndpointRec(wan)
+        return endpoint
 
     def set_online(self, endpoint: str, online: bool) -> None:
         """An offline endpoint neither sends nor receives, by stream or broadcast."""
-        with self._lock:
-            self._rec(endpoint)
-            self._gen += 1
-            if online:
-                self._offline.discard(endpoint)
-            else:
-                self._offline.add(endpoint)
+        self._rec(endpoint)
+        self._gen += 1
+        if online:
+            self._offline.discard(endpoint)
+        else:
+            self._offline.add(endpoint)
 
     def is_online(self, endpoint: str) -> bool:
-        with self._lock:
-            self._rec(endpoint)
-            return endpoint not in self._offline
+        self._rec(endpoint)
+        return endpoint not in self._offline
 
     def _rec(self, endpoint: str) -> _EndpointRec:
         rec = self._endpoints.get(endpoint)
@@ -339,41 +325,37 @@ class Simulation:
             raise InvalidLength("ssid must be 1-32 bytes")
         if not 8 <= len(passphrase.encode("utf-8")) <= 64:
             raise InvalidLength("passphrase must be 8-64 bytes")
-        with self._lock:
-            if ssid in self._networks:
-                raise DuplicateSsid(f"ssid {ssid!r} already exists")
-            net = VirtualNetwork(ssid=ssid, passphrase=passphrase)
-            self._networks[ssid] = net
-            return net
+        if ssid in self._networks:
+            raise DuplicateSsid(f"ssid {ssid!r} already exists")
+        net = VirtualNetwork(ssid=ssid, passphrase=passphrase)
+        self._networks[ssid] = net
+        return net
 
     def join(self, endpoint: str, ssid: str, passphrase: str) -> VirtualNetwork:
-        with self._lock:
-            rec = self._rec(endpoint)
-            net = self._networks.get(ssid)
-            if net is None:
-                raise UnknownSsid(f"no network {ssid!r}")
-            if passphrase != net.passphrase:
-                raise WrongPassphrase(f"bad passphrase for {ssid!r}")
-            self._gen += 1
-            if endpoint not in net.members:
-                net.members.append(endpoint)
-            rec.networks.add(ssid)
-            return net
+        rec = self._rec(endpoint)
+        net = self._networks.get(ssid)
+        if net is None:
+            raise UnknownSsid(f"no network {ssid!r}")
+        if passphrase != net.passphrase:
+            raise WrongPassphrase(f"bad passphrase for {ssid!r}")
+        self._gen += 1
+        if endpoint not in net.members:
+            net.members.append(endpoint)
+        rec.networks.add(ssid)
+        return net
 
     def leave(self, endpoint: str, ssid: str) -> None:
-        with self._lock:
-            rec = self._rec(endpoint)
-            net = self._networks.get(ssid)
-            if net is None:
-                raise UnknownSsid(f"no network {ssid!r}")
-            self._gen += 1
-            if endpoint in net.members:
-                net.members.remove(endpoint)
-            rec.networks.discard(ssid)
+        rec = self._rec(endpoint)
+        net = self._networks.get(ssid)
+        if net is None:
+            raise UnknownSsid(f"no network {ssid!r}")
+        self._gen += 1
+        if endpoint in net.members:
+            net.members.remove(endpoint)
+        rec.networks.discard(ssid)
 
     def networks_of(self, endpoint: str) -> set[str]:
-        with self._lock:
-            return set(self._rec(endpoint).networks)
+        return set(self._rec(endpoint).networks)
 
     # -- broadcast ---------------------------------------------------------
 
@@ -382,9 +364,8 @@ class Simulation:
         ``None`` closes the port.  A port with no handler, never opened or
         closed, discards its datagrams after their capture records and loss
         draws."""
-        with self._lock:
-            self._rec(endpoint).datagram_handlers[port] = handler
-            self._gen += 1
+        self._rec(endpoint).datagram_handlers[port] = handler
+        self._gen += 1
 
     def broadcast(self, endpoint: str, dst_port: int, payload: bytes,
                   ssid: str | None = None) -> None:
@@ -398,64 +379,62 @@ class Simulation:
         change to membership or presence applies from the next frame, to a port
         from the next delivery.  Once no receiver's port is open no handler can
         run, so when the rates make every outcome certain the rest is written in
-        one step.  The lock is held for the burst."""
+        one step."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
-        with self._lock:
-            networks = self._rec(endpoint).networks
-            src, clock, loss = endpoint, self.clock, self.loss
-            rows, draw = self.capture._rows, self._rng.random
-            # the last frame's receivers, and the _gen they and their ports were read at
-            dsts, recs, gen = (), [], None
-            rest = iter(payloads)
-            for payload in rest:
-                length = len(payload)
-                if not 1 <= length <= MAX_DATAGRAM:
-                    raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
-                if gen != self._gen:
-                    gen = self._gen
-                    if src in self._offline:
-                        raise PeerUnreachable(f"{src} is offline")
-                    if ssid is None and len(networks) != 1:
-                        raise NotJoined(
-                            "endpoint must be joined to exactly one network or name the ssid")
-                    net = next(iter(networks)) if ssid is None else ssid
-                    if net not in networks:
-                        raise NotJoined(f"{src} is not a member of {net!r}")
-                    now = tuple([m for m in self._networks[net].members
-                                 if m != src and m not in self._offline])
-                    if now != dsts:
-                        dsts, recs = now, [self._endpoints[dst] for dst in now]
-                    # positions of the receivers whose port is open, last first
-                    live = [i for i in range(len(recs) - 1, -1, -1)
-                            if recs[i].datagram_handlers.get(dst_port) is not None]
-                    drop, dup = loss.drop_prob, loss.dup_prob
-                    # with no port open no handler can run and change what was read
-                    # here; when the rates also make every outcome certain, the rest
-                    # of the burst is written in one step
-                    if not live and (drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)):
-                        self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
-                                           chain((payload,), rest),
-                                           0 if drop >= 1 else 2 if dup >= 1 else 1)
-                        return len(payloads)
+        networks = self._rec(endpoint).networks
+        src, clock, loss = endpoint, self.clock, self.loss
+        rows, draw = self.capture._rows, self._rng.random
+        # the last frame's receivers, and the _gen they and their ports were read at
+        dsts, recs, gen = (), [], None
+        rest = iter(payloads)
+        for payload in rest:
+            length = len(payload)
+            if not 1 <= length <= MAX_DATAGRAM:
+                raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
+            if gen != self._gen:
+                gen = self._gen
+                if src in self._offline:
+                    raise PeerUnreachable(f"{src} is offline")
+                if ssid is None and len(networks) != 1:
+                    raise NotJoined(
+                        "endpoint must be joined to exactly one network or name the ssid")
+                net = next(iter(networks)) if ssid is None else ssid
+                if net not in networks:
+                    raise NotJoined(f"{src} is not a member of {net!r}")
+                now = tuple([m for m in self._networks[net].members
+                             if m != src and m not in self._offline])
+                if now != dsts:
+                    dsts, recs = now, [self._endpoints[dst] for dst in now]
+                # positions of the receivers whose port is open, last first
+                live = [i for i in range(len(recs) - 1, -1, -1)
+                        if recs[i].datagram_handlers.get(dst_port) is not None]
                 drop, dup = loss.drop_prob, loss.dup_prob
-                # LossModel draw order: per receiver, drop, then dup if delivered
-                outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
-                                  for _ in recs])
-                rows.append((clock.now, net, src, dst_port, length, "bcast", dsts, outcomes))
-                # handlers run inside the lock: delivery is synchronous and the
-                # lock is reentrant, so handlers may send in turn
-                dgram, todo = None, live.copy()
-                while todo:
-                    i = todo.pop()
-                    for _ in range(outcomes[i]):
-                        handler = recs[i].datagram_handlers.get(dst_port)
-                        if handler is not None:  # no handler: the port is closed
-                            dgram = dgram or Datagram(src, dst_port, payload, net)
-                            handler(dgram)
-                    if gen != self._gen:  # a handler changed something: read every later port
-                        todo = list(range(len(recs) - 1, i, -1))
-            return len(payloads)
+                # with no port open no handler can run and change what was read
+                # here; when the rates also make every outcome certain, the rest
+                # of the burst is written in one step
+                if not live and (drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)):
+                    self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
+                                       chain((payload,), rest),
+                                       0 if drop >= 1 else 2 if dup >= 1 else 1)
+                    return len(payloads)
+            drop, dup = loss.drop_prob, loss.dup_prob
+            # LossModel draw order: per receiver, drop, then dup if delivered
+            outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
+                              for _ in recs])
+            rows.append((clock.now, net, src, dst_port, length, "bcast", dsts, outcomes))
+            # delivery is synchronous, so a handler may send in turn
+            dgram, todo = None, live.copy()
+            while todo:
+                i = todo.pop()
+                for _ in range(outcomes[i]):
+                    handler = recs[i].datagram_handlers.get(dst_port)
+                    if handler is not None:  # no handler: the port is closed
+                        dgram = dgram or Datagram(src, dst_port, payload, net)
+                        handler(dgram)
+                if gen != self._gen:  # a handler changed something: read every later port
+                    todo = list(range(len(recs) - 1, i, -1))
+        return len(payloads)
 
     def _send_unheard(self, rows, head, dsts, payloads, outcome) -> None:
         """Write a burst's frames that no receiver hears, each row led by ``head``,
@@ -476,40 +455,37 @@ class Simulation:
 
     def set_stream_handler(self, endpoint: str, port: int, handler) -> None:
         """handler(stream_end, src) is invoked on incoming opens, ``src`` the opener."""
-        with self._lock:
-            self._rec(endpoint).stream_handlers[port] = handler
+        self._rec(endpoint).stream_handlers[port] = handler
 
     def open_stream(self, endpoint: str, peer: str, port: int) -> StreamEnd:
-        with self._lock:
-            src = self._rec(endpoint)
-            dst = self._rec(peer)
-            if endpoint in self._offline or peer in self._offline:
-                raise PeerUnreachable(f"{peer} is offline")
-            shared = src.networks & dst.networks
-            if not (dst.wan or src.wan or shared):
-                raise PeerUnreachable(f"{endpoint} and {peer} share no network and no uplink")
-            handler = dst.stream_handlers.get(port)
-            if handler is None:
-                raise PeerUnreachable(f"{peer} is not listening on port {port}")
-            label = sorted(shared)[0] if shared else WAN_LABEL
-            a_end = StreamEnd(self, endpoint, peer, port, label)
-            b_end = StreamEnd(self, peer, endpoint, port, label)
-            a_end.far, b_end.far = b_end, a_end
-            self._streams += (a_end, b_end)
-            handler(b_end, endpoint)
-            return a_end
+        src = self._rec(endpoint)
+        dst = self._rec(peer)
+        if endpoint in self._offline or peer in self._offline:
+            raise PeerUnreachable(f"{peer} is offline")
+        shared = src.networks & dst.networks
+        if not (dst.wan or src.wan or shared):
+            raise PeerUnreachable(f"{endpoint} and {peer} share no network and no uplink")
+        handler = dst.stream_handlers.get(port)
+        if handler is None:
+            raise PeerUnreachable(f"{peer} is not listening on port {port}")
+        label = sorted(shared)[0] if shared else WAN_LABEL
+        a_end = StreamEnd(self, endpoint, peer, port, label)
+        b_end = StreamEnd(self, peer, endpoint, port, label)
+        a_end.far, b_end.far = b_end, a_end
+        self._streams += (a_end, b_end)
+        handler(b_end, endpoint)
+        return a_end
 
     def _stream_send(self, end: StreamEnd, data: bytes) -> None:
         if not data:
             return
-        with self._lock:
-            if end.src in self._offline or end.peer in self._offline:
-                raise PeerUnreachable(f"{end.peer} is offline")
-            far = end.far
-            if far is None:
-                raise PeerUnreachable(f"{end.peer} is unreachable: the simulation is closed")
-            self.capture.append(CaptureEntry(self.clock.now, end.label, end.src, end.port,
-                                             len(data), "stream", dst=end.peer))
-            far._buf.extend(data)
-            if far.on_data is not None:
-                far.on_data()
+        if end.src in self._offline or end.peer in self._offline:
+            raise PeerUnreachable(f"{end.peer} is offline")
+        far = end.far
+        if far is None:
+            raise PeerUnreachable(f"{end.peer} is unreachable: the simulation is closed")
+        self.capture.append(CaptureEntry(self.clock.now, end.label, end.src, end.port,
+                                         len(data), "stream", dst=end.peer))
+        far._buf.extend(data)
+        if far.on_data is not None:
+            far.on_data()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -135,14 +134,12 @@ class TokenRecord:
 
 @dataclass
 class TokenStore:
-    """Cloud-side issued-token registry; check-and-bind is atomic."""
+    """Cloud-side issued-token registry; a token binds once."""
 
     records: dict[str, TokenRecord] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(self, token: ProvisionToken) -> None:
-        with self._lock:
-            self.records[token.value] = TokenRecord(token)
+        self.records[token.value] = TokenRecord(token)
 
     def get(self, value: str) -> TokenRecord | None:
         return self.records.get(value)
@@ -178,14 +175,13 @@ class TokenStore:
         bundle_id: str | None = None,
         user_id: str | None = None,
     ) -> TokenVerdict:
-        with self._lock:
-            verdict = self.check(value, now, bundle_id, user_id)
-            rec = self.records.get(value)
-            if verdict.accepted:
-                rec.bound_device = device_id
-            elif rec is not None:
-                rec.last_reject = verdict.reason.value
-            return verdict
+        verdict = self.check(value, now, bundle_id, user_id)
+        rec = self.records.get(value)
+        if verdict.accepted:
+            rec.bound_device = device_id
+        elif rec is not None:
+            rec.last_reject = verdict.reason.value
+        return verdict
 
     def bound_count(self) -> int:
         return sum(1 for r in self.records.values() if r.bound_device is not None)

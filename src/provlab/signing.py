@@ -61,26 +61,27 @@ def derive_signing_key(keys: SigningKeySet) -> bytes:
 def sign_envelope(fields: dict, key: bytes) -> str:
     """Lowercase hex HMAC-SHA256 over the canonical field string."""
     try:
-        text = canonicalize(fields)
-    except RecursionError as exc:
-        raise SigningError("a field nests too deeply for the signing string") from exc
+        text = canonicalize(fields).encode("utf-8")
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise SigningError(f"the signing string cannot be built: {exc}") from exc
     mac = _keyed(bytes(key))[0].copy()
-    mac.update(text.encode("utf-8"))
+    mac.update(text)
     return mac.hexdigest()
 
 
 def verify_envelope(envelope: dict, key: bytes) -> bool:
     """Constant-time check of the ``sign`` field against a recomputation;
-    False too for a missing ``sign`` or a signing string that cannot be built."""
+    False too for a ``sign`` that is missing, not a string or not ASCII, and
+    for a signing string that cannot be built."""
     sign = envelope.get("sign")
-    if sign is None:
+    # compare_digest refuses a str with non-ASCII characters
+    if not isinstance(sign, str) or not sign.isascii():
         return False
     try:
         expected = sign_envelope(envelope, key)
     except SigningError:
         return False
-    # bytes, since compare_digest refuses a str with non-ASCII characters
-    return hmac.compare_digest(expected.encode(), str(sign).lower().encode())
+    return hmac.compare_digest(expected, sign.lower())
 
 
 @lru_cache(maxsize=64)  # signing keys whose primitives are kept built

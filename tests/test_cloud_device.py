@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import threading
 from dataclasses import replace
 
 import pytest
@@ -377,6 +376,19 @@ class TestSignatureGate:
         assert cloud.verify_failures == failures + 1
         assert cloud.registry.fingerprint() == fingerprint
 
+    # json.loads takes a lone surrogate escape, which UTF-8 cannot encode
+    @pytest.mark.parametrize("field", ["sign", "lat"])
+    def test_a_lone_surrogate_is_a_bad_signature(self, world, field):
+        sim, cloud, app, _ = world
+        envelope = app.envelopes.build(
+            protocol.ACTION_TOKEN_GET, {"region": "EU"}, sim.clock.now
+        )
+        envelope[field] = "\ud800"
+        fingerprint = cloud.registry.fingerprint()
+        response = json.loads(cloud.post(API_PATH, json.dumps(envelope)))
+        assert response["result"]["error"] == "BadSignature"
+        assert cloud.registry.fingerprint() == fingerprint
+
     def test_signed_action_that_is_not_a_string(self, world, keyset):
         sim, cloud, app, _ = world
         envelope = app.envelopes.build(protocol.ACTION_TOKEN_GET, {}, sim.clock.now)
@@ -500,31 +512,18 @@ class TestBind:
         assert not ack.payload["success"]
         assert ack.payload["reason"] == "VendorMismatch"
 
-    def test_concurrent_binds_single_winner(self, world):
+    def test_a_token_binds_once(self, world):
         sim, cloud, app, _ = world
         token = app.acquire_token()
-        results = []
-
-        def bind(device_id):
-            ack = cloud.handle_bind(
-                DeviceFrame(
-                    kind="bind", device_id=device_id, token=token.value,
-                    payload={"ssid": HOME, "passphrase": PSK,
-                             "bundle_id": "com.xyz.smart"},
-                )
-            )
-            results.append((device_id, ack.payload["success"]))
-
-        threads = [
-            threading.Thread(target=bind, args=(f"racer-{i}",)) for i in range(8)
+        acks = [
+            cloud.handle_bind(DeviceFrame(
+                kind="bind", device_id=f"racer-{i}", token=token.value,
+                payload={"ssid": HOME, "passphrase": PSK, "bundle_id": "com.xyz.smart"},
+            )).payload
+            for i in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        winners = [d for d, ok in results if ok]
-        assert len(winners) == 1
-        assert len(cloud.registry.devices) == 1
+        assert acks == [{"success": True}] + [{"success": False, "reason": "AlreadyBound"}] * 7
+        assert list(cloud.registry.devices) == ["racer-0"]
 
     def _rebind(self, sim, cloud, token, endpoint_id):
         wan = sim.register(endpoint_id, wan=True)

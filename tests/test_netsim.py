@@ -1,12 +1,8 @@
 import json
 import math
 import random
-import sys
-import threading
-import time
 import tracemalloc
 from dataclasses import astuple
-from itertools import groupby
 from types import SimpleNamespace
 
 import pytest
@@ -464,9 +460,10 @@ def _burst_oracle(case):
     return rows, calls, rng.getstate(), None
 
 
-def _burst_sim(case):
+def _burst_sim(case, snapshots=None):
     """The case's simulation and endpoints, with its receivers' ports set;
-    returns (sim, endpoints, handler calls)."""
+    returns (sim, endpoints, handler calls).  Each handler call appends
+    ``capture.frames()`` to ``snapshots`` when it is given."""
     sim = fresh_sim(drop=case["drop"], dup=case["dup"], seed=case["seed"])
     eps = {name: sim.register(name) for name in ("tx",) + BURST_RX}
     for ssid, passphrase in (("net-a", "password-a"), ("net-b", "password-b")):
@@ -480,6 +477,8 @@ def _burst_sim(case):
             assert d.src in eps and d.dst_port == PORT
             assert d.payload == bytes([dpl.FILLER_BYTE]) * len(d.payload)
             calls.append((name, d.src, len(d.payload), d.ssid))
+            if snapshots is not None:
+                snapshots.append(sim.capture.frames())
             action = case["scripts"][name].get(seen[name], ("none",))
             seen[name] += 1
             if action[0] == "leave":
@@ -651,35 +650,22 @@ class TestFrames:
     @settings(max_examples=150, deadline=None)
     @given(case=_burst_case())
     def test_frame_readers_agree_with_row_readers(self, case):
-        sim, eps, _calls = _burst_sim(case)
+        taken = []  # the frames as each handler call saw them
+        sim, eps, _calls = _burst_sim(case, taken)
         hub = sim.register("hub", wan=True)
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
         uplink = sim.open_stream(eps["rx-b"], hub, 6668)
-        escaped = []
-
-        def send():
-            # a genuine broadcast, a stream send and the case's burst, while
-            # handlers change membership, ports, loss and presence
-            for step in (lambda: broadcast_lengths(sim, eps["tx"], GENUINE, case["ssid"]),
-                         lambda: uplink.send(b"status"),
-                         lambda: broadcast_lengths(sim, eps["tx"], case["lengths"], case["ssid"])):
-                try:
-                    step()
-                except (InvalidLength, NotJoined, PeerUnreachable):
-                    pass
-                except Exception as exc:  # the handlers' own assertions
-                    escaped.append(exc)
-
-        sender = threading.Thread(target=send)
-        sender.start()
-        taken, deadline = [], time.monotonic() + 60
-        while sender.is_alive() and time.monotonic() < deadline:
-            taken.append(sim.capture.frames())
-        sender.join(timeout=1)
-        assert not sender.is_alive()
-        assert escaped == []
+        # a genuine broadcast, a stream send and the case's burst, while
+        # handlers change membership, ports, loss and presence
+        for step in (lambda: broadcast_lengths(sim, eps["tx"], GENUINE, case["ssid"]),
+                     lambda: uplink.send(b"status"),
+                     lambda: broadcast_lengths(sim, eps["tx"], case["lengths"], case["ssid"])):
+            try:
+                step()
+            except (InvalidLength, NotJoined, PeerUnreachable):
+                pass
         frames, rows = sim.capture.frames(), sim.capture.rows()
-        # a read while another thread bursts holds only whole frames
+        # a read from inside a burst holds the frames sent so far
         for snap in taken:
             assert snap == frames[:len(snap)]
         for frame in frames:
@@ -856,12 +842,12 @@ class TestEndpoints:
         assert info.type is NetSimError
 
 
-class TestConcurrency:
-    @staticmethod
-    def _four_senders(sim, pump):
-        """Run ``pump(sim, tx)`` in one thread per sender; each sends 100
-        frames of lengths 1..100 to one receiver, whose frames are checked
-        to keep each sender's order."""
+class TestOrdering:
+    def test_per_sender_order_and_whole_bursts(self, sim):
+        """Four senders take turns, each sending lengths 1, 2, ... to one
+        receiver as single broadcasts and 25-frame bursts in alternation.
+        Each sender's frames arrive in order, and each burst's frames are
+        consecutive in the capture."""
         sim.create_network("net-a", "password-a")
         rx = sim.register("rx")
         sim.join(rx, "net-a", "password-a")
@@ -872,98 +858,23 @@ class TestConcurrency:
             senders.append(tx)
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
-        threads = [threading.Thread(target=pump, args=(sim, tx)) for tx in senders]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 400
-        per_sender = {}
+        sent, order = dict.fromkeys(senders, 0), []
+        for turn in range(8):
+            for i, tx in enumerate(senders):
+                first = sent[tx] + 1
+                if (turn + i) % 2:
+                    lengths = list(range(first, first + 25))
+                    assert broadcast_lengths(sim, tx, lengths) == 25
+                else:
+                    lengths = [first]
+                    sim.broadcast(tx, 30011, bytes([dpl.FILLER_BYTE]) * first)
+                sent[tx] += len(lengths)
+                order += [tx] * len(lengths)
+        per_sender = {tx: [] for tx in senders}
         for d in got:
-            per_sender.setdefault(d.src, []).append(len(d.payload))
-        for seq in per_sender.values():
-            assert seq == list(range(1, 101))  # each sender's frames stay in order
-
-    def test_per_sender_order_under_concurrent_sends(self, sim):
-        def pump(sim, tx):
-            for k in range(100):
-                sim.broadcast(tx, 30011, bytes([int(tx[-1]) + 1]) * (k + 1))
-
-        self._four_senders(sim, pump)
-
-    def test_per_sender_order_under_concurrent_bursts(self, sim):
-        def pump(sim, tx):
-            for k in range(0, 100, 25):
-                broadcast_lengths(sim, tx, list(range(k + 1, k + 26)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            self._four_senders(sim, pump)
-        finally:
-            sys.setswitchinterval(interval)
-        # a burst holds the lock: senders interleave per burst, not per frame
-        senders = [row[2] for row in sim.capture.rows() if row[5] == "bcast"]
-        runs = [len(list(group)) for _, group in groupby(senders)]
-        assert all(run % 25 == 0 for run in runs)
-
-    def test_presence_change_from_another_thread_waits_for_the_burst(self, sim):
-        sim.create_network("net-a", "password-a")
-        tx = sim.register("tx")
-        rxs = [sim.register(f"rx-{i}") for i in range(4)]
-        for ep in [tx, *rxs]:
-            sim.join(ep, "net-a", "password-a")
-        stop = threading.Event()
-
-        def toggle():
-            online = False
-            while not stop.is_set():
-                sim.set_online(rxs[0], online)
-                online = not online
-
-        toggler = threading.Thread(target=toggle)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        toggler.start()
-        try:
-            for _ in range(200):
-                broadcast_lengths(sim, tx, [1] * 300)
-        finally:
-            stop.set()
-            toggler.join(timeout=60)
-            sys.setswitchinterval(interval)
-        assert not toggler.is_alive()
-        frames = sim.capture.frames()
-        assert len(frames) == 200 * 300
-        # each burst reaches one set of receivers: the change lands between bursts
-        mixed = [k for k in range(0, len(frames), 300)
-                 if len({frame[6] for frame in frames[k:k + 300]}) > 1]
-        assert mixed == []
-
-    def test_capture_snapshot_is_consistent_prefix(self, sim):
-        sim.create_network("net-a", "password-a")
-        tx = sim.register("tx")
-        rx = sim.register("rx")
-        sim.join(tx, "net-a", "password-a")
-        sim.join(rx, "net-a", "password-a")
-        stop = threading.Event()
-        errors = []
-
-        def reader():
-            while not stop.is_set():
-                snap = sim.capture.rows()
-                sends = [row for row in snap if row[5] == "bcast"]
-                if len(snap) and len(sends) == 0:
-                    errors.append("saw deliveries without a send")
-
-        t = threading.Thread(target=reader)
-        t.start()
-        for _ in range(500):
-            sim.broadcast(tx, 30011, b"zz")
-        stop.set()
-        t.join()
-        assert errors == []
+            per_sender[d.src].append(len(d.payload))
+        assert per_sender == {tx: list(range(1, 105)) for tx in senders}
+        assert [row[2] for row in sim.capture.frames() if row[5] == "bcast"] == order
 
 
 class TestCaptureFormat:
@@ -1011,7 +922,7 @@ class TestCaptureFormat:
 
     def test_mutating_an_entry_after_append_leaves_the_log_unchanged(self):
         # append copies the fields, so a caller may reuse one entry
-        log = CaptureLog(threading.RLock())
+        log = CaptureLog()
         entry = CaptureEntry(1, "net-a", "tx", 30011, 3, "bcast")
         log.append(entry)
         entry.kind, entry.dst = "deliver", "rx"

@@ -224,6 +224,25 @@ class TestRelay:
         assert raised == []
         assert denied and denied[-1] == 1000
 
+    # a field the signing string cannot render is a sign that does not verify
+    @pytest.mark.parametrize("bad", [
+        lambda env: env.update(postData=10**5000),
+        lambda env: env["postData"].update(loop=env["postData"]),
+        lambda env: env.update(postData=b"x"),
+        lambda env: env.update(postData={1}),
+        lambda env: env.update({1: "x"}),
+        lambda env: env.update(sign=10**5000),
+    ], ids=["past-digit-limit", "circular", "bytes", "set", "int-key", "sign-past-digit-limit"])
+    def test_an_envelope_whose_fields_cannot_be_signed_is_denied(self, rig, bad):
+        sim, cloud, proxy, rng = rig
+        envelope = {"a": protocol.ACTION_TOKEN_GET, "bundleId": "com.xyz.smart",
+                    "postData": {"region": "EU", "userId": "user-01"}, "sign": "00" * 32}
+        bad(envelope)
+        before = cloud.requests_total
+        with pytest.raises(PolicyDenied, match="sign does not verify"):
+            proxy.relay_app_envelope(envelope)
+        assert cloud.requests_total == before
+
 
 class TestDefaultPolicy:
     # every gateway is built from a ProxyPolicy object; one built with none

@@ -121,6 +121,23 @@ class TestSignatures:
     def test_missing_sign(self, keyset):
         assert not verify_envelope({"a": "x"}, derive_signing_key(keyset))
 
+    # a field the signing string cannot render fails the check instead of raising
+    @pytest.mark.parametrize("bad", [
+        lambda env: env.update(postData=10**5000),
+        lambda env: env.update(postData=[]) or env["postData"].append(env["postData"]),
+        lambda env: env.update(postData=b"x"),
+        lambda env: env.update(postData={1}),
+        lambda env: env.update({1: "x"}),
+        lambda env: env.update(sign=10**5000),
+        lambda env: env.update(postData="\ud800"),
+        lambda env: env.update(sign="\ud800"),
+    ], ids=["past-digit-limit", "circular", "bytes", "set", "int-key", "sign-past-digit-limit",
+            "lone-surrogate", "sign-lone-surrogate"])
+    def test_unrenderable_field_fails(self, keyset, bad):
+        env = {"a": "tuya.m.token.get", "time": 1, "sign": "00" * 32}
+        bad(env)
+        assert not verify_envelope(env, derive_signing_key(keyset))
+
     def test_in_flight_alteration_without_key_fails(self, keyset, rng):
         # an on-path attacker without the key cannot keep the envelope valid
         key = derive_signing_key(keyset)
