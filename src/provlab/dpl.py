@@ -40,7 +40,6 @@ CRC_BASE = 1000
 BAND_WIDTH = 256
 
 PROVISION_PORT = 30011
-FILLER_BYTE = 0x55
 PAYLOAD_VERSION = 0x01
 
 MAX_SSID_BYTES = 32

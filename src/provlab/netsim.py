@@ -2,9 +2,10 @@
 
 An endpoint is the id it was registered under.  Virtual Wi-Fi networks
 gate membership on an (ssid, passphrase) pair.  Broadcast datagrams reach
-every co-member, subject to a seeded loss/duplication model; a stream is a
-lossless ordered byte pipe, a pair of linked ends.  Every frame lands in a
-capture log, one row per frame, so scenarios can assert on what was
+every co-member, subject to a seeded loss/duplication model; only a
+datagram's length is carried, and receivers get ``FILLER`` of it.  A stream
+is a lossless ordered byte pipe, a pair of linked ends.  Every frame lands
+in a capture log, one row per frame, so scenarios can assert on what was
 actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
@@ -19,10 +20,11 @@ import random
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
+FILLER = b"\x55"  # what a delivered broadcast payload repeats; its length is the message
 
 # A capture line as to_jsonl writes it, stripped.  Its strings hold no quote,
 # backslash or control character, and its ints stay below Python's int-string
@@ -369,17 +371,19 @@ class Simulation:
 
     def broadcast(self, endpoint: str, dst_port: int, payload: bytes,
                   ssid: str | None = None) -> None:
-        self.broadcast_many(endpoint, dst_port, (payload,), ssid)
+        """One datagram of ``len(payload)`` bytes; handlers get filler, not ``payload``."""
+        self.broadcast_lengths(endpoint, dst_port, (len(payload),), ssid)
 
-    def broadcast_many(self, endpoint: str, dst_port: int, payloads: Sequence[bytes],
-                       ssid: str | None = None) -> int:
-        """Broadcast each payload in turn; returns the count.  Records, draws and
-        handler calls are those of one :meth:`broadcast` per payload, and a frame
-        that fails a check raises after the frames before it are sent.  A handler's
-        change to membership or presence applies from the next frame, to a port
-        from the next delivery.  Once no receiver's port is open no handler can
-        run, so when the rates make every outcome certain the rest is written in
-        one step."""
+    def broadcast_lengths(self, endpoint: str, dst_port: int, lengths: Sequence[int],
+                          ssid: str | None = None) -> int:
+        """Broadcast one datagram per length, in turn; returns the count.  Only the
+        length is carried: a handler gets ``FILLER`` of it, built on the frame's first
+        delivery.  Records, draws and handler calls are those of one :meth:`broadcast`
+        per length, and a frame that fails a check (its length not an ``int`` in 1 to
+        ``MAX_DATAGRAM`` among them) raises after the frames before it are sent.  A
+        handler's change to membership or presence applies from the next frame, to a
+        port from the next delivery.  Once no receiver's port is open no handler can
+        run, so when the rates make every outcome certain the rest is one step."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         networks = self._rec(endpoint).networks
@@ -387,11 +391,10 @@ class Simulation:
         rows, draw = self.capture._rows, self._rng.random
         # the last frame's receivers, and the _gen they and their ports were read at
         dsts, recs, gen = (), [], None
-        rest = iter(payloads)
-        for payload in rest:
-            length = len(payload)
-            if not 1 <= length <= MAX_DATAGRAM:
-                raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
+        rest = iter(lengths)
+        for length in rest:
+            if type(length) is not int or not 1 <= length <= MAX_DATAGRAM:
+                raise InvalidLength(f"length must be an int of 1-{MAX_DATAGRAM}")
             if gen != self._gen:
                 gen = self._gen
                 if src in self._offline:
@@ -415,9 +418,9 @@ class Simulation:
                 # of the burst is written in one step
                 if not live and (drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)):
                     self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
-                                       chain((payload,), rest),
+                                       [length, *rest],
                                        0 if drop >= 1 else 2 if dup >= 1 else 1)
-                    return len(payloads)
+                    return len(lengths)
             drop, dup = loss.drop_prob, loss.dup_prob
             # LossModel draw order: per receiver, drop, then dup if delivered
             outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
@@ -430,26 +433,27 @@ class Simulation:
                 for _ in range(outcomes[i]):
                     handler = recs[i].datagram_handlers.get(dst_port)
                     if handler is not None:  # no handler: the port is closed
-                        dgram = dgram or Datagram(src, dst_port, payload, net)
+                        dgram = dgram or Datagram(src, dst_port, FILLER * length, net)
                         handler(dgram)
                 if gen != self._gen:  # a handler changed something: read every later port
                     todo = list(range(len(recs) - 1, i, -1))
-        return len(payloads)
+        return len(lengths)
 
-    def _send_unheard(self, rows, head, dsts, payloads, outcome) -> None:
+    def _send_unheard(self, rows, head, dsts, lengths, outcome) -> None:
         """Write a burst's frames that no receiver hears, each row led by ``head``,
         ``(t, ssid, src, port)``, with every outcome the certain ``outcome``; the
         records, draws and error are the per-frame loop's."""
-        lengths = list(map(len, payloads))
-        sent = next((k for k, n in enumerate(lengths) if not 1 <= n <= MAX_DATAGRAM),
-                    len(lengths))
+        sent = len(lengths)
+        if {*map(type, lengths)} != {int} or min(lengths) < 1 or max(lengths) > MAX_DATAGRAM:
+            sent = next(k for k, n in enumerate(lengths)
+                        if type(n) is not int or not 1 <= n <= MAX_DATAGRAM)
         # a random() takes two 32-bit words, as 64 bits of getrandbits do; a drop
         # takes one draw, a delivery two
         self._rng.getrandbits(64 * len(dsts) * sent * (2 if outcome else 1))
         rows.extend(zip(*map(repeat, head), lengths[:sent], repeat("bcast"), repeat(dsts),
                         repeat(bytes([outcome]) * len(dsts))))
         if sent < len(lengths):
-            raise InvalidLength(f"payload must be 1-{MAX_DATAGRAM} bytes")
+            raise InvalidLength(f"length must be an int of 1-{MAX_DATAGRAM}")
 
     # -- streams -----------------------------------------------------------
 

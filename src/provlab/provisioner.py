@@ -162,14 +162,6 @@ class IssuedToken:
     expires_in: int
 
 
-def broadcast_lengths(
-    sim: Simulation, endpoint: str, lengths: list[int], ssid: str | None = None
-) -> int:
-    """Send one filler datagram per length on port 30011, in one burst; returns the count."""
-    filler = bytes([dpl.FILLER_BYTE])
-    return sim.broadcast_many(endpoint, dpl.PROVISION_PORT, [filler * n for n in lengths], ssid)
-
-
 @dataclass
 class CloudClient:
     """The app's side of the signed-envelope exchange with the vendor cloud.
@@ -270,7 +262,8 @@ class MobileApp:
 
     def broadcast_credentials(self, creds: dpl.Credentials, rounds: int = dpl.DEFAULT_ROUNDS) -> int:
         """Emit the packet-length sequence on port 30011; returns frame count."""
-        return broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds, rounds))
+        return self.sim.broadcast_lengths(self.endpoint, dpl.PROVISION_PORT,
+                                          dpl.encode(creds, rounds))
 
     def provision(
         self,

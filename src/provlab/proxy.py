@@ -24,7 +24,6 @@ from .provisioner import (
     EnvelopeFactory,
     ProvisionerError,
     ProvisionOutcome,
-    broadcast_lengths,
 )
 from .signing import derive_signing_key, sign_envelope, verify_envelope
 
@@ -136,7 +135,8 @@ class ProxyGateway:
             except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
-        broadcast_lengths(self.sim, self.endpoint, dpl.encode(creds), ssid=net.ssid)
+        self.sim.broadcast_lengths(self.endpoint, dpl.PROVISION_PORT, dpl.encode(creds),
+                                   ssid=net.ssid)
         if idle_hook is not None:
             idle_hook()
         return self.cloud_client.wait_until_online(token)

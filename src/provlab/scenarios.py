@@ -26,7 +26,6 @@ from .provisioner import (
     IssuedToken,
     MobileApp,
     ProvisionOutcome,
-    broadcast_lengths,
     hardcoded_endpoints,
     keys_from_bmp,
 )
@@ -231,6 +230,13 @@ def _frames_from(world: World, src_id: str) -> int:
                for row in world.sim.capture.frames() if row[2] == src_id)
 
 
+def _copies_to(world: World, dst_on: dict[str, str]) -> int:
+    """Broadcast copies delivered on each ssid ``s`` to ``dst_on[s]``, from the frame
+    rows: a frame's receivers are distinct, so the named one's outcome byte counts."""
+    return sum(row[7][row[6].index(dst_on[row[1]])] for row in world.sim.capture.frames()
+               if len(row) == 8 and dst_on.get(row[1]) in row[6])
+
+
 def _sniffed_tokens(world: World, src_id: str) -> list[str]:
     """Tokens an eavesdropper recovers from ``src_id``'s broadcasts."""
     return [
@@ -288,7 +294,8 @@ def scenario_token_case_1(report: ScenarioReport, world: World) -> None:
     rig = _app(world, user="rig")
     token16 = "".join(world.rng.choice(TOKEN_ALPHABET) for _ in range(16))
     payload = dpl.frame_fields(HOME_SSID, world.home_passphrase, token16)
-    broadcast_lengths(world.sim, rig.endpoint, dpl.encode_payload(payload, rounds=1))
+    world.sim.broadcast_lengths(rig.endpoint, dpl.PROVISION_PORT,
+                                dpl.encode_payload(payload, rounds=1))
     device.idle()
     report.check_eq(
         "device indicates credentials received, then rejects the short token",
@@ -450,13 +457,8 @@ def scenario_isolation_two_devices(report: ScenarioReport, world: World) -> None
         (net_a.ssid, net_b.ssid),
         net_a.ssid != net_b.ssid and net_a.passphrase != net_b.passphrase,
     )
-    cross = [  # a broadcast frame's deliveries: its receivers, once per copy
-        dst
-        for row in world.sim.capture.frames() if len(row) == 8
-        for dst, outcome in zip(row[6], row[7]) for _ in range(outcome)
-        if (row[1], dst) in ((net_a.ssid, "plug-02"), (net_b.ssid, "bulb-01"))
-    ]
-    report.check_eq("cross-network delivered frames", len(cross), 0)
+    cross = _copies_to(world, {net_a.ssid: "plug-02", net_b.ssid: "bulb-01"})
+    report.check_eq("cross-network delivered frames", cross, 0)
     foot_a = world.cloud.stored_footprint("bulb-01")
     foot_b = world.cloud.stored_footprint("plug-02")
     report.check(
@@ -666,7 +668,7 @@ def scenario_concurrent_provisioning(report: ScenarioReport, world: World) -> No
     world.rng.shuffle(picks)  # an order-keeping interleaving of the two bursts
     streams = [iter(seq) for seq in lengths]
     for i in picks:
-        broadcast_lengths(world.sim, apps[i].endpoint, [next(streams[i])])
+        world.sim.broadcast_lengths(apps[i].endpoint, dpl.PROVISION_PORT, [next(streams[i])])
     for device in devices:
         device.idle()
         report.check(

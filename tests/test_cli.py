@@ -164,8 +164,7 @@ class TestDecodeCommand:
                   for k in range(3)]
         for t in range(0, max(map(len, bursts)), 40):
             for phone, lengths in zip(phones, bursts):
-                sim.broadcast_many(phone, dpl.PROVISION_PORT,
-                                   [b"\x55" * n for n in lengths[t:t + 40]])
+                sim.broadcast_lengths(phone, dpl.PROVISION_PORT, lengths[t:t + 40])
         canonical = sim.capture.to_jsonl()
         other = "".join(
             ("\r\n" if i % 7 else " \t\r\n") + " " + line.replace(

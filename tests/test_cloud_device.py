@@ -20,7 +20,7 @@ from provlab.cloud import (
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, FrameReader, MalformedFrame, encode_frame, issue_token
-from provlab.provisioner import AppConfig, CloudRejected, MobileApp, broadcast_lengths
+from provlab.provisioner import AppConfig, CloudRejected, MobileApp
 from provlab.scenarios import HOME_SSID, _app, _device, _provision, build_world
 from provlab.signing import derive_signing_key, seal_postdata, sign_envelope
 
@@ -105,7 +105,7 @@ class TestRegistrationFlow:
             rng.shuffle(picks)
             streams = [iter(seq) for seq in lengths]
             for k in picks:
-                broadcast_lengths(sim, phones[k], [next(streams[k])])
+                sim.broadcast_lengths(phones[k], dpl.PROVISION_PORT, [next(streams[k])])
             device.idle()
             assert device.creds in sent, trial
 
@@ -117,7 +117,7 @@ class TestRegistrationFlow:
         sim.join(rig, HOME, PSK)
         lengths = dpl.encode(dpl.Credentials(HOME, PSK, "x" * 32), 1)
         lengths[-1] = dpl.CRC_BASE + (lengths[-1] - dpl.CRC_BASE + 1) % 256
-        broadcast_lengths(sim, rig, lengths)
+        sim.broadcast_lengths(rig, dpl.PROVISION_PORT, lengths)
         device.idle()
         assert device.phase is DevicePhase.UNPROVISIONED
         token = app.acquire_token()
@@ -134,7 +134,7 @@ class TestRegistrationFlow:
         phone = sim.register("app-user-02")
         sim.join(phone, HOME, PSK)
         creds = dpl.Credentials(HOME, PSK, "t" * 32)
-        sent = broadcast_lengths(sim, phone, dpl.encode(creds, 1))
+        sent = sim.broadcast_lengths(phone, dpl.PROVISION_PORT, dpl.encode(creds, 1))
         device.idle()
         assert sent > 0
         assert device.creds == creds

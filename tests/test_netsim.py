@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from provlab import dpl, scenarios
 from provlab.netsim import (
+    FILLER,
     CaptureEntry,
     CaptureLog,
     DuplicateSsid,
@@ -25,8 +26,6 @@ from provlab.netsim import (
     UnknownSsid,
     WrongPassphrase,
 )
-from provlab.provisioner import broadcast_lengths
-
 
 FIELDS = ("t", "ssid", "src", "port", "len", "kind", "dst")
 JSON_VALUES = st.recursive(
@@ -93,6 +92,48 @@ class TestBroadcast:
         assert [len(d.payload) for d in got] == list(range(1, 101))
         delivered = [row for row in sim.capture.rows() if row[5] == "deliver"]
         assert len(delivered) == 100
+
+    def test_handlers_get_filler_of_the_payload_length(self, sim):
+        sim.create_network("net-a", "password-a")
+        tx, rx = sim.register("tx"), sim.register("rx")
+        for ep in (tx, rx):
+            sim.join(ep, "net-a", "password-a")
+        got = []
+        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.broadcast(tx, 30011, b"abc")
+        assert [d.payload for d in got] == [FILLER * 3] and FILLER == b"\x55"
+        assert sim.capture.rows()[0][4] == 3
+
+    @pytest.mark.parametrize("bad", [True, 3.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("heard", [True, False], ids=["heard", "unheard"])
+    def test_a_length_that_is_not_an_int_raises_before_its_frame(self, bad, heard):
+        # heard: a listening receiver and chance outcomes, the per-frame loop;
+        # unheard: a closed port and certain outcomes, the one-step tail
+        def run(lengths):
+            rate = 0.3 if heard else 0.0
+            sim = fresh_sim(drop=rate, dup=rate, seed=9)
+            sim.create_network("net-a", "password-a")
+            tx, rx = sim.register("tx"), sim.register("rx")
+            for ep in (tx, rx):
+                sim.join(ep, "net-a", "password-a")
+            got = []
+            if heard:
+                sim.set_datagram_handler(rx, 30011, got.append)
+            try:
+                sim.broadcast_lengths(tx, 30011, lengths)
+            except InvalidLength:
+                return sim, got, True
+            return sim, got, False
+
+        sim, got, raised = run([bad])
+        assert raised and sim.capture.frames() == [] and got == []
+        assert sim._rng.getstate() == random.Random(9).getstate()
+        sim, got, raised = run([3, 4, bad, 5])
+        want, want_got, _ = run([3, 4])
+        assert raised and sim.capture.frames() == want.capture.frames()
+        assert sim._rng.getstate() == want._rng.getstate()
+        assert [d.payload for d in got] == [d.payload for d in want_got]
+        assert heard == bool(got)
 
     def test_not_joined(self, sim):
         sim.create_network("net-a", "password-a")
@@ -311,7 +352,7 @@ class TestBroadcast:
         with pytest.raises(PeerUnreachable):
             sim.broadcast(tx, 30011, b"abc")
         with pytest.raises(PeerUnreachable):
-            broadcast_lengths(sim, tx, [3, 4])
+            sim.broadcast_lengths(tx, 30011, [3, 4])
         assert sim.capture.rows() == [] and got == []
         assert sim._rng.getstate() == random.Random(2).getstate()
         sim.set_online(tx, True)
@@ -331,7 +372,7 @@ class TestBroadcast:
             sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
             if offline_member:
                 sim.set_online(eps["rx-b"], False)
-            broadcast_lengths(sim, eps["tx"], list(range(1, 200)))
+            sim.broadcast_lengths(eps["tx"], 30011, list(range(1, 200)))
             return sim, eps, calls
 
         absent, _, _ = run(offline_member=False)
@@ -371,7 +412,8 @@ def _burst_case(draw):
     order = draw(st.permutations(("tx",) + BURST_RX))
     lengths = draw(st.lists(st.integers(1, 2048), min_size=4, max_size=40))
     if draw(st.integers(0, 2)) == 0:
-        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.sampled_from([0, 2049])))
+        lengths.insert(draw(st.integers(0, len(lengths))),
+                       draw(st.sampled_from([0, 2049, True, 3.0])))
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "drop": draw(BURST_RATES),
@@ -402,7 +444,7 @@ def _burst_oracle(case):
 
     def send(src, ssid, length):
         nonlocal drop, dup, t
-        if not 1 <= length <= 2048:
+        if type(length) is not int or not 1 <= length <= 2048:
             raise InvalidLength
         if src in offline:
             raise PeerUnreachable
@@ -475,7 +517,7 @@ def _burst_sim(case, snapshots=None):
     def handler_of(name):
         def on_datagram(d):
             assert d.src in eps and d.dst_port == PORT
-            assert d.payload == bytes([dpl.FILLER_BYTE]) * len(d.payload)
+            assert d.payload == FILLER * len(d.payload)
             calls.append((name, d.src, len(d.payload), d.ssid))
             if snapshots is not None:
                 snapshots.append(sim.capture.frames())
@@ -498,7 +540,7 @@ def _burst_sim(case, snapshots=None):
             elif action[0] in ("offline", "online"):
                 sim.set_online(eps[action[1]], action[0] == "online")
             elif action[0] == "send":
-                sim.broadcast(eps[name], PORT, bytes([dpl.FILLER_BYTE]) * action[1], "net-a")
+                sim.broadcast_lengths(eps[name], PORT, [action[1]], "net-a")
         return on_datagram
 
     for name, mode in case["ports"].items():
@@ -508,12 +550,12 @@ def _burst_sim(case, snapshots=None):
 
 
 def _run_burst(case):
-    """Send the case's burst through ``broadcast_lengths``; returns what
+    """Send the case's burst through ``Simulation.broadcast_lengths``; returns what
     :func:`_burst_oracle` does, as the simulation saw it."""
     sim, eps, calls = _burst_sim(case)
     error = None
     try:
-        sent = broadcast_lengths(sim, eps["tx"], case["lengths"], ssid=case["ssid"])
+        sent = sim.broadcast_lengths(eps["tx"], PORT, case["lengths"], ssid=case["ssid"])
         assert sent == len(case["lengths"])
     except (InvalidLength, NotJoined, PeerUnreachable) as exc:
         error = type(exc)
@@ -597,7 +639,8 @@ class TestBurst:
         assert error is want_error
         if error is InvalidLength:
             # the frames before the bad length went out, none after it
-            bad = next(i for i, n in enumerate(case["lengths"]) if not 1 <= n <= 2048)
+            bad = next(i for i, n in enumerate(case["lengths"])
+                       if type(n) is not int or not 1 <= n <= 2048)
             sent = [row[4] for row in rows if row[5] == "bcast" and row[2] == "tx"]
             assert sent == case["lengths"][:bad]
 
@@ -622,7 +665,7 @@ class TestBurst:
 
         sim.set_datagram_handler(eps["rx-c"], PORT, close_on_first_call)
         lengths = list(range(3, 53))
-        assert broadcast_lengths(sim, eps["tx"], lengths) == 50
+        assert sim.broadcast_lengths(eps["tx"], PORT, lengths) == 50
 
         rng, want_frames = random.Random(11), []
         for k, length in enumerate(lengths):
@@ -657,9 +700,10 @@ class TestFrames:
         uplink = sim.open_stream(eps["rx-b"], hub, 6668)
         # a genuine broadcast, a stream send and the case's burst, while
         # handlers change membership, ports, loss and presence
-        for step in (lambda: broadcast_lengths(sim, eps["tx"], GENUINE, case["ssid"]),
+        for step in (lambda: sim.broadcast_lengths(eps["tx"], PORT, GENUINE, case["ssid"]),
                      lambda: uplink.send(b"status"),
-                     lambda: broadcast_lengths(sim, eps["tx"], case["lengths"], case["ssid"])):
+                     lambda: sim.broadcast_lengths(eps["tx"], PORT, case["lengths"],
+                                                   case["ssid"])):
             try:
                 step()
             except (InvalidLength, NotJoined, PeerUnreachable):
@@ -693,11 +737,11 @@ class TestFrames:
             rx = sim.register(f"rx-{i:02d}")
             sim.join(rx, "net-a", "password-a")
             sim.set_datagram_handler(rx, PORT, None)
-        payloads = [bytes([dpl.FILLER_BYTE]) * (1 + i % 600) for i in range(1000)]
+        lengths = [1 + i % 600 for i in range(1000)]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            sim.broadcast_many(tx, PORT, payloads)
+            sim.broadcast_lengths(tx, PORT, lengths)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -815,7 +859,7 @@ UNREGISTERED_CALLS = {
     "networks_of": lambda sim, ep: sim.networks_of(ep),
     "set_datagram_handler": lambda sim, ep: sim.set_datagram_handler(ep, 30011, None),
     "broadcast": lambda sim, ep: sim.broadcast(ep, 30011, b"x"),
-    "broadcast_many": lambda sim, ep: sim.broadcast_many(ep, 30011, [b"x", b"yy"]),
+    "broadcast_lengths": lambda sim, ep: sim.broadcast_lengths(ep, 30011, [1, 2]),
     "set_stream_handler": lambda sim, ep: sim.set_stream_handler(ep, 6668, None),
     "open_stream-src": lambda sim, ep: sim.open_stream(ep, "b", 6668),
     "open_stream-peer": lambda sim, ep: sim.open_stream("a", ep, 6668),
@@ -864,10 +908,10 @@ class TestOrdering:
                 first = sent[tx] + 1
                 if (turn + i) % 2:
                     lengths = list(range(first, first + 25))
-                    assert broadcast_lengths(sim, tx, lengths) == 25
+                    assert sim.broadcast_lengths(tx, 30011, lengths) == 25
                 else:
                     lengths = [first]
-                    sim.broadcast(tx, 30011, bytes([dpl.FILLER_BYTE]) * first)
+                    sim.broadcast(tx, 30011, FILLER * first)
                 sent[tx] += len(lengths)
                 order += [tx] * len(lengths)
         per_sender = {tx: [] for tx in senders}
@@ -964,8 +1008,7 @@ class TestCaptureFormat:
         sim.join(tx, "home-net", "hunter2-long")
         sim.join(rx, "home-net", "hunter2-long")
         creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
-        sim.broadcast_many(tx, dpl.PROVISION_PORT,
-                           [b"\x55" * n for n in dpl.encode(creds, 5)])
+        sim.broadcast_lengths(tx, dpl.PROVISION_PORT, dpl.encode(creds, 5))
         text = sim.capture.to_jsonl()
         rows = CaptureLog.parse_rows(text)
         assert len({id(r) for r in rows}) == len(set(text.split("\n")) - {""})

@@ -1,10 +1,12 @@
 import gc
 import weakref
 from dataclasses import FrozenInstanceError, fields
+from types import SimpleNamespace
 
 import pytest
 
 from provlab import scenarios
+from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.stego import BmpImage, make_bmp
 
 
@@ -83,3 +85,32 @@ def test_the_shared_carrier_cannot_be_changed(name):
 
 def test_the_shared_carrier_is_the_fixture_image():
     assert scenarios._CARRIER.to_bytes() == make_bmp(64, 64).to_bytes()
+
+
+def test_copies_to_counts_what_the_per_copy_records_show():
+    # a lossy, dup-heavy capture on two networks whose named receivers do get
+    # copies; each named receiver also sends, and a stream runs on one ssid
+    sim = Simulation(loss=LossModel(drop_prob=0.3, dup_prob=0.6, seed=12), clock=SimClock())
+    members = {"net-a": ["tx-a", "bulb-01", "plug-02", "lamp-03"],
+               "net-b": ["plug-02", "tx-b", "bulb-01"]}
+    for name in dict.fromkeys(members["net-a"] + members["net-b"]):
+        sim.register(name)
+    for ssid, names in members.items():
+        sim.create_network(ssid, f"password-{ssid}")
+        for name in names:
+            sim.join(name, ssid, f"password-{ssid}")
+    sim.set_stream_handler("plug-02", 6668, lambda end, src: None)
+    sim.open_stream("bulb-01", "plug-02", 6668).send(b"status")
+    for k in range(40):
+        for src, ssid in (("tx-a", "net-a"), ("tx-b", "net-b"), ("plug-02", "net-a"),
+                          ("bulb-01", "net-b")):
+            sim.broadcast_lengths(src, 30011, [1 + k, 2 + k], ssid)
+    dst_on = {"net-a": "plug-02", "net-b": "bulb-01"}
+    per_copy = sum(1 for row in sim.capture.rows()
+                   if row[5] == "deliver" and dst_on.get(row[1]) == row[6])
+    assert scenarios._copies_to(SimpleNamespace(sim=sim), dst_on) == per_copy
+    # both named receivers got duplicates and drops, and the stream shares an ssid
+    outcomes = [row[7][row[6].index(dst_on[row[1]])] for row in sim.capture.frames()
+                if len(row) == 8 and dst_on[row[1]] in row[6]]
+    assert {0, 1, 2} <= set(outcomes) and per_copy > 100
+    assert any(len(row) == 7 and row[1] in dst_on for row in sim.capture.frames())

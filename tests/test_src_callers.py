@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "provlab"
 
 # definitions that nothing in src/ calls, each with the outside user that keeps it
 OUTSIDE_USERS = {
-    "broadcast": "bench/tracing.py SPANS wraps it; bench/test_bench.py calls it",
+    "broadcast": "bench/tracing.py SPANS wraps it",
     "parse_jsonl": "bench/tracing.py SPANS wraps it; bench/test_bench.py calls it",
     "fingerprint": "the attack-chain bench workload digests the registry with it",
     "decode_lengths": "the acceptance gates in tests/test_acceptance.py decode with it",
