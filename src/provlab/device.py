@@ -59,7 +59,7 @@ class IoTDevice:
 
     def _on_datagram(self, dgram) -> None:
         # runs only while Unprovisioned: _on_credentials closes the port first
-        state = self.bank.feed(dgram.src, len(dgram.payload))
+        state = self.bank.feed(dgram.src, dgram.length)
         if state.phase is dpl.COMPLETE:
             self._on_credentials(state.credentials)
 

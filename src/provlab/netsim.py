@@ -2,10 +2,10 @@
 
 An endpoint is the id it was registered under.  Virtual Wi-Fi networks
 gate membership on an (ssid, passphrase) pair.  Broadcast datagrams reach
-every co-member, subject to a seeded loss/duplication model; only a
-datagram's length is carried, and receivers get ``FILLER`` of it.  A stream
-is a lossless ordered byte pipe, a pair of linked ends.  Every frame lands
-in a capture log, one row per frame, so scenarios can assert on what was
+every co-member, subject to a seeded loss/duplication model; a datagram is
+only its length, which is all a broadcast receiver can observe.  A stream is
+a lossless ordered byte pipe, a pair of linked ends.  Every frame lands in a
+capture log, one row per frame, so scenarios can assert on what was
 actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
@@ -24,7 +24,6 @@ from itertools import repeat
 
 MAX_DATAGRAM = 2048
 WAN_LABEL = "wan"
-FILLER = b"\x55"  # what a delivered broadcast payload repeats; its length is the message
 
 # A capture line as to_jsonl writes it, stripped.  Its strings hold no quote,
 # backslash or control character, and its ints stay below Python's int-string
@@ -114,7 +113,7 @@ class VirtualNetwork:
 class Datagram:
     src: str
     dst_port: int
-    payload: bytes
+    length: int  # the bytes are filler; only the length is observable
     ssid: str
 
 
@@ -369,17 +368,17 @@ class Simulation:
         self._rec(endpoint).datagram_handlers[port] = handler
         self._gen += 1
 
-    def broadcast(self, endpoint: str, dst_port: int, payload: bytes,
+    def broadcast(self, endpoint: str, dst_port: int, length: int,
                   ssid: str | None = None) -> None:
-        """One datagram of ``len(payload)`` bytes; handlers get filler, not ``payload``."""
-        self.broadcast_lengths(endpoint, dst_port, (len(payload),), ssid)
+        """One datagram of ``length`` bytes: a burst of one."""
+        self.broadcast_lengths(endpoint, dst_port, (length,), ssid)
 
     def broadcast_lengths(self, endpoint: str, dst_port: int, lengths: Sequence[int],
                           ssid: str | None = None) -> int:
-        """Broadcast one datagram per length, in turn; returns the count.  Only the
-        length is carried: a handler gets ``FILLER`` of it, built on the frame's first
-        delivery.  Records, draws and handler calls are those of one :meth:`broadcast`
-        per length, and a frame that fails a check (its length not an ``int`` in 1 to
+        """Broadcast one datagram per length, in turn; returns the count.  A handler
+        gets a :class:`Datagram` of the length, built on the frame's first delivery.
+        Records, draws and handler calls are those of one :meth:`broadcast` per
+        length, and a frame that fails a check (its length not an ``int`` in 1 to
         ``MAX_DATAGRAM`` among them) raises after the frames before it are sent.  A
         handler's change to membership or presence applies from the next frame, to a
         port from the next delivery.  Once no receiver's port is open no handler can
@@ -433,7 +432,7 @@ class Simulation:
                 for _ in range(outcomes[i]):
                     handler = recs[i].datagram_handlers.get(dst_port)
                     if handler is not None:  # no handler: the port is closed
-                        dgram = dgram or Datagram(src, dst_port, FILLER * length, net)
+                        dgram = dgram or Datagram(src, dst_port, length, net)
                         handler(dgram)
                 if gen != self._gen:  # a handler changed something: read every later port
                     todo = list(range(len(recs) - 1, i, -1))
@@ -443,10 +442,8 @@ class Simulation:
         """Write a burst's frames that no receiver hears, each row led by ``head``,
         ``(t, ssid, src, port)``, with every outcome the certain ``outcome``; the
         records, draws and error are the per-frame loop's."""
-        sent = len(lengths)
-        if {*map(type, lengths)} != {int} or min(lengths) < 1 or max(lengths) > MAX_DATAGRAM:
-            sent = next(k for k, n in enumerate(lengths)
-                        if type(n) is not int or not 1 <= n <= MAX_DATAGRAM)
+        sent = next((k for k, n in enumerate(lengths)
+                     if type(n) is not int or not 1 <= n <= MAX_DATAGRAM), len(lengths))
         # a random() takes two 32-bit words, as 64 bits of getrandbits do; a drop
         # takes one draw, a delivery two
         self._rng.getrandbits(64 * len(dsts) * sent * (2 if outcome else 1))

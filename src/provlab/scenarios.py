@@ -230,11 +230,12 @@ def _frames_from(world: World, src_id: str) -> int:
                for row in world.sim.capture.frames() if row[2] == src_id)
 
 
-def _copies_to(world: World, dst_on: dict[str, str]) -> int:
-    """Broadcast copies delivered on each ssid ``s`` to ``dst_on[s]``, from the frame
-    rows: a frame's receivers are distinct, so the named one's outcome byte counts."""
-    return sum(row[7][row[6].index(dst_on[row[1]])] for row in world.sim.capture.frames()
-               if len(row) == 8 and dst_on.get(row[1]) in row[6])
+def _copies_to(world: World, pairs: set[tuple[str, str]]) -> int:
+    """Broadcast copies delivered on ``ssid`` to ``dst``, summed over the ``(ssid, dst)``
+    pairs, from the frame rows: a frame's receivers are distinct, so each named
+    receiver's outcome byte is its copy count."""
+    return sum(row[7][row[6].index(dst)] for row in world.sim.capture.frames()
+               if len(row) == 8 for ssid, dst in pairs if row[1] == ssid and dst in row[6])
 
 
 def _sniffed_tokens(world: World, src_id: str) -> list[str]:
@@ -457,7 +458,7 @@ def scenario_isolation_two_devices(report: ScenarioReport, world: World) -> None
         (net_a.ssid, net_b.ssid),
         net_a.ssid != net_b.ssid and net_a.passphrase != net_b.passphrase,
     )
-    cross = _copies_to(world, {net_a.ssid: "plug-02", net_b.ssid: "bulb-01"})
+    cross = _copies_to(world, {(net_a.ssid, "plug-02"), (net_b.ssid, "bulb-01")})
     report.check_eq("cross-network delivered frames", cross, 0)
     foot_a = world.cloud.stored_footprint("bulb-01")
     foot_b = world.cloud.stored_footprint("plug-02")

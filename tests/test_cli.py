@@ -26,7 +26,7 @@ def make_capture(tmp_path, drop=0.0, rounds=1, extra_stream=False):
     sim.join(rx, "home-net", "hunter2-long")
     creds = dpl.Credentials("home-net", "hunter2-long", "t" * 32)
     for length in dpl.encode(creds, rounds):
-        sim.broadcast(tx, dpl.PROVISION_PORT, b"\x55" * length)
+        sim.broadcast(tx, dpl.PROVISION_PORT, length)
     path = tmp_path / "capture.jsonl"
     path.write_text(sim.capture.to_jsonl())
     return path, creds
@@ -111,7 +111,7 @@ class TestDecodeCommand:
         for t in range(max(map(len, lengths))):
             for k in range(phones):
                 if t < len(lengths[k]):
-                    sim.broadcast(senders[k], dpl.PROVISION_PORT, b"\x55" * lengths[k][t])
+                    sim.broadcast(senders[k], dpl.PROVISION_PORT, lengths[k][t])
         path = tmp_path / "crowd.jsonl"
         path.write_text(sim.capture.to_jsonl())
         assert cli.main(["decode", str(path), "--unmask"]) == 0
@@ -136,7 +136,7 @@ class TestDecodeCommand:
         for src, fields in senders.items():
             sim.join(sim.register(src), "home-net", "hunter2-long")
             for length in dpl.encode_payload(dpl.frame_fields(*fields), 1):
-                sim.broadcast(src, dpl.PROVISION_PORT, b"\x55" * length)
+                sim.broadcast(src, dpl.PROVISION_PORT, length)
         path = tmp_path / "forged.jsonl"
         path.write_text(sim.capture.to_jsonl())
         assert cli.main(["decode", str(path), "--unmask"]) == 0

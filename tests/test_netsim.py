@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from provlab import dpl, scenarios
 from provlab.netsim import (
-    FILLER,
     CaptureEntry,
     CaptureLog,
     DuplicateSsid,
@@ -88,21 +87,25 @@ class TestBroadcast:
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
         for i in range(100):
-            sim.broadcast(tx, 30011, bytes([i % 251 + 1]) * (i + 1))
-        assert [len(d.payload) for d in got] == list(range(1, 101))
+            sim.broadcast(tx, 30011, i + 1)
+        assert [d.length for d in got] == list(range(1, 101))
         delivered = [row for row in sim.capture.rows() if row[5] == "deliver"]
         assert len(delivered) == 100
 
-    def test_handlers_get_filler_of_the_payload_length(self, sim):
+    def test_a_datagram_carries_only_its_length(self, sim):
         sim.create_network("net-a", "password-a")
         tx, rx = sim.register("tx"), sim.register("rx")
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
-        sim.broadcast(tx, 30011, b"abc")
-        assert [d.payload for d in got] == [FILLER * 3] and FILLER == b"\x55"
+        sim.broadcast(tx, 30011, 3)
+        assert [(d.src, d.dst_port, d.length, d.ssid) for d in got] == [(tx, 30011, 3, "net-a")]
         assert sim.capture.rows()[0][4] == 3
+        # bytes are not a length: nothing of them could reach a handler
+        with pytest.raises(InvalidLength):
+            sim.broadcast(tx, 30011, b"abc")
+        assert len(got) == 1 and len(sim.capture.frames()) == 1
 
     @pytest.mark.parametrize("bad", [True, 3.0], ids=["bool", "float"])
     @pytest.mark.parametrize("heard", [True, False], ids=["heard", "unheard"])
@@ -132,23 +135,23 @@ class TestBroadcast:
         want, want_got, _ = run([3, 4])
         assert raised and sim.capture.frames() == want.capture.frames()
         assert sim._rng.getstate() == want._rng.getstate()
-        assert [d.payload for d in got] == [d.payload for d in want_got]
+        assert [d.length for d in got] == [d.length for d in want_got]
         assert heard == bool(got)
 
     def test_not_joined(self, sim):
         sim.create_network("net-a", "password-a")
         lone = sim.register("lone")
         with pytest.raises(NotJoined):
-            sim.broadcast(lone, 30011, b"x")
+            sim.broadcast(lone, 30011, 1)
 
     def test_payload_bounds(self, sim):
         sim.create_network("net-a", "password-a")
         tx = sim.register("tx")
         sim.join(tx, "net-a", "password-a")
         with pytest.raises(InvalidLength):
-            sim.broadcast(tx, 30011, b"")
+            sim.broadcast(tx, 30011, 0)
         with pytest.raises(InvalidLength):
-            sim.broadcast(tx, 30011, b"x" * 2049)
+            sim.broadcast(tx, 30011, 2049)
 
     def test_cross_network_silence(self, sim):
         sim.create_network("net-a", "password-a")
@@ -160,7 +163,7 @@ class TestBroadcast:
         got = []
         sim.set_datagram_handler(rx_b, 30011, got.append)
         for _ in range(50):
-            sim.broadcast(tx, 30011, b"xx", ssid="net-a")
+            sim.broadcast(tx, 30011, 2, ssid="net-a")
         assert got == []
         bad = [
             row for row in sim.capture.rows()
@@ -180,7 +183,7 @@ class TestBroadcast:
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
         for _ in range(frames):
-            sim.broadcast(tx, 30011, b"abc")
+            sim.broadcast(tx, 30011, 3)
         delivered = len(got)
 
         rng = random.Random(seed)
@@ -210,7 +213,7 @@ class TestBroadcast:
 
         def on_datagram(d):
             assert (d.src, d.dst_port, d.ssid) == ("tx", port, "net-a")
-            handled.append(len(d.payload))
+            handled.append(d.length)
 
         sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
         recorded = [eps["rx-d"], eps["rx-a"], eps["rx-c"], eps["tx"], elsewhere]
@@ -220,7 +223,7 @@ class TestBroadcast:
         draw = random.Random(7)
         lengths = [draw.randint(1, 2048) for _ in range(400)]
         for length in lengths:
-            sim.broadcast(eps["tx"], port, b"\x5a" * length)
+            sim.broadcast(eps["tx"], port, length)
 
         rng = random.Random(seed)
         receivers = [name for name in names if name != "tx"]
@@ -242,7 +245,7 @@ class TestBroadcast:
         assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
         assert handled == delivered["rx-b"]
         for name in ("rx-d", "rx-a", "rx-c"):
-            assert [len(d.payload) for d in got[name]] == delivered[name]
+            assert [d.length for d in got[name]] == delivered[name]
             assert ({(d.src, d.dst_port, d.ssid) for d in got[name]}
                     == {("tx", port, "net-a")})
         assert got["tx"] == got["rx-e"] == []
@@ -257,9 +260,9 @@ class TestBroadcast:
             sim.join(ep, "net-a", "password-a")
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
         end = sim.open_stream(rxs[0], hub, 6668)
-        sim.set_datagram_handler(rxs[0], 30011, lambda d: end.send(d.payload))
+        sim.set_datagram_handler(rxs[0], 30011, lambda d: end.send(b"\x55" * d.length))
         for _ in range(50):
-            sim.broadcast(tx, 30011, b"abc")
+            sim.broadcast(tx, 30011, 3)
         snap = sim.capture.rows()
         starts = [i for i, row in enumerate(snap) if row[5] == "bcast"] + [len(snap)]
         streams = 0
@@ -283,7 +286,7 @@ class TestBroadcast:
         sim.join(rx, "net-a", "password-a")
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
-        sim.broadcast(tx, 30011, b"abc")
+        sim.broadcast(tx, 30011, 3)
         assert len(got) == 2
 
     def test_drops_recorded_as_sent_not_delivered(self):
@@ -293,7 +296,7 @@ class TestBroadcast:
         rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
-        sim.broadcast(tx, 30011, b"abc")
+        sim.broadcast(tx, 30011, 3)
         kinds = [row[5] for row in sim.capture.rows()]
         assert kinds == ["bcast", "drop"]
 
@@ -311,7 +314,7 @@ class TestBroadcast:
             if port == "closed":
                 sim.set_datagram_handler(eps["rx-b"], 30011, None)
             for length in range(1, 300):
-                sim.broadcast(eps["tx"], 30011, b"x" * length)
+                sim.broadcast(eps["tx"], 30011, length)
             return sim, eps, got
 
         for port in ("closed", "never opened"):
@@ -325,7 +328,7 @@ class TestBroadcast:
             opened = len(open_got["rx-b"])
             for s, ep in ((sim, eps), (open_sim, open_eps)):
                 for _ in range(20):
-                    s.broadcast(ep["tx"], 30011, b"reopened")
+                    s.broadcast(ep["tx"], 30011, 8)
             assert got["rx-b"] and got["rx-b"] == open_got["rx-b"][opened:]
             assert sim.capture.rows() == open_sim.capture.rows()
 
@@ -336,8 +339,8 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         seen = []
-        sim.set_datagram_handler(rx, 30011, lambda d: seen.append(len(d.payload)))
-        sim.broadcast(tx, 30011, b"abcd")
+        sim.set_datagram_handler(rx, 30011, lambda d: seen.append(d.length))
+        sim.broadcast(tx, 30011, 4)
         assert seen == [4]
 
     def test_offline_sender_raises_before_any_record(self):
@@ -350,13 +353,13 @@ class TestBroadcast:
         sim.set_datagram_handler(rx, 30011, got.append)
         sim.set_online(tx, False)
         with pytest.raises(PeerUnreachable):
-            sim.broadcast(tx, 30011, b"abc")
+            sim.broadcast(tx, 30011, 3)
         with pytest.raises(PeerUnreachable):
             sim.broadcast_lengths(tx, 30011, [3, 4])
         assert sim.capture.rows() == [] and got == []
         assert sim._rng.getstate() == random.Random(2).getstate()
         sim.set_online(tx, True)
-        sim.broadcast(tx, 30011, b"abc")
+        sim.broadcast(tx, 30011, 3)
         assert sim.capture.rows()[0][5] == "bcast"
 
     def test_offline_member_gets_no_record_draw_or_handler_call(self):
@@ -383,7 +386,7 @@ class TestBroadcast:
         # back online, it is a receiver again in its join position
         sim.set_online(eps["rx-b"], True)
         before = len(sim.capture.rows())
-        sim.broadcast(eps["tx"], 30011, b"x")
+        sim.broadcast(eps["tx"], 30011, 1)
         receivers = [row[6] for row in sim.capture.rows()[before + 1:]]
         assert list(dict.fromkeys(receivers)) == ["rx-a", "rx-b", "rx-c"]
 
@@ -517,8 +520,7 @@ def _burst_sim(case, snapshots=None):
     def handler_of(name):
         def on_datagram(d):
             assert d.src in eps and d.dst_port == PORT
-            assert d.payload == FILLER * len(d.payload)
-            calls.append((name, d.src, len(d.payload), d.ssid))
+            calls.append((name, d.src, d.length, d.ssid))
             if snapshots is not None:
                 snapshots.append(sim.capture.frames())
             action = case["scripts"][name].get(seen[name], ("none",))
@@ -659,7 +661,7 @@ class TestBurst:
         calls = []
 
         def close_on_first_call(d):
-            calls.append(len(d.payload))
+            calls.append(d.length)
             sim.loss.drop_prob, sim.loss.dup_prob = drop, dup
             sim.set_datagram_handler(eps["rx-c"], PORT, None)
 
@@ -762,7 +764,7 @@ class TestDeterminism:
         rng = random.Random(7)
         for _ in range(300):
             sim.clock.advance(1)
-            sim.broadcast(tx, 30011, b"y" * rng.randint(1, 64))
+            sim.broadcast(tx, 30011, rng.randint(1, 64))
         return sim.capture.to_jsonl()
 
     def test_identical_seed_identical_capture(self):
@@ -858,7 +860,7 @@ UNREGISTERED_CALLS = {
     "leave": lambda sim, ep: sim.leave(ep, "net-a"),
     "networks_of": lambda sim, ep: sim.networks_of(ep),
     "set_datagram_handler": lambda sim, ep: sim.set_datagram_handler(ep, 30011, None),
-    "broadcast": lambda sim, ep: sim.broadcast(ep, 30011, b"x"),
+    "broadcast": lambda sim, ep: sim.broadcast(ep, 30011, 1),
     "broadcast_lengths": lambda sim, ep: sim.broadcast_lengths(ep, 30011, [1, 2]),
     "set_stream_handler": lambda sim, ep: sim.set_stream_handler(ep, 6668, None),
     "open_stream-src": lambda sim, ep: sim.open_stream(ep, "b", 6668),
@@ -873,7 +875,7 @@ class TestEndpoints:
         for name in ("a", "b"):
             sim.join(sim.register(name), "net-a", "password-a")
         sim.set_stream_handler("b", 6668, lambda end, src: None)
-        sim.broadcast("a", 30011, b"x")
+        sim.broadcast("a", 30011, 1)
         frames = sim.capture.frames()
         with pytest.raises(UnknownEndpoint, match="unregistered endpoint 'b-01'"):
             call(sim, "b-01")
@@ -911,12 +913,12 @@ class TestOrdering:
                     assert sim.broadcast_lengths(tx, 30011, lengths) == 25
                 else:
                     lengths = [first]
-                    sim.broadcast(tx, 30011, FILLER * first)
+                    sim.broadcast(tx, 30011, first)
                 sent[tx] += len(lengths)
                 order += [tx] * len(lengths)
         per_sender = {tx: [] for tx in senders}
         for d in got:
-            per_sender[d.src].append(len(d.payload))
+            per_sender[d.src].append(d.length)
         assert per_sender == {tx: list(range(1, 105)) for tx in senders}
         assert [row[2] for row in sim.capture.frames() if row[5] == "bcast"] == order
 
@@ -928,7 +930,7 @@ class TestCaptureFormat:
         rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
-        sim.broadcast(tx, 30011, b"abc")
+        sim.broadcast(tx, 30011, 3)
         text = sim.capture.to_jsonl()
         for line in text.strip().splitlines():
             rec = json.loads(line)
@@ -955,7 +957,7 @@ class TestCaptureFormat:
         rx = sim.register("rx")
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
-        sim.broadcast(tx, 30011, b"abc")
+        sim.broadcast(tx, 30011, 3)
         before = sim.capture.to_jsonl()
         snap = sim.capture.rows()
         snap[0] = snap[0][:4] + (999,) + snap[0][5:]  # rows() is a fresh list

@@ -74,7 +74,7 @@ class TestIsolationManager:
         sim.join(rx, net_b.ssid, net_b.passphrase)
         got = []
         sim.set_datagram_handler(rx, 30011, got.append)
-        sim.broadcast(proxy.endpoint, 30011, b"xx", ssid=net_a.ssid)
+        sim.broadcast(proxy.endpoint, 30011, 2, ssid=net_a.ssid)
         assert got == []
 
 
