@@ -107,14 +107,6 @@ class Credentials:
     passphrase: str
     token: str
 
-    def validate(self) -> None:
-        _field_bytes(self.ssid, self.passphrase)
-        token_b = self.token.encode("utf-8")
-        if len(self.token) != TOKEN_CHARS or len(token_b) != TOKEN_CHARS:
-            raise BadTokenLength(
-                f"token must be exactly {TOKEN_CHARS} ascii characters"
-            )
-
 
 def _field_bytes(ssid: str, passphrase: str) -> tuple[bytes, bytes]:
     """UTF-8 ssid and passphrase, checked against the framing limits."""
@@ -143,8 +135,10 @@ def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
 
 def build_payload(creds: Credentials) -> bytes:
     """[version][len_ssid][ssid][len_psk][psk][token:32], at most 131 bytes."""
-    creds.validate()
-    return frame_fields(creds.ssid, creds.passphrase, creds.token)
+    payload = frame_fields(creds.ssid, creds.passphrase, creds.token)
+    if len(creds.token) != TOKEN_CHARS or not creds.token.isascii():
+        raise BadTokenLength(f"token must be exactly {TOKEN_CHARS} ascii characters")
+    return payload
 
 
 def parse_payload(data: bytes) -> Credentials:

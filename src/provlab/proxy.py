@@ -3,16 +3,15 @@
 Plays three roles at once: a mobile app toward the vendor cloud (signed
 envelopes with keys recovered from the app assets), a cloud toward the
 devices it fronts (they bind to it and take its commands), and a device
-toward the real cloud (one upstream channel per fronted device).  The
-isolation manager hands every device its own decoy network so a
-compromised neighbor or a leaked cloud record never exposes the real
-home credentials.
+toward the real cloud (one upstream channel, which every fronted device's
+frames share).  The isolation manager hands every device its own decoy
+network so a compromised neighbor or a leaked cloud record never exposes
+the real home credentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import dpl, protocol
 from .cloud import CloudUnreachable, DeviceChannels, VendorCloud
@@ -93,7 +92,7 @@ class ProxyGateway:
             sim.clock, dns_available, {},
         )
         self.assignments: dict[str, VirtualNetwork] = {}
-        self._upstreams: dict[str, StreamEnd] = {}
+        self._upstream: StreamEnd | None = None  # opened by the first bind relayed
         self._binding: dict[str, StreamEnd] = {}  # device id -> stream awaiting its bind ack
 
     # -- isolation manager ------------------------------------------------------
@@ -172,48 +171,38 @@ class ProxyGateway:
     # -- cloud-role toward devices / device-role toward cloud -------------------------
 
     def _on_device_frame(self, stream: StreamEnd, frame: DeviceFrame) -> None:
-        if frame.kind == "bind":
+        bind = frame.kind == "bind"
+        if bind:
             if frame.device_id not in self.assignments:
-                # no decoy network of this gateway: refuse, and open no upstream for it
+                # no decoy network of this gateway: refuse, and send nothing upstream
                 stream.send(encode_frame(frame.reply(False, protocol.RejectReason.UNKNOWN.value)))
-                return
-            upstream = self._open_upstream(frame.device_id)
-            if upstream is None:
-                stream.send(encode_frame(frame.reply(False, "UpstreamUnreachable")))
                 return
             # the stream takes the device's channel only once the cloud accepts
             self._binding[frame.device_id] = stream
-            upstream.send(encode_frame(frame))
-        else:
-            upstream = self._upstreams.get(frame.device_id)
-            if upstream is not None:
-                upstream.send(encode_frame(frame))
-
-    def _open_upstream(self, device_id: str) -> StreamEnd | None:
-        existing = self._upstreams.get(device_id)
-        if existing is not None:
-            return existing
         try:
+            self._open_upstream().send(encode_frame(frame))
+        except (CloudUnreachable, ProvisionerError, PeerUnreachable):
+            # dropped, as the serving side drops a frame it cannot take; a bind is answered
+            if bind:
+                self._binding.pop(frame.device_id, None)
+                stream.send(encode_frame(frame.reply(False, "UpstreamUnreachable")))
+
+    def _open_upstream(self) -> StreamEnd:
+        """The gateway's one stream to the cloud, shared by every fronted device."""
+        if self._upstream is None:
             cloud = self.cloud_client.resolve()
-        except (CloudUnreachable, ProvisionerError):
-            return None
-        try:
-            upstream = self.sim.open_stream(
-                self.endpoint, cloud.endpoint, protocol.DEVICE_PORT
-            )
-        except PeerUnreachable:
-            return None
-        serve_frames(upstream, partial(self._on_upstream_frame, device_id))
-        self._upstreams[device_id] = upstream
-        return upstream
+            self._upstream = self.sim.open_stream(self.endpoint, cloud.endpoint,
+                                                  protocol.DEVICE_PORT)
+            serve_frames(self._upstream, self._on_upstream_frame)
+        return self._upstream
 
-    def _on_upstream_frame(self, device_id: str, _upstream: StreamEnd, frame: DeviceFrame) -> None:
-        # the cloud acks nothing but binds, so an ack answers the bind in flight
-        down = self._binding.pop(device_id, None) if frame.kind == "ack" else None
+    def _on_upstream_frame(self, _upstream: StreamEnd, frame: DeviceFrame) -> None:
+        # the cloud acks nothing but binds, so an ack answers the device's bind in flight
+        down = self._binding.pop(frame.device_id, None) if frame.kind == "ack" else None
         if down is None:
-            down = self.channels.stream_of(device_id)
+            down = self.channels.stream_of(frame.device_id)
         elif frame.payload.get("success"):
-            self.channels.bind(device_id, down)
+            self.channels.bind(frame.device_id, down)
         if down is not None:
             down.send(encode_frame(frame))
 

@@ -669,7 +669,7 @@ def scenario_concurrent_provisioning(report: ScenarioReport, world: World) -> No
     world.rng.shuffle(picks)  # an order-keeping interleaving of the two bursts
     streams = [iter(seq) for seq in lengths]
     for i in picks:
-        world.sim.broadcast_lengths(apps[i].endpoint, dpl.PROVISION_PORT, [next(streams[i])])
+        world.sim.broadcast(apps[i].endpoint, dpl.PROVISION_PORT, next(streams[i]))
     for device in devices:
         device.idle()
         report.check(

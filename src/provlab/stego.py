@@ -82,11 +82,6 @@ def parse_bmp(data: bytes) -> BmpImage:
     )
 
 
-_ADD = bytes(range(256)) * 2  # _ADD[k : k + 256] maps v to (v + k) mod 256
-_IDENTITY = int.from_bytes(bytes(range(256)), "big")
-_ONES = int.from_bytes(b"\x01" * 256, "big")  # k * _ONES is byte k, 256 times
-
-
 def make_bmp(width: int, height: int) -> BmpImage:
     """Build a deterministic 24-bit BMP (gradient fill) for fixtures."""
     row_raw = width * 3
@@ -97,19 +92,13 @@ def make_bmp(width: int, height: int) -> BmpImage:
     header += struct.pack(
         "<IiiHHIIiiII", 40, width, height, 1, 24, 0, pixel_len, 2835, 2835, 0, 0
     )
-    # pixel (x, y) is blue (7x + y), green (x + 5y), red (3x ^ y), all mod 256:
-    # each row is row 0's channels passed through an add or xor table
-    blue = bytes(7 * x & 0xFF for x in range(width))
-    green = bytes(x & 0xFF for x in range(width))
-    red = bytes(3 * x & 0xFF for x in range(width))
-    pixels = bytearray(pixel_len)
-    for y in range(height):
-        base, b, g = y * row_padded, y & 0xFF, 5 * y & 0xFF
-        pixels[base : base + row_raw : 3] = blue.translate(_ADD[b : b + 256])
-        pixels[base + 1 : base + row_raw : 3] = green.translate(_ADD[g : g + 256])
-        xor_b = (_IDENTITY ^ b * _ONES).to_bytes(256, "big")
-        pixels[base + 2 : base + row_raw : 3] = red.translate(xor_b)
-    return BmpImage(header=header, pixels=bytes(pixels), width=width, height=height)
+    # pixel (x, y) is blue (7x + y), green (x + 5y), red (3x ^ y), all mod 256
+    pad = bytes(row_padded - row_raw)
+    pixels = b"".join(
+        bytes(c & 0xFF for x in range(width) for c in (7 * x + y, x + 5 * y, 3 * x ^ y)) + pad
+        for y in range(height)
+    )
+    return BmpImage(header=header, pixels=pixels, width=width, height=height)
 
 
 @dataclass
@@ -146,10 +135,9 @@ def _start_byte(seed: str, pixel_len: int, record_len: int) -> int:
     return seed_hash(seed) % window
 
 
-def _iter_bits(data: bytes):
-    for byte in data:
-        for shift in range(7, -1, -1):
-            yield (byte >> shift) & 1
+def _bits(data: bytes) -> bytes:
+    """``data`` as ASCII ``0``/``1`` digits, MSB first within each byte."""
+    return "".join(f"{byte:08b}" for byte in data).encode()
 
 
 def stego_embed(image: BmpImage, seed: str, record: StegoRecord) -> BmpImage:
@@ -161,13 +149,11 @@ def stego_embed(image: BmpImage, seed: str, record: StegoRecord) -> BmpImage:
         raise InsufficientCapacity(
             f"record needs {needed} pixel bytes, image has {len(image.pixels)}"
         )
-    pixels = bytearray(image.pixels)
-    pos = start
-    for bit in _iter_bits(blob):
-        pixels[pos] = (pixels[pos] & 0xFE) | bit
-        pos += 1
+    # an ASCII digit's low bit is its bit
+    pixels = image.pixels
+    run = bytes(p & 0xFE | digit & 1 for p, digit in zip(pixels[start:needed], _bits(blob)))
     return BmpImage(
-        header=image.header, pixels=bytes(pixels),
+        header=image.header, pixels=pixels[:start] + run + pixels[needed:],
         width=image.width, height=image.height,
     )
 
@@ -184,7 +170,7 @@ class ExtractReport:
 
 # each pixel byte's LSB as an ASCII digit: the bit plane is one translate
 _LSB_ASCII = bytes(b"01"[i & 1] for i in range(256))
-_MAGIC_BITS = "".join(f"{byte:08b}" for byte in MAGIC).encode()
+_MAGIC_BITS = _bits(MAGIC)
 
 
 def stego_extract(image: BmpImage, seed: str) -> tuple[StegoRecord, ExtractReport]:

@@ -350,8 +350,51 @@ class TestBindHijack:
                 payload={"ssid": decoy.ssid, "passphrase": decoy.passphrase,
                          "bundle_id": "com.xyz.smart"})))
         assert [f.payload for f in received] == [{"success": False, "reason": "Unknown"}] * 300
-        assert proxy._upstreams == {}
+        assert proxy._upstream is None
         assert sim._streams == streams
+
+    # the gateway's one upstream carries every fronted device's frames, so
+    # binds the cloud rejects keep no stream per device id
+    def test_rejected_binds_for_assigned_ids_add_at_most_one_upstream(self, rig):
+        sim, _cloud, proxy, _rng = rig
+        ids = [f"plug-{i:02d}" for i in range(50)]
+        decoy = [proxy.allocate_virtual_network(device_id) for device_id in ids][0]
+        intruder = sim.register("intruder")
+        sim.join(intruder, decoy.ssid, decoy.passphrase)
+        stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
+        received = []
+        serve_frames(stream, lambda _stream, frame: received.append(frame))
+        streams = len(sim._streams)
+        for device_id in ids:
+            stream.send(encode_frame(DeviceFrame(
+                kind="bind", device_id=device_id, token="t" * 32,
+                payload={"ssid": decoy.ssid, "passphrase": decoy.passphrase,
+                         "bundle_id": "com.xyz.smart"})))
+        assert [f.payload for f in received] == [{"success": False, "reason": "Unknown"}] * 50
+        assert len(sim._streams) <= streams + 2
+        assert proxy._binding == {}
+
+    def test_a_dark_cloud_bind_through_an_open_upstream_is_answered(self, rig):
+        sim, cloud, proxy, _rng = rig
+        device, net = provision_proxied(sim, proxy)  # its bind opened the upstream
+        cloud.set_online(False)
+        intruder = sim.register("intruder")
+        sim.join(intruder, net.ssid, net.passphrase)
+        stream = sim.open_stream(intruder, proxy.endpoint, protocol.DEVICE_PORT)
+        received = []
+        serve_frames(stream, lambda _stream, frame: received.append(frame))
+        stream.send(encode_frame(DeviceFrame(
+            kind="bind", device_id="bulb-01", token="t" * 32,
+            payload={"ssid": net.ssid, "passphrase": net.passphrase,
+                     "bundle_id": "com.xyz.smart"})))
+        assert [f.payload for f in received] == [
+            {"success": False, "reason": "UpstreamUnreachable"}]
+        assert proxy._binding == {}
+        # a bound device's frame that cannot go upstream is dropped
+        proxy.channels.stream_of("bulb-01").far.send(encode_frame(DeviceFrame(
+            kind="status", device_id="bulb-01", payload={"status": {"power": "on"}})))
+        assert proxy.local_control("bulb-01", {"power": "on"})["power"] == "on"
+        assert device.attributes["power"] == "on"
 
 
 class TestConstruction:

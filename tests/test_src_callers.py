@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "provlab"
 
 # definitions that nothing in src/ calls, each with the outside user that keeps it
 OUTSIDE_USERS = {
-    "broadcast": "bench/tracing.py SPANS wraps it",
     "parse_jsonl": "bench/tracing.py SPANS wraps it; bench/test_bench.py calls it",
     "fingerprint": "the attack-chain bench workload digests the registry with it",
     "decode_lengths": "the acceptance gates in tests/test_acceptance.py decode with it",
@@ -74,7 +73,7 @@ def test_every_definition_has_a_caller_in_src():
 
 def test_each_allowed_name_is_defined_and_uncalled_in_src():
     defined, referenced = _scan()
-    assert len(OUTSIDE_USERS) == 6
+    assert len(OUTSIDE_USERS) == 5
     for name in OUTSIDE_USERS:
         assert name in defined, f"{name} is gone from src/; drop it from OUTSIDE_USERS"
         assert name not in referenced, f"src/ calls {name}; drop it from OUTSIDE_USERS"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provlab import cli
+from provlab import cli, stego
 from provlab.stego import (
     MAGIC,
     MAX_KEY_BYTES,
@@ -327,6 +327,74 @@ class TestExtractDifferential:
             assert got == _outcome(_oracle_extract, image, str(trial))
             hits += got[0] == keys
         assert hits > 20
+
+
+def _reference_embed(image, seed, record):
+    """The per-bit writer that ``stego_embed`` shipped with, its capacity
+    checks included."""
+    blob = record.to_bytes()
+    window = len(image.pixels) - len(blob) - 1
+    if window <= 0:
+        raise InsufficientCapacity(
+            f"pixel array of {len(image.pixels)} bytes cannot hold a {len(blob)}-byte record"
+        )
+    start = seed_hash(seed) % window
+    needed = start + 8 * len(blob)
+    if needed > len(image.pixels):
+        raise InsufficientCapacity(
+            f"record needs {needed} pixel bytes, image has {len(image.pixels)}"
+        )
+    pixels = bytearray(image.pixels)
+    pos = start
+    for byte in blob:
+        for shift in range(7, -1, -1):
+            pixels[pos] = (pixels[pos] & 0xFE) | (byte >> shift) & 1
+            pos += 1
+    return BmpImage(header=image.header, pixels=bytes(pixels),
+                    width=image.width, height=image.height)
+
+
+def _embed_outcome(embed, image, seed, record):
+    try:
+        return embed(image, seed, record)
+    except StegoError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _embed_case(draw):
+    """A carrier of random pixels (0 to ~4k bytes) or a gradient, a seed,
+    and a record of up to three keys, some of a length outside 1..64."""
+    if draw(st.booleans()):
+        image = make_bmp(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(0, 4000) | st.integers(0, 100))
+        image = BmpImage(header=b"H" * 54, pixels=rng.randbytes(n), width=0, height=0)
+    keys = draw(st.lists(st.binary(min_size=1, max_size=64) | st.binary(max_size=70),
+                         max_size=3))
+    return image, draw(SEEDS), StegoRecord(keys=keys)
+
+
+class TestEmbedDifferential:
+    """``stego_embed`` writes the bit string that the extractor's bit plane
+    reads, and its whole output image, or its error, is the per-bit writer's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_embed_case())
+    @example(case=(make_bmp(64, 64), SEED, StegoRecord(keys=[KEY])))
+    @example(case=(make_bmp(96, 96), SEED, StegoRecord(keys=[b"a", KEY])))
+    @example(case=(BmpImage(header=b"", pixels=b"", width=0, height=0), "", StegoRecord([b"k"])))
+    def test_matches_the_per_bit_writer(self, case):
+        image, seed, record = case
+        assert (_embed_outcome(stego_embed, image, seed, record)
+                == _embed_outcome(_reference_embed, image, seed, record))
+
+    @given(data=st.binary(max_size=300))
+    def test_bits_are_the_msb_first_digits(self, data):
+        digits = bytes(0x30 | (byte >> shift) & 1 for byte in data for shift in range(7, -1, -1))
+        assert stego._bits(data) == digits
+        assert stego._MAGIC_BITS == b"1010010101011010"
 
 
 def _mostly(draw, usual, other):
