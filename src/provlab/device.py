@@ -57,9 +57,9 @@ class IoTDevice:
 
     # -- provisioning ---------------------------------------------------------
 
-    def _on_datagram(self, dgram) -> None:
+    def _on_datagram(self, src: str, length: int) -> None:
         # runs only while Unprovisioned: _on_credentials closes the port first
-        state = self.bank.feed(dgram.src, dgram.length)
+        state = self.bank.feed(src, length)
         if state.phase is dpl.COMPLETE:
             self._on_credentials(state.credentials)
 

@@ -108,8 +108,13 @@ class Credentials:
     token: str
 
 
-def _field_bytes(ssid: str, passphrase: str) -> tuple[bytes, bytes]:
-    """UTF-8 ssid and passphrase, checked against the framing limits."""
+def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
+    """Length-prefix ssid/passphrase, checked against the framing limits,
+    and append the token verbatim.
+
+    No token-length check: this is the raw framing used both by
+    :func:`build_payload` and by directly crafted (malformed) payloads.
+    """
     ssid_b = ssid.encode("utf-8")
     psk_b = passphrase.encode("utf-8")
     if not ssid_b:
@@ -118,16 +123,6 @@ def _field_bytes(ssid: str, passphrase: str) -> tuple[bytes, bytes]:
         raise FieldTooLong(f"ssid exceeds {MAX_SSID_BYTES} bytes")
     if len(psk_b) > MAX_PSK_BYTES:
         raise FieldTooLong(f"passphrase exceeds {MAX_PSK_BYTES} bytes")
-    return ssid_b, psk_b
-
-
-def frame_fields(ssid: str, passphrase: str, token: str) -> bytes:
-    """Length-prefix ssid/passphrase and append the token verbatim.
-
-    No token-length check: this is the raw framing used both by
-    :func:`build_payload` and by directly crafted (malformed) payloads.
-    """
-    ssid_b, psk_b = _field_bytes(ssid, passphrase)
     return bytes(
         [PAYLOAD_VERSION, len(ssid_b)]
     ) + ssid_b + bytes([len(psk_b)]) + psk_b + token.encode("utf-8")
@@ -225,8 +220,8 @@ class Phase(Enum):
 
 
 # bound once: each Phase.X lookup goes through EnumType's slow __getattr__
-HUNTING, COLLECTING, COMPLETE, FAILED = (Phase.HUNTING, Phase.COLLECTING,
-                                         Phase.COMPLETE, Phase.FAILED)
+HUNTING, SYNCED, COLLECTING, COMPLETE, FAILED = (
+    Phase.HUNTING, Phase.SYNCED, Phase.COLLECTING, Phase.COMPLETE, Phase.FAILED)
 
 # length -> (band, value within the band); every other length is a gap.
 # Out-of-band lengths in 18..65 separate rounds; those in 1..10 are gaps.
@@ -319,67 +314,56 @@ class DecoderState:
             band = frame[0]
             if band == "gap":
                 continue
-            if phase is COLLECTING:
-                if band == "idx" or band == "val":
-                    buf.append(frame)
+            if phase is not COLLECTING:
+                if phase is HUNTING:
+                    if band == "guide":
+                        self._guide_run += (frame[1] - self._guide_run) % len(GUIDE) + 1
+                        if self._guide_run >= 2 * len(GUIDE):
+                            phase = self.phase = SYNCED
+                            self._som_pos = 0
+                    else:
+                        # any other in-band frame breaks a consecutive guide run
+                        self._guide_run = 0
                     continue
-                if not buf and (band == "guide" or band == "som" or band == "som_noise"):
-                    self._head_known = True  # a separator with no round to settle
+                if band == "som":
+                    if frame[1] >= self._som_pos:
+                        self._som_pos = frame[1] + 1
+                    if self._som_pos >= len(SOM):
+                        phase = self.phase = COLLECTING
+                        self._head_known = True
                     continue
-                self._feed_collecting(band, frame[1])
-            elif phase is HUNTING:
-                self._feed_hunting(band, frame[1])
-            else:
-                self._feed_synced(band, frame[1])
-            # a helper may settle the round (a fresh buffer) or move the phase
+                if band == "guide" or band == "som_noise":
+                    continue
+                # whole start-of-message lost; the data bands are unambiguous.
+                # Entering on a len frame still marks a round head; entering
+                # mid-data does not, so pre-index values stay unplaceable.
+                phase = self.phase = COLLECTING
+                self._head_known = band == "len"
+            if band == "idx" or band == "val":
+                buf.append(frame)
+                continue
+            if band == "len":
+                votes = self._len_votes
+                votes[frame[1]] = votes.get(frame[1], 0) + 1
+                self.expected_len = _majority(votes)
+                buf.append(frame)
+                continue
+            if band == "crc":
+                votes = self._crc_votes
+                votes[frame[1]] = votes.get(frame[1], 0) + 1
+                self.crc_seen = _majority(votes)
+                buf.append(frame)  # crc closes the round on the wire
+            elif not buf:
+                self._head_known = True  # a separator with no round to settle
+                continue
+            # a crc frame or a separator between rounds: settle the buffered round
+            self._flush_round()
+            self._head_known = True
             phase, buf = self.phase, self._round_buf
             if phase is COMPLETE:
                 break
         self._prev_len = prev
         return i
-
-    def _feed_hunting(self, band: str, value: int | None) -> None:
-        if band == "guide":
-            self._guide_run += (value - self._guide_run) % len(GUIDE) + 1
-            if self._guide_run >= 2 * len(GUIDE):
-                self.phase = Phase.SYNCED
-                self._som_pos = 0
-        else:
-            # any other in-band frame breaks a consecutive guide run
-            self._guide_run = 0
-
-    def _feed_synced(self, band: str, value: int | None) -> None:
-        if band == "som":
-            if value >= self._som_pos:
-                self._som_pos = value + 1
-            if self._som_pos >= len(SOM):
-                self.phase = Phase.COLLECTING
-                self._head_known = True
-        elif band in ("idx", "val", "len", "crc"):
-            # whole start-of-message lost; the data bands are unambiguous.
-            # Entering on a len frame still marks a round head; entering
-            # mid-data does not, so pre-index values stay unplaceable.
-            self.phase = Phase.COLLECTING
-            self._head_known = band == "len"
-            self._feed_collecting(band, value)
-
-    def _feed_collecting(self, band: str, value: int | None) -> None:
-        if band in ("guide", "som", "som_noise"):
-            # separator between rounds: settle the buffered round
-            self._flush_round()
-            self._head_known = True
-            return
-        if band == "len":
-            self._len_votes[value] = self._len_votes.get(value, 0) + 1
-            self.expected_len = _majority(self._len_votes)
-        elif band == "crc":
-            self._crc_votes[value] = self._crc_votes.get(value, 0) + 1
-            self.crc_seen = _majority(self._crc_votes)
-        self._round_buf.append((band, value))
-        if band == "crc":
-            # crc closes the round on the wire
-            self._flush_round()
-            self._head_known = True
 
     def _flush_round(self) -> None:
         """Settle one round's buffered frames via anchored alignment.

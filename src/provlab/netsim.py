@@ -2,8 +2,9 @@
 
 An endpoint is the id it was registered under.  Virtual Wi-Fi networks
 gate membership on an (ssid, passphrase) pair.  Broadcast datagrams reach
-every co-member, subject to a seeded loss/duplication model; a datagram is
-only its length, which is all a broadcast receiver can observe.  A stream is
+every co-member, subject to a seeded loss/duplication model; a receiver
+hears a datagram as its sender and its length, which is all a broadcast
+listener can observe.  A stream is
 a lossless ordered byte pipe, a pair of linked ends.  Every frame lands in a
 capture log, one row per frame, so scenarios can assert on what was
 actually observable on the wire.
@@ -107,14 +108,6 @@ class VirtualNetwork:
     passphrase: str
     # in join order; only Simulation.join and Simulation.leave change it
     members: list[str] = field(default_factory=list)
-
-
-@dataclass
-class Datagram:
-    src: str
-    dst_port: int
-    length: int  # the bytes are filler; only the length is observable
-    ssid: str
 
 
 @dataclass(slots=True)
@@ -361,28 +354,27 @@ class Simulation:
     # -- broadcast ---------------------------------------------------------
 
     def set_datagram_handler(self, endpoint: str, port: int, handler) -> None:
-        """Run ``handler(dgram)`` for each datagram delivered to ``port``;
-        ``None`` closes the port.  A port with no handler, never opened or
+        """Run ``handler(src, length)`` for each datagram delivered to ``port``,
+        ``src`` its sender; ``None`` closes the port.  A port with no handler, never opened or
         closed, discards its datagrams after their capture records and loss
         draws."""
         self._rec(endpoint).datagram_handlers[port] = handler
         self._gen += 1
 
-    def broadcast(self, endpoint: str, dst_port: int, length: int,
-                  ssid: str | None = None) -> None:
+    def broadcast(self, endpoint: str, dst_port: int, length: int) -> None:
         """One datagram of ``length`` bytes: a burst of one."""
-        self.broadcast_lengths(endpoint, dst_port, (length,), ssid)
+        self.broadcast_lengths(endpoint, dst_port, (length,))
 
     def broadcast_lengths(self, endpoint: str, dst_port: int, lengths: Sequence[int],
                           ssid: str | None = None) -> int:
-        """Broadcast one datagram per length, in turn; returns the count.  A handler
-        gets a :class:`Datagram` of the length, built on the frame's first delivery.
-        Records, draws and handler calls are those of one :meth:`broadcast` per
-        length, and a frame that fails a check (its length not an ``int`` in 1 to
-        ``MAX_DATAGRAM`` among them) raises after the frames before it are sent.  A
-        handler's change to membership or presence applies from the next frame, to a
-        port from the next delivery.  Once no receiver's port is open no handler can
-        run, so when the rates make every outcome certain the rest is one step."""
+        """Broadcast one datagram per length, in turn; returns the count.  Each
+        delivery calls its receiver's handler as ``handler(src, length)``.  Records,
+        draws and handler calls are those of one :meth:`broadcast` per length, and a
+        frame that fails a check (its length not an ``int`` in 1 to ``MAX_DATAGRAM``
+        among them) raises after the frames before it are sent.  A handler's change to
+        membership or presence applies from the next frame, to a port from the next
+        delivery.  Once no receiver's port is open no handler can run, so when the
+        rates make every outcome certain the rest is one step."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         networks = self._rec(endpoint).networks
@@ -426,14 +418,13 @@ class Simulation:
                               for _ in recs])
             rows.append((clock.now, net, src, dst_port, length, "bcast", dsts, outcomes))
             # delivery is synchronous, so a handler may send in turn
-            dgram, todo = None, live.copy()
+            todo = live.copy()
             while todo:
                 i = todo.pop()
                 for _ in range(outcomes[i]):
                     handler = recs[i].datagram_handlers.get(dst_port)
                     if handler is not None:  # no handler: the port is closed
-                        dgram = dgram or Datagram(src, dst_port, length, net)
-                        handler(dgram)
+                        handler(src, length)
                 if gen != self._gen:  # a handler changed something: read every later port
                     todo = list(range(len(recs) - 1, i, -1))
         return len(lengths)

@@ -26,9 +26,6 @@ ACTION_TOKEN_GET = "tuya.m.token.get"
 ACTION_DEVICE_BIND = "m.device.bind"
 ACTION_DEVICE_CONTROL = "m.device.control"
 ACTION_DEVICE_STATUS = "m.device.status"
-REGISTERED_ACTIONS = frozenset(
-    {ACTION_TOKEN_GET, ACTION_DEVICE_BIND, ACTION_DEVICE_CONTROL, ACTION_DEVICE_STATUS}
-)
 
 SIGN_FIELD = "sign"
 

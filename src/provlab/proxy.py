@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dpl, protocol
-from .cloud import CloudUnreachable, DeviceChannels, VendorCloud
+from .cloud import APP_ACTIONS, CloudUnreachable, DeviceChannels, VendorCloud
 from .netsim import DuplicateSsid, PeerUnreachable, Simulation, StreamEnd, VirtualNetwork
 from .protocol import TOKEN_ALPHABET, DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
@@ -145,7 +145,7 @@ class ProxyGateway:
     def relay_app_envelope(self, envelope: dict) -> dict:
         """Terminate an app request, verify it, scrub it per policy, forward."""
         action = envelope.get("a")
-        if not isinstance(action, str) or action not in protocol.REGISTERED_ACTIONS:
+        if not isinstance(action, str) or action not in APP_ACTIONS:
             raise PolicyDenied(f"action {action!r} not allowed")
         client = self.cloud_client
         bundle = envelope.get("bundleId")

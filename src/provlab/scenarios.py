@@ -156,7 +156,6 @@ def _app(world: World, bundle: str = "com.xyz.smart", user: str = "user-01") -> 
         _config(world, "tt3advw3as8se94muvt9", bundle, user),
         world.directory,
         rng=world.rng,
-        dns_available=False,
         nonce_source=world.rng,
     )
     world.sim.join(app.endpoint, HOME_SSID, world.home_passphrase)
@@ -198,7 +197,6 @@ def _proxy(world: World, policy: ProxyPolicy, endpoint_id: str = "proxy-gw") -> 
         policy=policy,
         rng=world.rng,
         home_ssid=HOME_SSID,
-        dns_available=False,
         endpoint_id=endpoint_id,
         nonce_source=world.rng,
     )

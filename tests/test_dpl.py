@@ -813,6 +813,38 @@ class TestDecoderDifferential:
         ref.finalize()
         assert _public(live) == _public(ref)
 
+    @pytest.mark.parametrize("som_kept", [(), (0,), (1, 2)], ids=["no-som", "som-0", "som-1-2"])
+    @pytest.mark.parametrize("entry", ["len", "idx", "val", "crc"])
+    def test_collecting_entered_from_synced_matches_reference(self, entry, som_kept):
+        # the first round keeps of its start-of-message only the frames in
+        # som_kept, and loses every data frame before its first ``entry`` frame
+        creds = Credentials("net", "pass", token(random.Random(3)))
+        lengths, n = encode(creds, 3), len(build_payload(creds))
+        guides = len(dpl.GUIDE) * dpl.GUIDE_REPS
+        lost = {"len": 0, "idx": 1, "val": 2, "crc": 1 + 2 * n}[entry]
+        stream = (lengths[:guides] + [dpl.SOM[k] for k in som_kept]
+                  + lengths[guides + len(dpl.SOM) + lost:])
+        at = guides + len(som_kept)  # the entry frame
+        base = {"len": dpl.LEN_BASE, "idx": dpl.IDX_BASE, "val": dpl.VAL_BASE,
+                "crc": dpl.CRC_BASE}[entry]
+        assert base <= stream[at] < base + dpl.BAND_WIDTH
+        live, many, ref = DecoderState(), DecoderState(), ReferenceDecoderState()
+        for k, length in enumerate(stream):
+            before = live.phase
+            live.feed(length)
+            many.feed_many(stream[:k + 1], k)
+            ref.feed(length)
+            assert _public(live) == _public(many) == _public(ref)
+            assert live._head_known == many._head_known == ref._head_known
+            if k == at:
+                assert (before, live.phase) == (Phase.SYNCED, Phase.COLLECTING)
+        whole = DecoderState()
+        whole.feed_many(stream)
+        for state in (live, many, whole, ref):
+            state.finalize()
+        assert _public(live) == _public(many) == _public(whole) == _public(ref)
+        assert live.credentials == creds
+
     @pytest.mark.parametrize("length", _OUT_OF_BANDS)
     def test_out_of_band_lengths_are_gaps(self, length):
         # mid-payload, so that a negative length read from the end of the

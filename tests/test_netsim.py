@@ -40,6 +40,11 @@ def fresh_sim(drop=0.0, dup=0.0, seed=0):
                       clock=SimClock(1_613_000_000))
 
 
+def recorder(got: list):
+    """A datagram handler that appends each ``(src, length)`` it hears to ``got``."""
+    return lambda src, length: got.append((src, length))
+
+
 class TestNetworks:
     def test_create_fresh_network(self, sim):
         net = sim.create_network("home-net", "hunter2-long")
@@ -85,10 +90,10 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, recorder(got))
         for i in range(100):
             sim.broadcast(tx, 30011, i + 1)
-        assert [d.length for d in got] == list(range(1, 101))
+        assert got == [(tx, i + 1) for i in range(100)]
         delivered = [row for row in sim.capture.rows() if row[5] == "deliver"]
         assert len(delivered) == 100
 
@@ -98,9 +103,9 @@ class TestBroadcast:
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, lambda *args: got.append(args))
         sim.broadcast(tx, 30011, 3)
-        assert [(d.src, d.dst_port, d.length, d.ssid) for d in got] == [(tx, 30011, 3, "net-a")]
+        assert got == [(tx, 3)]
         assert sim.capture.rows()[0][4] == 3
         # bytes are not a length: nothing of them could reach a handler
         with pytest.raises(InvalidLength):
@@ -121,7 +126,7 @@ class TestBroadcast:
                 sim.join(ep, "net-a", "password-a")
             got = []
             if heard:
-                sim.set_datagram_handler(rx, 30011, got.append)
+                sim.set_datagram_handler(rx, 30011, recorder(got))
             try:
                 sim.broadcast_lengths(tx, 30011, lengths)
             except InvalidLength:
@@ -135,7 +140,7 @@ class TestBroadcast:
         want, want_got, _ = run([3, 4])
         assert raised and sim.capture.frames() == want.capture.frames()
         assert sim._rng.getstate() == want._rng.getstate()
-        assert [d.length for d in got] == [d.length for d in want_got]
+        assert got == want_got
         assert heard == bool(got)
 
     def test_not_joined(self, sim):
@@ -161,9 +166,9 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx_b, "net-b", "password-b")
         got = []
-        sim.set_datagram_handler(rx_b, 30011, got.append)
+        sim.set_datagram_handler(rx_b, 30011, recorder(got))
         for _ in range(50):
-            sim.broadcast(tx, 30011, 2, ssid="net-a")
+            sim.broadcast_lengths(tx, 30011, (2,), ssid="net-a")
         assert got == []
         bad = [
             row for row in sim.capture.rows()
@@ -181,7 +186,7 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, recorder(got))
         for _ in range(frames):
             sim.broadcast(tx, 30011, 3)
         delivered = len(got)
@@ -211,15 +216,15 @@ class TestBroadcast:
         sim.join(elsewhere, "net-b", "password-b")
         handled = []
 
-        def on_datagram(d):
-            assert (d.src, d.dst_port, d.ssid) == ("tx", port, "net-a")
-            handled.append(d.length)
+        def on_datagram(src, length):
+            assert src == "tx"
+            handled.append(length)
 
         sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
         recorded = [eps["rx-d"], eps["rx-a"], eps["rx-c"], eps["tx"], elsewhere]
         got = {ep: [] for ep in recorded}
         for ep in recorded:
-            sim.set_datagram_handler(ep, port, got[ep].append)
+            sim.set_datagram_handler(ep, port, recorder(got[ep]))
         draw = random.Random(7)
         lengths = [draw.randint(1, 2048) for _ in range(400)]
         for length in lengths:
@@ -245,9 +250,7 @@ class TestBroadcast:
         assert any(a == b and a[0] == "deliver" for a, b in zip(records, records[1:]))
         assert handled == delivered["rx-b"]
         for name in ("rx-d", "rx-a", "rx-c"):
-            assert [d.length for d in got[name]] == delivered[name]
-            assert ({(d.src, d.dst_port, d.ssid) for d in got[name]}
-                    == {("tx", port, "net-a")})
+            assert got[name] == [("tx", length) for length in delivered[name]]
         assert got["tx"] == got["rx-e"] == []
 
     def test_handler_stream_send_follows_the_fan_out_records(self):
@@ -260,7 +263,7 @@ class TestBroadcast:
             sim.join(ep, "net-a", "password-a")
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
         end = sim.open_stream(rxs[0], hub, 6668)
-        sim.set_datagram_handler(rxs[0], 30011, lambda d: end.send(b"\x55" * d.length))
+        sim.set_datagram_handler(rxs[0], 30011, lambda src, length: end.send(b"\x55" * length))
         for _ in range(50):
             sim.broadcast(tx, 30011, 3)
         snap = sim.capture.rows()
@@ -285,9 +288,9 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, recorder(got))
         sim.broadcast(tx, 30011, 3)
-        assert len(got) == 2
+        assert got == [(tx, 3), (tx, 3)]
 
     def test_drops_recorded_as_sent_not_delivered(self):
         sim = fresh_sim(drop=1.0)
@@ -310,7 +313,7 @@ class TestBroadcast:
             got = {name: [] for name in ("rx-a", "rx-b", "rx-c")}
             for name in got:
                 if name != "rx-b" or port != "never opened":
-                    sim.set_datagram_handler(eps[name], 30011, got[name].append)
+                    sim.set_datagram_handler(eps[name], 30011, recorder(got[name]))
             if port == "closed":
                 sim.set_datagram_handler(eps["rx-b"], 30011, None)
             for length in range(1, 300):
@@ -324,7 +327,7 @@ class TestBroadcast:
             assert sim.capture.rows() == open_sim.capture.rows()
             assert open_got["rx-b"] and got == {**open_got, "rx-b": []}
             # a handler set later opens the port
-            sim.set_datagram_handler(eps["rx-b"], 30011, got["rx-b"].append)
+            sim.set_datagram_handler(eps["rx-b"], 30011, recorder(got["rx-b"]))
             opened = len(open_got["rx-b"])
             for s, ep in ((sim, eps), (open_sim, open_eps)):
                 for _ in range(20):
@@ -339,7 +342,7 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         seen = []
-        sim.set_datagram_handler(rx, 30011, lambda d: seen.append(d.length))
+        sim.set_datagram_handler(rx, 30011, lambda src, length: seen.append(length))
         sim.broadcast(tx, 30011, 4)
         assert seen == [4]
 
@@ -350,7 +353,7 @@ class TestBroadcast:
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, recorder(got))
         sim.set_online(tx, False)
         with pytest.raises(PeerUnreachable):
             sim.broadcast(tx, 30011, 3)
@@ -372,7 +375,7 @@ class TestBroadcast:
                 if name != "rx-b" or offline_member:
                     sim.join(ep, "net-a", "password-a")
             calls = []
-            sim.set_datagram_handler(eps["rx-b"], 30011, calls.append)
+            sim.set_datagram_handler(eps["rx-b"], 30011, recorder(calls))
             if offline_member:
                 sim.set_online(eps["rx-b"], False)
             sim.broadcast_lengths(eps["tx"], 30011, list(range(1, 200)))
@@ -473,7 +476,7 @@ def _burst_oracle(case):
         for name in deliveries:
             if ports[name] != "handler":
                 continue
-            calls.append((name, src, length, ssid))
+            calls.append((name, src, length))
             action = case["scripts"][name].get(seen[name], ("none",))
             seen[name] += 1
             if action[0] == "leave" and name in members["net-a"]:
@@ -518,9 +521,9 @@ def _burst_sim(case, snapshots=None):
     calls, seen = [], dict.fromkeys(BURST_RX, 0)
 
     def handler_of(name):
-        def on_datagram(d):
-            assert d.src in eps and d.dst_port == PORT
-            calls.append((name, d.src, d.length, d.ssid))
+        def on_datagram(src, length):
+            assert src in eps
+            calls.append((name, src, length))
             if snapshots is not None:
                 snapshots.append(sim.capture.frames())
             action = case["scripts"][name].get(seen[name], ("none",))
@@ -660,8 +663,8 @@ class TestBurst:
             sim.join(ep, "net-a", "password-a")
         calls = []
 
-        def close_on_first_call(d):
-            calls.append(d.length)
+        def close_on_first_call(src, length):
+            calls.append(length)
             sim.loss.drop_prob, sim.loss.dup_prob = drop, dup
             sim.set_datagram_handler(eps["rx-c"], PORT, None)
 
@@ -903,7 +906,7 @@ class TestOrdering:
             sim.join(tx, "net-a", "password-a")
             senders.append(tx)
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
+        sim.set_datagram_handler(rx, 30011, recorder(got))
         sent, order = dict.fromkeys(senders, 0), []
         for turn in range(8):
             for i, tx in enumerate(senders):
@@ -917,8 +920,8 @@ class TestOrdering:
                 sent[tx] += len(lengths)
                 order += [tx] * len(lengths)
         per_sender = {tx: [] for tx in senders}
-        for d in got:
-            per_sender[d.src].append(d.length)
+        for src, length in got:
+            per_sender[src].append(length)
         assert per_sender == {tx: list(range(1, 105)) for tx in senders}
         assert [row[2] for row in sim.capture.frames() if row[5] == "bcast"] == order
 

@@ -73,8 +73,8 @@ class TestIsolationManager:
         rx = sim.register("listener")
         sim.join(rx, net_b.ssid, net_b.passphrase)
         got = []
-        sim.set_datagram_handler(rx, 30011, got.append)
-        sim.broadcast(proxy.endpoint, 30011, 2, ssid=net_a.ssid)
+        sim.set_datagram_handler(rx, 30011, lambda src, length: got.append(length))
+        sim.broadcast_lengths(proxy.endpoint, 30011, (2,), ssid=net_a.ssid)
         assert got == []
 
 
