@@ -13,6 +13,7 @@ which is the replay/hijack surface the isolation mitigation closes.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 
 from . import dpl, protocol
 from .netsim import NetSimError, PeerUnreachable, Simulation, StreamEnd
@@ -51,17 +52,18 @@ class IoTDevice:
         self.attributes = {"power": "off", "brightness": 0}
         self.bank = dpl.DecoderBank()
         self.events: list[dict] = []
-        sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, self._on_datagram)
+        sim.set_datagram_handler(self.endpoint, dpl.PROVISION_PORT, self._on_run)
         protocol.listen_frames(sim, self.endpoint, self._on_local_frame)  # garbage is dropped
         self._log("boot", "listening for provisioning broadcasts")
 
     # -- provisioning ---------------------------------------------------------
 
-    def _on_datagram(self, src: str, length: int) -> None:
+    def _on_run(self, src: str, lengths) -> tuple:
         # runs only while Unprovisioned: _on_credentials closes the port first
-        state = self.bank.feed(src, length)
+        taken, state = self.bank.feed(src, lengths)
         if state.phase is dpl.COMPLETE:
-            self._on_credentials(state.credentials)
+            return taken, partial(self._on_credentials, state.credentials)
+        return taken, None
 
     def idle(self) -> None:
         """The decode window closed with no more frames arriving; settle."""

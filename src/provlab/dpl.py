@@ -265,9 +265,10 @@ class DecoderState:
     link-level duplicate and skipped; the encoder never emits two equal
     adjacent lengths, so this is lossless on real streams.
 
-    One decoder holds one sender's attempt.  :meth:`feed` takes one frame
-    and :meth:`feed_many` a list of them; both run the same frame loop,
-    which stops at the frame that completes the attempt.
+    One decoder holds one sender's attempt.  :meth:`feed_many` takes a run
+    of frames and stops at the frame that completes the attempt; a
+    :class:`DecoderBank` feeds it each run a device hears in one call, and
+    :meth:`feed` is that call for one frame.
     :func:`decode_capture` feeds each sender's frames of a capture
     separately, with no bound on the senders, and lists the attempts in
     the order they started; a device keeps at most :data:`MAX_SENDERS`
@@ -479,8 +480,10 @@ class DecoderBank:
     number of attempts.
 
     Each sender (``src``) gets its own :class:`DecoderState`, so frames of
-    interleaved senders never mix.  A sender's next frame after its
-    attempt is COMPLETE or FAILED starts a new attempt.  At most
+    interleaved senders never mix.  A device hears a broadcast as runs of
+    one sender's frames, and :meth:`feed` hands each run to that sender's
+    attempt in one :meth:`DecoderState.feed_many`.  A sender's next frame
+    after its attempt is COMPLETE or FAILED starts a new attempt.  At most
     :data:`MAX_SENDERS` attempts are kept; a new sender at a full bank
     drops the attempt that started first.
     """
@@ -488,15 +491,18 @@ class DecoderBank:
     def __init__(self) -> None:
         self._attempts: dict[str, DecoderState] = {}  # by src, in start order
 
-    def feed(self, src: str, length: int) -> DecoderState:
-        """Feed one frame from ``src``; return the attempt it went to."""
+    def feed(self, src: str, lengths) -> tuple[int, DecoderState]:
+        """Feed a run of ``src``'s frames to its attempt, in one
+        :meth:`DecoderState.feed_many`, until the attempt completes; return how
+        many frames it took and the attempt.  The rest of the run, if any,
+        would start a new attempt."""
         state = self._attempts.get(src)
         if state is None or state.phase in _SETTLED:
             self._attempts.pop(src, None)
             if len(self._attempts) >= MAX_SENDERS:
                 del self._attempts[next(iter(self._attempts))]
             state = self._attempts[src] = DecoderState()
-        return state.feed(length)
+        return state.feed_many(lengths), state
 
     def finalize(self) -> DecoderState | None:
         """Settle every kept attempt; the first COMPLETE one in start order wins."""

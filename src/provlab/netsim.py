@@ -10,7 +10,9 @@ capture log, one row per frame, so scenarios can assert on what was
 actually observable on the wire.
 
 Delivery is synchronous: a registered handler runs inside the sender's
-call, which keeps whole scenarios deterministic without an event loop.
+call, which keeps whole scenarios deterministic without an event loop.  A
+datagram handler takes a run of deliveries without touching the simulation
+and acts afterwards, at the frame a per-delivery handler would have acted at.
 provlab is single-threaded: nothing here may be called from two threads.
 """
 
@@ -19,11 +21,13 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 
 MAX_DATAGRAM = 2048
+CHUNK_SLOTS = 2048  # receiver slots of loss draws taken at once, at least 16 frames
 WAN_LABEL = "wan"
 
 # A capture line as to_jsonl writes it, stripped.  Its strings hold no quote,
@@ -354,10 +358,13 @@ class Simulation:
     # -- broadcast ---------------------------------------------------------
 
     def set_datagram_handler(self, endpoint: str, port: int, handler) -> None:
-        """Run ``handler(src, length)`` for each datagram delivered to ``port``,
-        ``src`` its sender; ``None`` closes the port.  A port with no handler, never opened or
-        closed, discards its datagrams after their capture records and loss
-        draws."""
+        """Hear ``port`` with ``handler``; ``None`` closes the port.  A port with no
+        handler, never opened or closed, discards its datagrams after their capture
+        records and loss draws.  ``handler(src, lengths)`` gets a run of deliveries
+        from ``src``, duplicates included, and must not call into the simulation.
+        It returns ``(taken, then)``: it heard the first ``taken`` (at least one),
+        and ``then`` is its action or ``None``, run once the frames through the
+        last delivery taken are written.  Hearing resumes at the next delivery."""
         self._rec(endpoint).datagram_handlers[port] = handler
         self._gen += 1
 
@@ -367,25 +374,29 @@ class Simulation:
 
     def broadcast_lengths(self, endpoint: str, dst_port: int, lengths: Sequence[int],
                           ssid: str | None = None) -> int:
-        """Broadcast one datagram per length, in turn; returns the count.  Each
-        delivery calls its receiver's handler as ``handler(src, length)``.  Records,
-        draws and handler calls are those of one :meth:`broadcast` per length, and a
-        frame that fails a check (its length not an ``int`` in 1 to ``MAX_DATAGRAM``
-        among them) raises after the frames before it are sent.  A handler's change to
-        membership or presence applies from the next frame, to a port from the next
-        delivery.  Once no receiver's port is open no handler can run, so when the
-        rates make every outcome certain the rest is one step."""
+        """Broadcast one datagram per length, in turn; returns the count.  Records,
+        draws and what each receiver hears are those of one :meth:`broadcast` per
+        length, and a frame that fails a check (its length not an ``int`` in 1 to
+        ``MAX_DATAGRAM`` among them) raises after the frames before it are sent.
+        The burst is heard in windows over which nothing can change: to its end
+        while at most one port is open, else one frame; each receiver hears its
+        deliveries of a window as one run.  After a ``then`` the state is read again
+        from the next delivery on.  A window whose outcomes are all certain takes
+        its draws in one step; else they come in chunks of ``CHUNK_SLOTS`` receiver
+        slots, and a run that stops inside one rewinds the generator to its frame."""
         if not 1 <= dst_port <= 65535:
             raise InvalidLength("port must be 1-65535")
         networks = self._rec(endpoint).networks
-        src, clock, loss = endpoint, self.clock, self.loss
-        rows, draw = self.capture._rows, self._rng.random
-        # the last frame's receivers, and the _gen they and their ports were read at
-        dsts, recs, gen = (), [], None
-        rest = iter(lengths)
-        for length in rest:
-            if type(length) is not int or not 1 <= length <= MAX_DATAGRAM:
-                raise InvalidLength(f"length must be an int of 1-{MAX_DATAGRAM}")
+        src, clock, loss, rng = endpoint, self.clock, self.loss, self._rng
+        rows, draw = self.capture._rows, rng.random
+        end = len(lengths)  # the frames before the first bad length go out
+        if not (set(map(type, lengths)) <= {int}
+                and 1 <= min(lengths, default=1) and max(lengths, default=1) <= MAX_DATAGRAM):
+            end = next(k for k, n in enumerate(lengths)
+                       if type(n) is not int or not 1 <= n <= MAX_DATAGRAM)
+        # the receivers, and the _gen they and their ports were read at
+        dsts, recs, gen, k = (), [], None, 0
+        while k < end:
             if gen != self._gen:
                 gen = self._gen
                 if src in self._offline:
@@ -396,52 +407,82 @@ class Simulation:
                 net = next(iter(networks)) if ssid is None else ssid
                 if net not in networks:
                     raise NotJoined(f"{src} is not a member of {net!r}")
-                now = tuple([m for m in self._networks[net].members
-                             if m != src and m not in self._offline])
-                if now != dsts:
-                    dsts, recs = now, [self._endpoints[dst] for dst in now]
-                # positions of the receivers whose port is open, last first
-                live = [i for i in range(len(recs) - 1, -1, -1)
-                        if recs[i].datagram_handlers.get(dst_port) is not None]
-                drop, dup = loss.drop_prob, loss.dup_prob
-                # with no port open no handler can run and change what was read
-                # here; when the rates also make every outcome certain, the rest
-                # of the burst is written in one step
-                if not live and (drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)):
-                    self._send_unheard(rows, (clock.now, net, src, dst_port), dsts,
-                                       [length, *rest],
-                                       0 if drop >= 1 else 2 if dup >= 1 else 1)
-                    return len(lengths)
-            drop, dup = loss.drop_prob, loss.dup_prob
-            # LossModel draw order: per receiver, drop, then dup if delivered
-            outcomes = bytes([0 if draw() < drop else 2 if draw() < dup else 1
-                              for _ in recs])
-            rows.append((clock.now, net, src, dst_port, length, "bcast", dsts, outcomes))
-            # delivery is synchronous, so a handler may send in turn
-            todo = live.copy()
-            while todo:
-                i = todo.pop()
-                for _ in range(outcomes[i]):
-                    handler = recs[i].datagram_handlers.get(dst_port)
-                    if handler is not None:  # no handler: the port is closed
-                        handler(src, length)
-                if gen != self._gen:  # a handler changed something: read every later port
-                    todo = list(range(len(recs) - 1, i, -1))
+                read = tuple([m for m in self._networks[net].members
+                              if m != src and m not in self._offline])
+                if read != dsts:
+                    dsts, recs = read, [self._endpoints[dst] for dst in read]
+                live = [i for i, rec in enumerate(recs)
+                        if rec.datagram_handlers.get(dst_port) is not None]
+            now, width, drop, dup = clock.now, len(recs), loss.drop_prob, loss.dup_prob
+            certain = not recs or drop >= 1 or not drop > 0 and (not dup > 0 or dup >= 1)
+            n = (1 if len(live) > 1 else end - k if certain
+                 else min(end - k, max(16, CHUNK_SLOTS // width)))
+            if certain:
+                out = bytes([0 if drop >= 1 else 2 if dup >= 1 else 1]) * (width * n)
+            else:
+                state = rng.getstate() if len(live) == 1 else None
+                # LossModel draw order: per receiver, drop, then dup if delivered
+                out = bytes([0 if draw() < drop else 2 if draw() < dup else 1
+                             for _ in range(width * n)])
+            window, used, then = lengths[k:k + n], n, None
+            at, left = 0, out[0] if len(live) > 1 else 0  # who hears the frame's rest
+            if len(live) == 1 and (copies := out[live[0]::width]).count(0) < n:
+                at = live[0]
+                run = (window if copies.count(1) == n
+                       else list(chain.from_iterable(map(repeat, window, copies))))
+                taken, then = self._take(recs[at].datagram_handlers[dst_port], src, run)
+                if then is not None or taken < len(run):
+                    heard = list(accumulate(copies))  # stop at the last taken's frame
+                    used = bisect_left(heard, taken) + 1
+                    left = heard[used - 1] - taken
+            if certain or used < n:
+                if not certain:
+                    rng.setstate(state)
+                # a random() takes two 32-bit words, as 64 bits of getrandbits do;
+                # a drop takes one draw, a delivery two
+                rng.getrandbits(64 * (2 * width * used - out.count(0, 0, width * used)))
+            outs = (repeat(out[:width]) if certain
+                    else [out[j:j + width] for j in range(0, width * used, width)])
+            rows += [(now, net, src, dst_port, length, "bcast", dsts, outcomes)
+                     for length, outcomes in zip(window[:used], outs)]
+            k += used
+            if then is not None:
+                then()
+            if len(live) > 1 or then is not None or left:
+                self._hear(recs, out[width * (used - 1):], at, left, src, dst_port,
+                           window[used - 1])
+        if end < len(lengths):
+            raise InvalidLength(f"length must be an int of 1-{MAX_DATAGRAM}")
         return len(lengths)
 
-    def _send_unheard(self, rows, head, dsts, lengths, outcome) -> None:
-        """Write a burst's frames that no receiver hears, each row led by ``head``,
-        ``(t, ssid, src, port)``, with every outcome the certain ``outcome``; the
-        records, draws and error are the per-frame loop's."""
-        sent = next((k for k, n in enumerate(lengths)
-                     if type(n) is not int or not 1 <= n <= MAX_DATAGRAM), len(lengths))
-        # a random() takes two 32-bit words, as 64 bits of getrandbits do; a drop
-        # takes one draw, a delivery two
-        self._rng.getrandbits(64 * len(dsts) * sent * (2 if outcome else 1))
-        rows.extend(zip(*map(repeat, head), lengths[:sent], repeat("bcast"), repeat(dsts),
-                        repeat(bytes([outcome]) * len(dsts))))
-        if sent < len(lengths):
-            raise InvalidLength(f"length must be an int of 1-{MAX_DATAGRAM}")
+    def _take(self, handler, src: str, run) -> tuple:
+        """``handler``'s ``(taken, then)`` for ``run``, checked: a take that changes
+        the simulation, or hears no delivery or more than it was given, raises."""
+        rows, clock, loss = self.capture._rows, self.clock, self.loss
+        mark = (self._gen, len(rows), clock.now, loss.drop_prob, loss.dup_prob)
+        taken, then = handler(src, run)
+        if mark != (self._gen, len(rows), clock.now, loss.drop_prob, loss.dup_prob):
+            raise NetSimError("a datagram handler changed the simulation while it took"
+                              " a run; it must act in its then")
+        if type(taken) is not int or not 0 < taken <= len(run):
+            raise NetSimError(f"a datagram handler took {taken!r} of {len(run)} deliveries")
+        return taken, then
+
+    def _hear(self, recs, outcomes, i: int, copies: int, src: str, port: int,
+              length: int) -> None:
+        """Deliver a written frame from receiver ``i`` on: ``copies`` to it and the
+        frame's ``outcomes`` byte to each later one, reading each receiver's port
+        as its turn comes, so a ``then`` applies from the next delivery."""
+        for j in range(i, len(recs)):
+            left = copies if j == i else outcomes[j]
+            while left:
+                handler = recs[j].datagram_handlers.get(port)
+                if handler is None:
+                    break
+                taken, then = self._take(handler, src, [length] * left)
+                left -= taken
+                if then is not None:
+                    then()
 
     # -- streams -----------------------------------------------------------
 

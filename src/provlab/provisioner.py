@@ -26,6 +26,7 @@ from .stego import BmpImage, stego_extract
 
 T_PROV_SECONDS = 30
 POLL_INTERVAL = 2
+RESEND_ROUNDS = 1  # credential rounds sent again before each wait between polls
 
 # verbatim from the decompiled resolver, odd zero-padded octets included;
 # in simulation these strings are directory keys, not routable addresses
@@ -208,9 +209,10 @@ class CloudClient:
             {"region": self.config.region, "userId": self.config.user_id},
         )
 
-    def wait_until_online(self, token: str) -> ProvisionOutcome:
+    def wait_until_online(self, token: str, again=None) -> ProvisionOutcome:
         """Poll the cloud until the device bound with ``token`` shows up
-        online, its bind is rejected, or the provisioning window lapses."""
+        online, its bind is rejected, or the provisioning window lapses;
+        ``again()``, if given, runs before each wait between polls."""
         deadline = self.clock.now + T_PROV_SECONDS
         while True:
             try:
@@ -225,6 +227,8 @@ class CloudClient:
                 )
             if self.clock.now >= deadline:
                 return ProvisionOutcome(False, error="Timeout")
+            if again is not None:
+                again()
             self.clock.advance(POLL_INTERVAL)
 
 
@@ -272,11 +276,16 @@ class MobileApp:
         idle_hook=None,
     ) -> ProvisionOutcome:
         """Broadcast credentials, then poll the cloud until the device shows
-        up online or the provisioning window lapses."""
-        self.broadcast_credentials(creds, rounds)
-        if idle_hook is not None:
-            idle_hook()
-        return self.cloud_client.wait_until_online(creds.token)
+        up online or the provisioning window lapses, broadcasting
+        :data:`RESEND_ROUNDS` more rounds before each wait.  ``idle_hook``
+        runs after each broadcast."""
+        def send(n: int) -> None:
+            self.broadcast_credentials(creds, n)
+            if idle_hook is not None:
+                idle_hook()
+
+        send(rounds)
+        return self.cloud_client.wait_until_online(creds.token, lambda: send(RESEND_ROUNDS))
 
     def control_device(self, device_id: str, command: dict) -> dict:
         """app -> cloud -> device and back; never touches the device directly."""

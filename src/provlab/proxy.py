@@ -18,6 +18,7 @@ from .cloud import APP_ACTIONS, CloudUnreachable, DeviceChannels, VendorCloud
 from .netsim import DuplicateSsid, PeerUnreachable, Simulation, StreamEnd, VirtualNetwork
 from .protocol import TOKEN_ALPHABET, DeviceFrame, encode_frame, serve_frames
 from .provisioner import (
+    RESEND_ROUNDS,
     AppConfig,
     CloudClient,
     EnvelopeFactory,
@@ -123,7 +124,8 @@ class ProxyGateway:
     def provision_isolated(
         self, device_id: str, token: str | None = None, idle_hook=None
     ) -> ProvisionOutcome:
-        """Provision one device onto its decoy network with decoy credentials;
+        """Provision one device onto its decoy network with decoy credentials,
+        re-broadcasting as :meth:`MobileApp.provision` does until it is online;
         the device registers with the cloud knowing nothing about the home."""
         net = self.assignments.get(device_id)
         if net is None:
@@ -134,11 +136,15 @@ class ProxyGateway:
             except (ProvisionerError, CloudUnreachable) as exc:
                 return ProvisionOutcome(False, error=str(exc))
         creds = dpl.Credentials(ssid=net.ssid, passphrase=net.passphrase, token=token)
-        self.sim.broadcast_lengths(self.endpoint, dpl.PROVISION_PORT, dpl.encode(creds),
-                                   ssid=net.ssid)
-        if idle_hook is not None:
-            idle_hook()
-        return self.cloud_client.wait_until_online(token)
+
+        def send(rounds: int) -> None:
+            self.sim.broadcast_lengths(self.endpoint, dpl.PROVISION_PORT,
+                                       dpl.encode(creds, rounds), ssid=net.ssid)
+            if idle_hook is not None:
+                idle_hook()
+
+        send(dpl.DEFAULT_ROUNDS)
+        return self.cloud_client.wait_until_online(token, lambda: send(RESEND_ROUNDS))
 
     # -- app-side relay with policy -------------------------------------------------
 

@@ -41,6 +41,10 @@ class UnknownScenario(KeyError):
     pass
 
 
+_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 @dataclass
 class Step:
     expect: str
@@ -66,19 +70,16 @@ class ScenarioReport:
         return all(s.ok for s in self.steps)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "seed": self.seed,
-                "pass": self.passed,
-                "steps": [
-                    {"expect": s.expect, "observe": s.observe, "pass": s.ok}
-                    for s in self.steps
-                ],
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        """The report as ``json.dumps(..., sort_keys=True, indent=2)`` writes it,
+        and a newline, written directly from its fixed shape."""
+        steps = "".join(
+            f'\n    {{\n      "expect": {_json_str(s.expect)},\n      "observe": '
+            f'{_json_str(s.observe)},\n      "pass": {_JSON_BOOL[s.ok]}\n    }},'
+            for s in self.steps)
+        steps = f"[{steps[:-1]}\n  ]" if steps else "[]"
+        return (f'{{\n  "pass": {_JSON_BOOL[self.passed]},\n  "scenario": '
+                f'{_json_str(self.scenario)},\n  "seed": {int.__repr__(self.seed)},\n'
+                f'  "steps": {steps}\n}}\n')
 
 
 @dataclass

@@ -80,7 +80,7 @@ class TestRegistrationFlow:
         fed = []
         feed = dpl.DecoderBank.feed
         monkeypatch.setattr(dpl.DecoderBank, "feed",
-                            lambda bank, src, length: fed.append(bank) or feed(bank, src, length))
+                            lambda bank, src, lengths: fed.append(bank) or feed(bank, src, lengths))
         newcomer, _ = provision_one(sim, cloud, app, device_id="plug-02")
         assert newcomer.phase is DevicePhase.REGISTERED
         assert any(bank is newcomer.bank for bank in fed)

@@ -528,6 +528,13 @@ class TestRoundTrailingSegment:
         assert state.slots == {i: {b: 1} for i, b in enumerate(self.payload[:-1])}
 
 
+def _feed_one(bank, src, length):
+    """One frame through ``DecoderBank.feed``, as a run of one; the attempt it went to."""
+    taken, state = bank.feed(src, (length,))
+    assert taken == 1
+    return state
+
+
 class TestDecoderBank:
     def test_interleaved_senders_each_decode_their_own(self):
         a = Credentials("net", "alpha-pass", token(random.Random(1)))
@@ -535,8 +542,8 @@ class TestDecoderBank:
         bank = DecoderBank()
         states = {}
         for la, lb in zip(encode(a, 1), encode(b, 1)):
-            states["a"] = bank.feed("a", la)
-            states["b"] = bank.feed("b", lb)
+            states["a"] = _feed_one(bank, "a", la)
+            states["b"] = _feed_one(bank, "b", lb)
         assert states["a"].credentials == a
         assert states["b"].credentials == b
 
@@ -544,11 +551,11 @@ class TestDecoderBank:
         creds = Credentials("net", "pass", token())
         bank = DecoderBank()
         for length in _bad_crc_round(creds):
-            failed = bank.feed("a", length)
+            failed = _feed_one(bank, "a", length)
         assert bank.finalize() is None
         assert failed.phase is Phase.FAILED
         for length in encode(creds, 1):
-            state = bank.feed("a", length)
+            state = _feed_one(bank, "a", length)
         assert state is not failed
         assert state.credentials == creds
 
@@ -562,17 +569,46 @@ class TestDecoderBank:
             lengths = encode(creds, 1)
             del lengths[lengths.index(dpl.IDX_BASE + 2) + 1]
             for length in lengths:
-                bank.feed(src, length)
+                _feed_one(bank, src, length)
         assert bank.finalize().credentials == first
 
     def test_a_new_sender_at_a_full_bank_drops_the_oldest_attempt(self):
         bank = DecoderBank()
-        states = [bank.feed(f"s{i}", 1) for i in range(dpl.MAX_SENDERS)]
-        assert [bank.feed(f"s{i}", 3) for i in range(dpl.MAX_SENDERS)] == states
-        newcomer = bank.feed("late", 1)
-        assert bank.feed("late", 3) is newcomer
-        assert all(bank.feed(f"s{i}", 6) is states[i] for i in range(1, dpl.MAX_SENDERS))
-        assert bank.feed("s0", 6) is not states[0]
+        states = [_feed_one(bank, f"s{i}", 1) for i in range(dpl.MAX_SENDERS)]
+        assert [_feed_one(bank, f"s{i}", 3) for i in range(dpl.MAX_SENDERS)] == states
+        newcomer = _feed_one(bank, "late", 1)
+        assert _feed_one(bank, "late", 3) is newcomer
+        assert all(_feed_one(bank, f"s{i}", 6) is states[i] for i in range(1, dpl.MAX_SENDERS))
+        assert _feed_one(bank, "s0", 6) is not states[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sent=st.lists(st.tuples(CREDS, st.integers(1, 2)), min_size=1, max_size=3),
+        lost=st.sets(st.integers(0, 1500), max_size=30),
+        cuts=st.sets(st.integers(1, 1500), max_size=8),
+    )
+    def test_a_run_takes_what_frame_by_frame_feeding_takes(self, sent, lost, cuts):
+        """One sender's lossy stream of several attempts, fed frame by frame and
+        as runs cut anywhere: each take stops at the frame that completes its
+        attempt, or takes the whole run, and leaves the attempt as the frame by
+        frame bank left it after that frame."""
+        lengths = [n for creds, rounds in sent for n in encode(creds, rounds)]
+        lengths = [n for k, n in enumerate(lengths) if k not in lost]
+        one, after = DecoderBank(), []
+        for length in lengths:
+            state = _feed_one(one, "a", length)
+            after.append((state.phase, state.credentials))
+        bank = DecoderBank()
+        ends = sorted({0, len(lengths)} | {c for c in cuts if c < len(lengths)})
+        for lo, hi in zip(ends, ends[1:]):
+            while lo < hi:
+                taken, state = bank.feed("a", lengths[lo:hi])
+                assert 0 < taken <= hi - lo
+                assert taken == hi - lo or state.phase is Phase.COMPLETE
+                lo += taken
+                assert (state.phase, state.credentials) == after[lo - 1]
+        won = one.finalize()
+        assert getattr(bank.finalize(), "credentials", None) == getattr(won, "credentials", None)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -605,7 +641,7 @@ class TestDecoderBank:
         bank, attempts = DecoderBank(), {}
         for k in picks:
             src = streams[k][0]
-            state = bank.feed(src, next(cursors[k]))
+            state = _feed_one(bank, src, next(cursors[k]))
             attempts.setdefault(id(state), (src, state))
         winner = bank.finalize()
         for src, state in attempts.values():
@@ -624,7 +660,7 @@ def _bank_decode(rows):
     banks, attempts = {}, {}
     for row in rows:
         if row[5] == "bcast" and row[3] == dpl.PROVISION_PORT:
-            state = banks.setdefault(row[2], DecoderBank()).feed(row[2], row[4])
+            state = _feed_one(banks.setdefault(row[2], DecoderBank()), row[2], row[4])
             attempts.setdefault(id(state), (row[2], state))
     for _src, state in attempts.values():
         state.finalize()

@@ -1,8 +1,9 @@
-"""The per-frame decode path looks up no Enum member.
+"""The device's decode path looks up no Enum member.
 
 ``EnumType`` defines ``__getattr__``, so ``Phase.COMPLETE`` goes through a
-slow attribute hook on every lookup.  The functions that run once per heard
-frame compare against module constants bound once instead.
+slow attribute hook on every lookup.  The device's run handler and the bank
+entry it calls, which run once per heard run, and the decoder's frame loop
+compare against module constants bound once instead.
 """
 
 import ast
@@ -10,8 +11,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HOT = {
-    "src/provlab/dpl.py": ["DecoderState.feed_many", "DecoderState.feed", "DecoderBank.feed"],
-    "src/provlab/device.py": ["IoTDevice._on_datagram"],
+    "src/provlab/dpl.py": ["DecoderState.feed_many", "DecoderBank.feed"],
+    "src/provlab/device.py": ["IoTDevice._on_run"],
 }
 ENUMS = {"Phase", "DevicePhase", "dpl.Phase"}
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from provlab import dpl, scenarios
 from provlab.netsim import (
+    CHUNK_SLOTS,
     CaptureEntry,
     CaptureLog,
     DuplicateSsid,
@@ -41,8 +42,12 @@ def fresh_sim(drop=0.0, dup=0.0, seed=0):
 
 
 def recorder(got: list):
-    """A datagram handler that appends each ``(src, length)`` it hears to ``got``."""
-    return lambda src, length: got.append((src, length))
+    """A datagram handler that takes every delivery of each run it is given and
+    appends each one's ``(src, length)`` to ``got``."""
+    def hear(src, lengths):
+        got.extend((src, length) for length in lengths)
+        return len(lengths), None
+    return hear
 
 
 class TestNetworks:
@@ -103,9 +108,14 @@ class TestBroadcast:
         for ep in (tx, rx):
             sim.join(ep, "net-a", "password-a")
         got = []
-        sim.set_datagram_handler(rx, 30011, lambda *args: got.append(args))
+
+        def hear(*args):
+            got.append((args[0], list(args[1])))
+            return len(args[1]), None
+
+        sim.set_datagram_handler(rx, 30011, hear)
         sim.broadcast(tx, 30011, 3)
-        assert got == [(tx, 3)]
+        assert got == [(tx, [3])]
         assert sim.capture.rows()[0][4] == 3
         # bytes are not a length: nothing of them could reach a handler
         with pytest.raises(InvalidLength):
@@ -216,9 +226,10 @@ class TestBroadcast:
         sim.join(elsewhere, "net-b", "password-b")
         handled = []
 
-        def on_datagram(src, length):
+        def on_datagram(src, lengths):
             assert src == "tx"
-            handled.append(length)
+            handled.extend(lengths)
+            return len(lengths), None
 
         sim.set_datagram_handler(eps["rx-b"], port, on_datagram)
         recorded = [eps["rx-d"], eps["rx-a"], eps["rx-c"], eps["tx"], elsewhere]
@@ -263,7 +274,9 @@ class TestBroadcast:
             sim.join(ep, "net-a", "password-a")
         sim.set_stream_handler(hub, 6668, lambda end, src: None)
         end = sim.open_stream(rxs[0], hub, 6668)
-        sim.set_datagram_handler(rxs[0], 30011, lambda src, length: end.send(b"\x55" * length))
+        # one delivery per take, answered on the stream in its then
+        sim.set_datagram_handler(
+            rxs[0], 30011, lambda src, lengths: (1, lambda: end.send(b"\x55" * lengths[0])))
         for _ in range(50):
             sim.broadcast(tx, 30011, 3)
         snap = sim.capture.rows()
@@ -342,9 +355,9 @@ class TestBroadcast:
         sim.join(tx, "net-a", "password-a")
         sim.join(rx, "net-a", "password-a")
         seen = []
-        sim.set_datagram_handler(rx, 30011, lambda src, length: seen.append(length))
+        sim.set_datagram_handler(rx, 30011, recorder(seen))
         sim.broadcast(tx, 30011, 4)
-        assert seen == [4]
+        assert seen == [(tx, 4)]
 
     def test_offline_sender_raises_before_any_record(self):
         sim = fresh_sim(drop=0.3, dup=0.3, seed=2)
@@ -510,8 +523,9 @@ def _burst_oracle(case):
 
 def _burst_sim(case, snapshots=None):
     """The case's simulation and endpoints, with its receivers' ports set;
-    returns (sim, endpoints, handler calls).  Each handler call appends
-    ``capture.frames()`` to ``snapshots`` when it is given."""
+    returns (sim, endpoints, handler calls), a call per delivery taken.  Each
+    delivery taken appends ``capture.frames()`` to ``snapshots`` when it is
+    given."""
     sim = fresh_sim(drop=case["drop"], dup=case["dup"], seed=case["seed"])
     eps = {name: sim.register(name) for name in ("tx",) + BURST_RX}
     for ssid, passphrase in (("net-a", "password-a"), ("net-b", "password-b")):
@@ -521,13 +535,20 @@ def _burst_sim(case, snapshots=None):
     calls, seen = [], dict.fromkeys(BURST_RX, 0)
 
     def handler_of(name):
-        def on_datagram(src, length):
+        def on_datagram(src, lengths):
+            # a scripted call is the last delivery taken; its action is the then
             assert src in eps
-            calls.append((name, src, length))
-            if snapshots is not None:
-                snapshots.append(sim.capture.frames())
-            action = case["scripts"][name].get(seen[name], ("none",))
-            seen[name] += 1
+            for taken, length in enumerate(lengths, 1):
+                calls.append((name, src, length))
+                if snapshots is not None:
+                    snapshots.append(sim.capture.frames())
+                action = case["scripts"][name].get(seen[name], ("none",))
+                seen[name] += 1
+                if action[0] != "none":
+                    return taken, lambda: act(action)
+            return len(lengths), None
+
+        def act(action):
             if action[0] == "leave":
                 sim.leave(eps[name], "net-a")
             elif action[0] == "join":
@@ -546,6 +567,7 @@ def _burst_sim(case, snapshots=None):
                 sim.set_online(eps[action[1]], action[0] == "online")
             elif action[0] == "send":
                 sim.broadcast_lengths(eps[name], PORT, [action[1]], "net-a")
+
         return on_datagram
 
     for name, mode in case["ports"].items():
@@ -635,6 +657,60 @@ class TestBurst:
         "scripts": {name: {} for name in BURST_RX},
         "ssid": None, "lengths": [5, 2049],
     })
+    @example(case={
+        # a lossy single listener closes its port on its fourth delivery: the run
+        # stops inside its chunk and the generator is rewound to that frame
+        "seed": 21, "drop": 0.15, "dup": 0.15, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "closed", "rx-b": "handler", "rx-c": "closed",
+                               "rx-d": "closed"},
+        "scripts": {"rx-a": {}, "rx-b": {3: ("close",)}, "rx-c": {}, "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(200, 240)),
+    })
+    @example(case={
+        # every delivered frame comes twice: rx-a's first copy opens rx-c, which
+        # hears the rest of that frame, and its third call, a first copy, closes
+        # rx-a before the second copy
+        "seed": 22, "drop": 0.15, "dup": 1.0, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed",
+                               "rx-d": "closed"},
+        "scripts": {"rx-a": {0: ("open", "rx-c"), 2: ("close",)}, "rx-b": {}, "rx-c": {},
+                    "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(300, 320)),
+    })
+    @example(case={
+        # 700 frames to four receivers are two chunks of draws; rx-d's 561st
+        # delivery, in the second chunk and a first copy, advances the clock
+        "seed": 23, "drop": 0.15, "dup": 0.15,
+        "net-a": ["tx", "rx-a", "rx-b", "rx-c", "rx-d"], "net-b": [],
+        "ports": {"rx-a": "closed", "rx-b": "closed", "rx-c": "closed", "rx-d": "handler"},
+        "scripts": {"rx-a": {}, "rx-b": {}, "rx-c": {}, "rx-d": {560: ("clock",)}},
+        "ssid": "net-a", "lengths": list(range(1000, 1700)),
+    })
+    @example(case={
+        # two open ports hear one frame at a time; rx-a changes the rates and
+        # rx-c closes, which leaves one listener for the rest of the burst
+        "seed": 24, "drop": 0.15, "dup": 0.15, "net-a": ["tx", "rx-a", "rx-b", "rx-c"],
+        "net-b": [], "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "handler",
+                               "rx-d": "closed"},
+        "scripts": {"rx-a": {1: ("loss", 0.5, 0.0)}, "rx-b": {}, "rx-c": {2: ("close",)},
+                    "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(50, 80)),
+    })
+    @example(case={
+        # a then that broadcasts, on a lossless link and inside a lossy chunk
+        "seed": 25, "drop": 0.0, "dup": 0.0, "net-a": ["tx", "rx-a", "rx-b"], "net-b": [],
+        "ports": {"rx-a": "handler", "rx-b": "closed", "rx-c": "closed", "rx-d": "closed"},
+        "scripts": {"rx-a": {1: ("send", 1234), 3: ("send", 7)}, "rx-b": {}, "rx-c": {},
+                    "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(10, 20)),
+    })
+    @example(case={
+        "seed": 26, "drop": 0.5, "dup": 0.5, "net-a": ["tx", "rx-a", "rx-b"], "net-b": [],
+        "ports": {"rx-a": "handler", "rx-b": "handler", "rx-c": "closed", "rx-d": "closed"},
+        "scripts": {"rx-a": {0: ("send", 99), 1: ("close",)}, "rx-b": {}, "rx-c": {},
+                    "rx-d": {}},
+        "ssid": "net-a", "lengths": list(range(10, 40)),
+    })
     def test_broadcast_lengths_matches_per_frame_oracle(self, case):
         rows, calls, rng_state, error = _run_burst(case)
         want_rows, want_calls, want_state, want_error = _burst_oracle(case)
@@ -663,10 +739,14 @@ class TestBurst:
             sim.join(ep, "net-a", "password-a")
         calls = []
 
-        def close_on_first_call(src, length):
-            calls.append(length)
-            sim.loss.drop_prob, sim.loss.dup_prob = drop, dup
-            sim.set_datagram_handler(eps["rx-c"], PORT, None)
+        def close_on_first_call(src, lengths):
+            calls.append(lengths[0])
+
+            def then():
+                sim.loss.drop_prob, sim.loss.dup_prob = drop, dup
+                sim.set_datagram_handler(eps["rx-c"], PORT, None)
+
+            return 1, then
 
         sim.set_datagram_handler(eps["rx-c"], PORT, close_on_first_call)
         lengths = list(range(3, 53))
@@ -686,6 +766,111 @@ class TestBurst:
         assert sim.capture.frames() == want_frames
         assert calls == [3]
         assert sim._rng.getstate() == rng.getstate()
+
+
+def _listening(drop=0.0, dup=0.0):
+    """``tx`` and ``rx`` on net-a, and ``hub`` on the WAN listening on 6668."""
+    sim = fresh_sim(drop=drop, dup=dup, seed=12)
+    sim.create_network("net-a", "password-a")
+    tx, rx, hub = sim.register("tx"), sim.register("rx"), sim.register("hub", wan=True)
+    for ep in (tx, rx):
+        sim.join(ep, "net-a", "password-a")
+    sim.set_stream_handler(hub, 6668, lambda end, src: None)
+    return sim, tx, rx, hub
+
+
+# what a take may not do: each changes the simulation
+IN_TAKE = {
+    "port": lambda sim, rx, end: sim.set_datagram_handler(rx, PORT, None),
+    "leave": lambda sim, rx, end: sim.leave(rx, "net-a"),
+    "presence": lambda sim, rx, end: sim.set_online("tx", False),
+    "clock": lambda sim, rx, end: sim.clock.advance(1),
+    "loss": lambda sim, rx, end: setattr(sim.loss, "drop_prob", 0.5),
+    "broadcast": lambda sim, rx, end: sim.broadcast(rx, PORT, 7),
+    "stream": lambda sim, rx, end: end.send(b"x"),
+}
+
+
+class TestRuns:
+    """A handler hears a run and acts only in its ``then``."""
+
+    @pytest.mark.parametrize("change", IN_TAKE.values(), ids=IN_TAKE)
+    @pytest.mark.parametrize("drop", [0.0, 0.2], ids=["lossless", "lossy"])
+    def test_a_take_that_changes_the_simulation_is_rejected(self, change, drop):
+        sim, tx, rx, hub = _listening(drop=drop)
+        end = sim.open_stream(rx, hub, 6668)
+
+        def hear(src, lengths):
+            change(sim, rx, end)
+            return len(lengths), None
+
+        sim.set_datagram_handler(rx, PORT, hear)
+        with pytest.raises(NetSimError, match="changed the simulation while it took a run"):
+            sim.broadcast_lengths(tx, PORT, list(range(100, 140)))
+
+    def test_the_same_change_in_the_then_is_heard_from_the_next_delivery(self):
+        sim, tx, rx, _hub = _listening()
+        got = []
+
+        def hear(src, lengths):
+            got.extend(lengths[:2])
+            return 2, lambda: sim.set_datagram_handler(rx, PORT, None)
+
+        sim.set_datagram_handler(rx, PORT, hear)
+        assert sim.broadcast_lengths(tx, PORT, [5, 6, 7, 8]) == 4
+        assert got == [5, 6]
+        assert [frame[7] for frame in sim.capture.frames()] == [b"\x01"] * 4
+
+    @pytest.mark.parametrize("taken", [0, 5, -1, 2.0], ids=str)
+    def test_a_take_of_no_delivery_or_more_than_the_run_is_rejected(self, taken):
+        sim, tx, rx, _hub = _listening()
+        sim.set_datagram_handler(rx, PORT, lambda src, lengths: (taken, None))
+        with pytest.raises(NetSimError, match=f"took {taken!r} of 4 deliveries"):
+            sim.broadcast_lengths(tx, PORT, [5, 6, 7, 8])
+
+    @pytest.mark.parametrize("drop, dup, runs", [(0.0, 0.0, 1), (0.0, 1.0, 1), (0.1, 0.05, 2)])
+    def test_one_listener_hears_a_burst_in_few_runs(self, drop, dup, runs):
+        """One run for the whole burst when every outcome is certain; on a lossy
+        link, one per chunk of draws, not one per delivery."""
+        sim, tx, rx, _hub = _listening(drop=drop, dup=dup)
+        lengths = GENUINE * 8
+        assert CHUNK_SLOTS < len(lengths) <= 2 * CHUNK_SLOTS
+        heard = []
+
+        def hear(src, run):
+            heard.append(len(run))
+            return len(run), None
+
+        sim.set_datagram_handler(rx, PORT, hear)
+        sim.broadcast_lengths(tx, PORT, lengths)
+        assert len(heard) == runs
+        assert sum(heard) == sum(sum(frame[7]) for frame in sim.capture.frames())
+
+
+class TestGeneratorFacts:
+    """What both draw paths of ``broadcast_lengths`` rely on: one step of
+    ``getrandbits(64 * n)`` for n draws of ``random()``, and a ``setstate``
+    rewind that replays the stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12, 2026, 2**32 - 1])
+    def test_getrandbits_of_64_n_bits_leaves_the_state_of_n_random_calls(self, seed):
+        stepped = random.Random(seed)
+        for n in range(301):
+            bulk = random.Random(seed)
+            bulk.getrandbits(64 * n)
+            assert bulk.getstate() == stepped.getstate(), n
+            stepped.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    def test_a_setstate_rewind_replays_the_same_stream(self, seed):
+        rng = random.Random(seed)
+        rng.random()
+        mark = rng.getstate()
+        first = [rng.random() for _ in range(60)]
+        for k in (0, 1, 17, 60):
+            rng.setstate(mark)
+            rng.getrandbits(64 * k)
+            assert [rng.random() for _ in range(60 - k)] == first[k:]
 
 
 GENUINE = dpl.encode(dpl.Credentials("home-net", "hunter2-long", "t" * 32), rounds=2)

@@ -4,8 +4,10 @@ import pytest
 
 from provlab import dpl
 from provlab.cloud import CloudUnreachable, VendorCloud
+from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.provisioner import (
+    RESEND_ROUNDS,
     AppConfig,
     CloudRejected,
     EnvelopeFactory,
@@ -69,8 +71,11 @@ class TestEndpointFallback:
 
 @pytest.fixture
 def rig(keyset):
-    rng = random.Random(5)
-    sim = Simulation(loss=LossModel(), clock=SimClock(1_613_000_000))
+    return _rig(keyset, random.Random(5), LossModel())
+
+
+def _rig(keyset, rng, loss):
+    sim = Simulation(loss=loss, clock=SimClock(1_613_000_000))
     cloud = VendorCloud(sim, rng=rng, nonce_source=rng)
     cloud.register_vendor("com.xyz.smart", keyset)
     sim.create_network("home-net", "hunter2-long")
@@ -180,6 +185,44 @@ class TestProvisionFlow:
         # the whole 30 s window elapsed, one status poll every 2 s from t0 to t0+30
         assert sim.clock.now - t0 == 30
         assert cloud.requests_total - requests0 == 16
+
+    def test_a_timeout_broadcasts_one_more_round_before_each_wait(self, rig):
+        sim, _cloud, app, _ = rig
+        token = app.acquire_token()
+        creds = dpl.Credentials("home-net", "hunter2-long", token.value)
+        idles = []
+        outcome = app.provision(creds, rounds=2, idle_hook=lambda: idles.append(sim.clock.now))
+        assert outcome.error == "Timeout"
+        # two rounds, then RESEND_ROUNDS more before each of the 15 waits
+        sent = [row[4] for row in sim.capture.frames() if row[5] == "bcast"]
+        assert sent == dpl.encode(creds, 2) + dpl.encode(creds, RESEND_ROUNDS) * 15
+        t0 = sim.clock.now - 30
+        # the idle hook runs after the broadcast and after each resend
+        assert idles == [t0] + [t0 + 2 * k for k in range(15)]
+
+    def test_a_lossy_provisioning_two_bytes_short_after_its_broadcast_completes(
+        self, keyset
+    ):
+        # at this seed the five rounds leave the device's attempt COLLECTING with
+        # 53 of its 55 slots voted, which finalize cannot fill; one resent round does
+        sim, cloud, app, _ = _rig(keyset, random.Random(5854),
+                                  LossModel(drop_prob=0.1, dup_prob=0.05, seed=5854))
+        device = IoTDevice(sim, "bulb-01", cloud.endpoint)
+        sim.join(device.endpoint, "home-net", "hunter2-long")
+        token = app.acquire_token()
+        after_burst = []
+
+        def idle():
+            device.idle()
+            if not after_burst:
+                (state,) = device.bank._attempts.values()
+                after_burst.append((state.phase, len(state.slots), state.expected_len))
+
+        outcome = app.provision(dpl.Credentials("home-net", "hunter2-long", token.value),
+                                idle_hook=idle)
+        assert after_burst == [(dpl.COLLECTING, 53, 55)]
+        assert outcome.success and outcome.device_id == "bulb-01"
+        assert device.phase is DevicePhase.REGISTERED
 
     def test_cloud_down_means_unreachable(self, rig):
         sim, cloud, app, _ = rig

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from provlab import protocol
+from provlab import dpl, protocol
 from provlab.cloud import DeviceOffline, VendorCloud
 from provlab.device import DevicePhase, IoTDevice
 from provlab.netsim import LossModel, SimClock, Simulation
 from provlab.protocol import DeviceFrame, encode_frame, serve_frames
-from provlab.provisioner import AppConfig, MobileApp, keys_from_bmp
+from provlab.provisioner import RESEND_ROUNDS, AppConfig, MobileApp, keys_from_bmp
 from provlab.proxy import (
     AlreadyAssigned,
     LocalCommandRefused,
@@ -73,12 +73,28 @@ class TestIsolationManager:
         rx = sim.register("listener")
         sim.join(rx, net_b.ssid, net_b.passphrase)
         got = []
-        sim.set_datagram_handler(rx, 30011, lambda src, length: got.append(length))
+
+        def hear(src, lengths):
+            got.extend(lengths)
+            return len(lengths), None
+
+        sim.set_datagram_handler(rx, 30011, hear)
         sim.broadcast_lengths(proxy.endpoint, 30011, (2,), ssid=net_a.ssid)
         assert got == []
 
 
 class TestIsolatedProvisioning:
+    def test_a_timeout_broadcasts_one_more_round_before_each_wait(self, rig):
+        sim, _cloud, proxy, _ = rig
+        net = proxy.allocate_virtual_network("bulb-01")
+        token = proxy.cloud_client.request_token()["token"]
+        outcome = proxy.provision_isolated("bulb-01", token=token)
+        assert outcome.error == "Timeout"
+        creds = dpl.Credentials(net.ssid, net.passphrase, token)
+        sent = [row[4] for row in sim.capture.frames()
+                if row[5] == "bcast" and row[1] == net.ssid]
+        assert sent == dpl.encode(creds) + dpl.encode(creds, RESEND_ROUNDS) * 15
+
     def test_happy_path_footprint_is_fake_only(self, rig):
         sim, cloud, proxy, _ = rig
         device, net = provision_proxied(sim, proxy)

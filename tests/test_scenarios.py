@@ -1,9 +1,12 @@
 import gc
+import json
 import weakref
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from provlab import scenarios
 from provlab.netsim import LossModel, SimClock, Simulation
@@ -116,3 +119,47 @@ def test_copies_to_counts_what_the_per_copy_records_show():
                 if len(row) == 8 and dst_on[row[1]] in row[6]]
     assert {0, 1, 2} <= set(outcomes)
     assert any(len(row) == 7 and row[1] in dst_on for row in sim.capture.frames())
+
+
+# any code point, lone surrogates and control characters among them
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+SEEDS = st.integers() | st.sampled_from(
+    [-1, 2**63, -(10**4299), 10**4299, 10**4300, -(10**4300), 10**5000])
+
+
+def _dumps_report(report):
+    """The report as ``json.dumps`` writes it, the writer ``to_json`` replaced."""
+    return json.dumps(
+        {
+            "scenario": report.scenario,
+            "seed": report.seed,
+            "pass": report.passed,
+            "steps": [{"expect": s.expect, "observe": s.observe, "pass": s.ok}
+                      for s in report.steps],
+        },
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+
+
+def _text_or_error(write, report):
+    try:
+        return write(report)
+    except ValueError as exc:  # an int past the int-string limit
+        return type(exc), str(exc)
+
+
+class TestReportJson:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=ANY_TEXT, seed=SEEDS,
+           steps=st.lists(st.tuples(ANY_TEXT, ANY_TEXT, st.booleans()), max_size=4))
+    @example(scenario="", seed=0, steps=[])
+    @example(scenario="héllo ☃ \U0001f600", seed=-7,
+             steps=[("\x00\x1f\x7f\n\t\"\\", "\ud800 \udfff", False)])
+    @example(scenario="x", seed=10**4300, steps=[])
+    @example(scenario="x", seed=-(10**4299), steps=[("a", "b", True), ("c", "d", True)])
+    def test_matches_json_dumps_with_sorted_keys_and_indent_2(self, scenario, seed, steps):
+        report = scenarios.ScenarioReport(
+            scenario, seed, [scenarios.Step(*step) for step in steps])
+        assert (_text_or_error(scenarios.ScenarioReport.to_json, report)
+                == _text_or_error(_dumps_report, report))
